@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import config as cfgmod
-from . import fileio, fusion, gflasso, optflow, pipeline, rpca, synth
+from . import fileio, fusion, gflasso, pipeline, rpca, synth
 from .fileio import ConfigError, InputFormatError, SchemaError
 
 
@@ -94,10 +94,6 @@ def cmd_flow_group(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     frames = [fileio.read_pgm(p) for p in fileio.list_pgm_frames(args.frames)]
     records = fileio.read_jsonl(args.boxes)
-    if len(records) != len(frames):
-        raise SchemaError(
-            f"{len(frames)} frames but {len(records)} box records in {args.boxes}"
-        )
     h, w = frames[0].shape
     boxes_per_frame = []
     for i, rec in enumerate(sorted(records, key=lambda r: r.get("frame", 0))):
@@ -110,31 +106,7 @@ def cmd_flow_group(args) -> int:
             )
         except (TypeError, IndexError) as exc:
             raise SchemaError(f"bad box record {args.boxes}:{i + 1}: {exc}") from None
-    fcfg = cfgmod.flow_config(cfg)
-    groups = optflow.group_boxes(frames, boxes_per_frame, cfg["flow"]["group_threshold"], fcfg)
-    merged = optflow.merge_groups(
-        groups, frames, boxes_per_frame, cfg["flow"]["merge_threshold"], fcfg
-    )
-    fileio.write_csv(
-        os.path.join(args.out, "flow_groups.csv"),
-        ["frame", "box", "group"],
-        [(t, i, g.group_id) for g in merged for t, i in g.members],
-    )
-    fileio.write_json(
-        os.path.join(args.out, "flow_groups.json"),
-        {
-            "n_groups": len(merged),
-            "groups": [
-                {
-                    "group": g.group_id,
-                    "size": len(g.members),
-                    "first_frame": g.members[0][0],
-                    "last_frame": g.members[-1][0],
-                }
-                for g in merged
-            ],
-        },
-    )
+    pipeline.group_flow_boxes(frames, boxes_per_frame, cfg, args.out)
     return 0
 
 

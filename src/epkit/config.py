@@ -92,6 +92,7 @@ def load_config(path: str | None) -> dict:
     rules = merged.get("episode_rules")
     if isinstance(rules, str) and not os.path.exists(rules):
         raise ConfigError(f"episode_rules file not found: {rules}")
+    flow_config(merged)  # bad flow settings fail here, not after the earlier stages ran
     return merged
 
 

@@ -3,20 +3,27 @@
 Frames are 2-D float arrays in [0, 1], shape (height, width); points are
 (x, y) with x along columns. Flow is the classic windowed least-squares
 solution with Newton refinement inside a single pyramid level, so reliable
-displacement magnitude is limited to roughly half the window.
+displacement magnitude is limited to roughly half the window. One kernel
+tracks points between images of a stack; `lk_flow` runs it on two frames.
 
 Box grouping follows the track-then-merge recipe: consecutive (or nearly
 consecutive) boxes whose resampled contents move coherently are unioned
-into groups, and groups with correlated mean appearance are merged.
+into groups, and groups with correlated mean appearance are merged. Each
+box is cropped once; box pairs are scored forward and backward in batches
+of BATCH_POINTS feature points, a fixed budget that bounds their memory.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 from scipy.ndimage import maximum_filter, uniform_filter
+
+# About 8 frames of a two-hand driver session. Larger batches save little
+# time; at 2048 the peak memory of a 400-frame session rose by a sixth.
+BATCH_POINTS = 1024
 
 
 @dataclass
@@ -38,6 +45,10 @@ class FlowConfig:
             raise ValueError("feature_quality must lie in (0, 1]")
         if self.gap_max < 0:
             raise ValueError("gap_max must be non-negative")
+        if self.max_features < 1:
+            raise ValueError(f"max_features must be at least 1, got {self.max_features}")
+        if self.canonical_size < 3:
+            raise ValueError(f"canonical_size must be at least 3, got {self.canonical_size}")
 
     def resolved_eigen_floor(self, window: int | None = None) -> float:
         if self.eigen_floor is not None:
@@ -81,14 +92,18 @@ def image_gradients(frame) -> tuple[np.ndarray, np.ndarray]:
     return np.gradient(f, axis=1), np.gradient(f, axis=0)
 
 
-def _bilinear(img: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    h, w = img.shape
-    x0 = np.clip(np.floor(xs).astype(np.int64), 0, w - 2)
-    y0 = np.clip(np.floor(ys).astype(np.int64), 0, h - 2)
+def _bilinear(img: np.ndarray, xs, ys, base=0) -> np.ndarray:
+    """Samples at (xs, ys) of img (h, w), or of the stack image (..., h, w) at flat index base."""
+    h, w = img.shape[-2:]
+    flat = img.reshape(-1)
+    # truncation equals floor wherever the clip to [0, size - 2] keeps the value
+    x0 = np.clip(xs.astype(np.int64), 0, w - 2)
+    y0 = np.clip(ys.astype(np.int64), 0, h - 2)
     fx = xs - x0
     fy = ys - y0
-    top = (1 - fx) * img[y0, x0] + fx * img[y0, x0 + 1]
-    bot = (1 - fx) * img[y0 + 1, x0] + fx * img[y0 + 1, x0 + 1]
+    i = base + y0 * w + x0
+    top = (1 - fx) * flat[i] + fx * flat[i + 1]
+    bot = (1 - fx) * flat[i + w] + fx * flat[i + w + 1]
     return (1 - fy) * top + fy * bot
 
 
@@ -140,30 +155,18 @@ def good_features(frame, max_count: int, quality: float, window: int = 9) -> np.
     return np.array(kept, dtype=np.float64).reshape(-1, 2)
 
 
-def lk_flow(prev, nxt, points, window: int = 9, cfg: FlowConfig | None = None) -> list[FlowVector]:
-    """Per-point displacement between two frames.
+def _lk_batch(stack, src, dst, pts, cfg: FlowConfig):
+    """Windowed flow of each point pts[k] from image src[k] to dst[k] of stack (n, h, w).
 
-    Solves the windowed 2x2 gradient system and refines by re-sampling the
-    target window at the running estimate. Points too close to the border,
-    points whose structure tensor is near-singular, and points that drift
-    out of frame are reported invalid with zero displacement.
+    Solves the 2x2 gradient system and refines by re-sampling the target at
+    the running estimate. Points too close to the border, points whose
+    structure tensor is near-singular, and points that drift out of frame
+    are invalid with zero displacement. h, w >= 3. Returns displacement
+    (m, 2), validity (m,) and the smaller structure-tensor eigenvalue (m,).
     """
-    if cfg is None:
-        cfg = FlowConfig(window=window)
-    a = as_frame(prev, "prev")
-    b = as_frame(nxt, "next")
-    if a.shape != b.shape:
-        raise ValueError(f"frame shapes differ: {a.shape} vs {b.shape}")
-    if window < 3 or window % 2 == 0:
-        raise ValueError(f"window must be odd and >= 3, got {window}")
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
-    n = pts.shape[0]
-    if n == 0:
-        return []
-
-    floor = cfg.resolved_eigen_floor(window)
-    half = window // 2
-    h, w = a.shape
+    _n, h, w = stack.shape
+    floor = cfg.resolved_eigen_floor()
+    half = cfg.window // 2
     offs = np.arange(-half, half + 1, dtype=np.float64)
     ox, oy = np.meshgrid(offs, offs)
     ox = ox.ravel()
@@ -178,13 +181,13 @@ def lk_flow(prev, nxt, points, window: int = 9, cfg: FlowConfig | None = None) -
         & (pts[:, 1] + half <= h - 1)
     )
 
-    ix, iy = image_gradients(a)
-    patch = np.zeros_like(gx)
-    gxv = np.zeros_like(gx)
-    gyv = np.zeros_like(gx)
-    patch[inb] = _bilinear(a, gx[inb], gy[inb])
-    gxv[inb] = _bilinear(ix, gx[inb], gy[inb])
-    gyv[inb] = _bilinear(iy, gx[inb], gy[inb])
+    # image, x gradient and y gradient of every source window in one gather
+    iy, ix = np.gradient(stack, axis=(1, 2))
+    planes = np.stack([stack, ix, iy])
+    base = src[:, None] * (h * w) + np.arange(3)[:, None, None] * stack.size
+    sampled = np.zeros((3,) + gx.shape)
+    sampled[:, inb] = _bilinear(planes, gx[inb], gy[inb], base[:, inb])
+    patch, gxv, gyv = sampled
 
     sxx = np.sum(gxv * gxv, axis=1)
     sxy = np.sum(gxv * gyv, axis=1)
@@ -194,7 +197,8 @@ def lk_flow(prev, nxt, points, window: int = 9, cfg: FlowConfig | None = None) -
     det = sxx * syy - sxy * sxy
 
     valid = inb & (min_eig >= floor) & (det > 0)
-    disp = np.zeros((n, 2))
+    disp = np.zeros((pts.shape[0], 2))
+    dst_base = dst[:, None] * (h * w)
     active = valid.copy()
     for _ in range(cfg.max_refinements):
         idx = np.nonzero(active)[0]
@@ -202,12 +206,8 @@ def lk_flow(prev, nxt, points, window: int = 9, cfg: FlowConfig | None = None) -
             break
         tx = gx[idx] + disp[idx, 0:1]
         ty = gy[idx] + disp[idx, 1:2]
-        out = (
-            (tx.min(axis=1) < 0)
-            | (tx.max(axis=1) > w - 1)
-            | (ty.min(axis=1) < 0)
-            | (ty.max(axis=1) > h - 1)
-        )
+        # rounding is monotonic, so the window's first and last samples are its extremes
+        out = (tx[:, 0] < 0) | (tx[:, -1] > w - 1) | (ty[:, 0] < 0) | (ty[:, -1] > h - 1)
         if np.any(out):
             gone = idx[out]
             valid[gone] = False
@@ -218,7 +218,7 @@ def lk_flow(prev, nxt, points, window: int = 9, cfg: FlowConfig | None = None) -
                 break
             tx = tx[~out]
             ty = ty[~out]
-        it = _bilinear(b, tx, ty) - patch[idx]
+        it = _bilinear(stack, tx, ty, dst_base[idx]) - patch[idx]
         bx = -np.sum(gxv[idx] * it, axis=1)
         by = -np.sum(gyv[idx] * it, axis=1)
         inv_det = 1.0 / det[idx]
@@ -228,13 +228,29 @@ def lk_flow(prev, nxt, points, window: int = 9, cfg: FlowConfig | None = None) -
         disp[idx, 1] += dy
         settled = np.hypot(dx, dy) < cfg.step_tol
         active[idx[settled]] = False
+    return disp, valid, min_eig
 
+
+def lk_flow(prev, nxt, points, window: int = 9, cfg: FlowConfig | None = None) -> list[FlowVector]:
+    """Per-point displacement between two frames; see _lk_batch for invalid points."""
+    cfg = replace(cfg or FlowConfig(), window=window)
+    a = as_frame(prev, "prev")
+    b = as_frame(nxt, "next")
+    if a.shape != b.shape:
+        raise ValueError(f"frame shapes differ: {a.shape} vs {b.shape}")
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
+    n = pts.shape[0]
+    if n == 0:
+        return []
+    if min(a.shape) < 3:
+        raise ValueError(f"frame too small for gradients: {a.shape}")
+    disp, valid, min_eig = _lk_batch(np.stack([a, b]), np.zeros(n, int), np.ones(n, int), pts, cfg)
     return [
         FlowVector(
             origin=(float(pts[i, 0]), float(pts[i, 1])),
-            displacement=(float(disp[i, 0]), float(disp[i, 1])) if valid[i] else (0.0, 0.0),
+            displacement=(float(disp[i, 0]), float(disp[i, 1])),
             valid=bool(valid[i]),
-            min_eigenvalue=float(max(min_eig[i], 0.0)) if inb[i] else 0.0,
+            min_eigenvalue=float(max(min_eig[i], 0.0)),
         )
         for i in range(n)
     ]
@@ -268,39 +284,29 @@ def canonical_crop(frame, box, size: int) -> np.ndarray:
     return canonical_rect(frame, box, size, size)
 
 
-def _crop_similarity(crop_prev, crop_next, cfg: FlowConfig, feats=None) -> float:
-    size = crop_prev.shape[0]
-    if feats is None:
-        feats = good_features(crop_prev, cfg.max_features, cfg.feature_quality, cfg.window)
-    if feats.shape[0] == 0:
-        return 0.0
-    fwd = lk_flow(crop_prev, crop_next, feats, cfg.window, cfg)
-    valid = [f for f in fwd if f.valid]
-    if not valid:
-        return 0.0
-    landings = np.array(
-        [(f.origin[0] + f.displacement[0], f.origin[1] + f.displacement[1]) for f in valid]
-    )
-    inside = (
-        (landings[:, 0] >= 0)
-        & (landings[:, 0] <= size - 1)
-        & (landings[:, 1] >= 0)
-        & (landings[:, 1] <= size - 1)
-    )
-    score = 0
-    if np.any(inside):
-        back = lk_flow(crop_next, crop_prev, landings[inside], cfg.window, cfg)
-        fwd_inside = [f for f, ok in zip(valid, inside) if ok]
-        for f, bk in zip(fwd_inside, back):
-            if not bk.valid:
-                continue
-            err = np.hypot(
-                f.displacement[0] + bk.displacement[0],
-                f.displacement[1] + bk.displacement[1],
-            )
-            if err <= cfg.fb_max_error:
-                score += 1
-    return score / len(valid)
+def _fb_similarity(crops, pairs, feats, cfg: FlowConfig) -> np.ndarray:
+    """Motion-coherence score of each pair (i, j) of same-size crops, in one batch.
+
+    feats[k] holds the features of crops[i] for pairs[k]. A pair scores the
+    fraction of its valid forward vectors that land inside the canvas and
+    track back to within fb_max_error of their origin; a pair with no valid
+    vector scores 0.
+    """
+    stack = np.stack(crops)
+    _n, h, w = stack.shape
+    pair = np.repeat(np.arange(len(pairs)), [len(f) for f in feats])
+    src, dst = np.array(pairs, dtype=np.int64).reshape(-1, 2)[pair].T
+    pts = np.concatenate(feats)
+    disp, valid, _ = _lk_batch(stack, src, dst, pts, cfg)
+    land = pts[valid] + disp[valid]
+    inside = (land[:, 0] >= 0) & (land[:, 0] <= w - 1) & (land[:, 1] >= 0) & (land[:, 1] <= h - 1)
+    fwd = disp[valid][inside]
+    back, back_valid, _ = _lk_batch(stack, dst[valid][inside], src[valid][inside], land[inside], cfg)
+    err = np.hypot(fwd[:, 0] + back[:, 0], fwd[:, 1] + back[:, 1])
+    kept = pair[valid][inside][back_valid & (err <= cfg.fb_max_error)]
+    n_valid = np.bincount(pair[valid], minlength=len(pairs))
+    n_kept = np.bincount(kept, minlength=len(pairs))
+    return np.divide(n_kept, n_valid, out=np.zeros(len(pairs)), where=n_valid > 0)
 
 
 def box_similarity(prev, nxt, box_prev, box_next, cfg: FlowConfig | None = None) -> float:
@@ -315,7 +321,8 @@ def box_similarity(prev, nxt, box_prev, box_next, cfg: FlowConfig | None = None)
     size = cfg.canonical_size
     p = canonical_crop(prev, box_prev, size)
     n = canonical_crop(nxt, box_next, size)
-    return _crop_similarity(p, n, cfg)
+    feats = good_features(p, cfg.max_features, cfg.feature_quality, cfg.window)
+    return float(_fb_similarity([p, n], [(0, 1)], [feats], cfg)[0])
 
 
 class _UnionFind:
@@ -373,22 +380,23 @@ def group_boxes(
     size = cfg.canonical_size
     crops: dict[tuple[int, int], np.ndarray] = {}
     feats: dict[tuple[int, int], np.ndarray] = {}
+    pairs: list[tuple[tuple[int, int], tuple[int, int]]] = []
 
-    def crop_of(t, i):
-        key = (t, i)
-        if key not in crops:
-            crops[key] = canonical_crop(frames[t], boxes_per_frame[t][i], size)
-        return crops[key]
-
-    def feats_of(t, i):
-        key = (t, i)
-        if key not in feats:
-            feats[key] = good_features(
-                crop_of(t, i), cfg.max_features, cfg.feature_quality, cfg.window
-            )
-        return feats[key]
+    def score_pairs():
+        slot = {key: n for n, key in enumerate(crops)}
+        sims = _fb_similarity(
+            list(crops.values()),
+            [(slot[a], slot[b]) for a, b in pairs],
+            [feats[a] for a, _b in pairs],
+            cfg,
+        )
+        for (a, b), sim in zip(pairs, sims):
+            if sim > threshold:
+                uf.union(a, b)
+        pairs.clear()
 
     n_frames = len(frames)
+    n_points = 0
     for t in range(n_frames):
         if not boxes_per_frame[t]:
             continue
@@ -398,11 +406,25 @@ def group_boxes(
                 break
             for i in range(len(boxes_per_frame[t])):
                 for j in range(len(boxes_per_frame[t2])):
-                    sim = _crop_similarity(
-                        crop_of(t, i), crop_of(t2, j), cfg, feats=feats_of(t, i)
-                    )
-                    if sim > threshold:
-                        uf.union((t, i), (t2, j))
+                    a, b = (t, i), (t2, j)
+                    for tk, ik in (a, b):
+                        if (tk, ik) not in crops:
+                            crops[tk, ik] = canonical_crop(frames[tk], boxes_per_frame[tk][ik], size)
+                    if a not in feats:
+                        feats[a] = good_features(
+                            crops[a], cfg.max_features, cfg.feature_quality, cfg.window
+                        )
+                    pairs.append((a, b))
+                    n_points += len(feats[a])
+                    if n_points >= BATCH_POINTS:
+                        score_pairs()
+                        n_points = 0
+                        # later pairs start at frame t or after
+                        for cache in (crops, feats):
+                            for key in [key for key in cache if key[0] < t]:
+                                del cache[key]
+    if pairs:
+        score_pairs()
     return _groups_from_union(uf, keys)
 
 

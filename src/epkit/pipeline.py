@@ -151,10 +151,13 @@ def run_flow_stage(frames: list[np.ndarray], detections, cfg: dict, out_dir: str
                 for hb in hands
             ]
         )
+    return group_flow_boxes(frames, boxes_per_frame, cfg, out_dir)
+
+
+def group_flow_boxes(frames: list[np.ndarray], boxes_per_frame, cfg: dict, out_dir: str) -> dict:
+    """Group and merge pixel boxes by flow; write flow_groups.csv and .json."""
     if len(boxes_per_frame) != len(frames):
-        raise fileio.SchemaError(
-            f"{len(frames)} frames but {len(boxes_per_frame)} detection records"
-        )
+        raise fileio.SchemaError(f"{len(frames)} frames but {len(boxes_per_frame)} box records")
     fcfg = cfgmod.flow_config(cfg)
     groups = optflow.group_boxes(frames, boxes_per_frame, cfg["flow"]["group_threshold"], fcfg)
     merged = optflow.merge_groups(

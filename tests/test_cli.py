@@ -1,3 +1,4 @@
+import bisect
 import filecmp
 import json
 import os
@@ -319,3 +320,68 @@ def test_config_unknown_key_exits_4(tmp_path, capsys):
     fileio.write_detections(det, bundle.payload["frames"])
     assert run(["segment", "--detections", det, "--config", cfg, "--out", tmp_path / "o"]) == 4
     assert "rcpa" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("setting", [{"max_features": 0}, {"canonical_size": 2}])
+def test_pipeline_bad_flow_setting_exits_4_before_any_stage(tmp_path, capsys, setting):
+    sess = tmp_path / "sess"
+    assert run(["synth", "--generator", "driver_session", "--seed", "4",
+                "--params", json.dumps({"episode_schedule": [["safe_driving", 6]]}),
+                "--out", sess]) == 0
+    cfg = fileio.read_json(sess / "session_config.json")
+    cfg["flow"].update(setting)
+    fileio.write_json(tmp_path / "c.json", cfg)
+    out = tmp_path / "o"
+    assert run(["pipeline", "--session", sess, "--config", tmp_path / "c.json", "--out", out]) == 4
+    assert next(iter(setting)) in capsys.readouterr().err
+    assert not out.exists()  # failed at config load, before the rpca stage
+
+
+# Discrete outputs of the seed-21 session below, recorded before flow grouping
+# was batched; float bytes may differ across BLAS builds, these may not.
+PINNED_CHANGE_POINTS = [19, 31, 39, 53, 59, 79]
+PINNED_WARNING_FRAMES = [18, 80, 87, 94, 96, 97]
+PINNED_EPISODES = [
+    (0, "safe_driving"),
+    (20, "texting_left"),
+    (32, "texting_left"),
+    (40, "drinking"),
+    (54, "drinking"),
+    (60, "talking_on_phone_left"),
+    (80, "operating_radio"),
+]
+# group of each frame's boxes, frames separated by spaces
+PINNED_FLOW_GROUPS = (
+    "00 00 00 00 00 00 00 00 00 00 00 00 00 00 00 00 00 00 00 00 "
+    "00 00 00 00 00 01 01 00 00 00 00 00 00 00 00 00 00 00 00 00 "
+    "00 00 00 00 02 00 00 00 00 00 02 00 00 00 00 00 00 00 00 00 "
+    "00 00 00 00 00 00 00 00 00 00 03 03 00 00 00 03 00 00 00 00 "
+    "00 00 00 00 00 00 00 00 00 00 00 00 00 00 00 00 00 00 00 00"
+)
+
+
+def test_pipeline_discrete_outputs_are_pinned(tmp_path):
+    labels = ["safe_driving", "texting_left", "drinking", "talking_on_phone_left", "operating_radio"]
+    params = {"episode_schedule": [[lbl, 20] for lbl in labels], "side_flip_fraction": 0.1}
+    sess = tmp_path / "sess"
+    assert run(["synth", "--generator", "driver_session", "--seed", "21",
+                "--params", json.dumps(params), "--out", sess]) == 0
+    cfg = fileio.read_json(sess / "session_config.json")
+    cfg["rpca"] = {"warn_factor": 1.3}  # low enough that this short session has warnings
+    fileio.write_json(tmp_path / "c.json", cfg)
+    out = tmp_path / "out"
+    assert run(["pipeline", "--session", sess, "--config", tmp_path / "c.json", "--out", out]) == 0
+    report = fileio.read_json(out / "report.json")
+    assert report["stages"]["segmentation"]["change_points"] == PINNED_CHANGE_POINTS
+    assert report["stages"]["rpca"]["warning_frames"] == PINNED_WARNING_FRAMES
+    episodes = report["stages"]["episodes"]
+    assert [(e["start"], e["label"]) for e in episodes] == PINNED_EPISODES
+    starts = [start for start, _label in PINNED_EPISODES]
+    assert [fr["episode_label"] for fr in report["frames"]] == [
+        PINNED_EPISODES[bisect.bisect_right(starts, f) - 1][1] for f in range(100)
+    ]
+    _header, rows = fileio.read_csv(out / "flow_groups.csv")
+    groups: dict[int, str] = {}
+    for frame, _box, group in sorted((int(f), int(b), g) for f, b, g in rows):
+        groups[frame] = groups.get(frame, "") + group
+    assert " ".join(groups.get(f, "-") for f in range(100)) == PINNED_FLOW_GROUPS

@@ -3,7 +3,7 @@ import pytest
 from scipy.ndimage import gaussian_filter
 
 from epkit import optflow
-from epkit.synth import gen_shifted_pair, rng
+from epkit.synth import gen_driver_session, gen_shifted_pair, rng
 
 
 def _hand_gradients(frame):
@@ -295,3 +295,278 @@ def test_threshold_monotonicity_of_group_count():
         len(optflow.group_boxes(frames, boxes, thr)) for thr in (0.9, 0.5, 0.2)
     ]
     assert counts[0] >= counts[1] >= counts[2]
+
+
+# -- batched grouping against the per-pair reference ---------------------------
+
+
+def _bilinear_reference(img, xs, ys):
+    h, w = img.shape
+    x0 = np.clip(np.floor(xs).astype(np.int64), 0, w - 2)
+    y0 = np.clip(np.floor(ys).astype(np.int64), 0, h - 2)
+    fx = xs - x0
+    fy = ys - y0
+    top = (1 - fx) * img[y0, x0] + fx * img[y0, x0 + 1]
+    bot = (1 - fx) * img[y0 + 1, x0] + fx * img[y0 + 1, x0 + 1]
+    return (1 - fy) * top + fy * bot
+
+
+def _lk_flow_reference(a, b, points, cfg):
+    """lk_flow as one solve per frame pair, written apart from the batched kernel."""
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
+    n = pts.shape[0]
+    floor = cfg.resolved_eigen_floor()
+    half = cfg.window // 2
+    h, w = a.shape
+    offs = np.arange(-half, half + 1, dtype=np.float64)
+    ox, oy = np.meshgrid(offs, offs)
+    gx = pts[:, 0:1] + ox.ravel()[None, :]
+    gy = pts[:, 1:2] + oy.ravel()[None, :]
+    inb = (
+        (pts[:, 0] - half >= 0)
+        & (pts[:, 0] + half <= w - 1)
+        & (pts[:, 1] - half >= 0)
+        & (pts[:, 1] + half <= h - 1)
+    )
+    ix, iy = optflow.image_gradients(a)
+    patch, gxv, gyv = np.zeros_like(gx), np.zeros_like(gx), np.zeros_like(gx)
+    patch[inb] = _bilinear_reference(a, gx[inb], gy[inb])
+    gxv[inb] = _bilinear_reference(ix, gx[inb], gy[inb])
+    gyv[inb] = _bilinear_reference(iy, gx[inb], gy[inb])
+    sxx = np.sum(gxv * gxv, axis=1)
+    sxy = np.sum(gxv * gyv, axis=1)
+    syy = np.sum(gyv * gyv, axis=1)
+    min_eig = 0.5 * ((sxx + syy) - np.sqrt((sxx - syy) ** 2 + 4.0 * sxy * sxy))
+    det = sxx * syy - sxy * sxy
+    valid = inb & (min_eig >= floor) & (det > 0)
+    disp = np.zeros((n, 2))
+    active = valid.copy()
+    for _ in range(cfg.max_refinements):
+        idx = np.nonzero(active)[0]
+        if idx.size == 0:
+            break
+        tx = gx[idx] + disp[idx, 0:1]
+        ty = gy[idx] + disp[idx, 1:2]
+        out = (
+            (tx.min(axis=1) < 0)
+            | (tx.max(axis=1) > w - 1)
+            | (ty.min(axis=1) < 0)
+            | (ty.max(axis=1) > h - 1)
+        )
+        valid[idx[out]] = False
+        disp[idx[out]] = 0.0
+        active[idx[out]] = False
+        idx, tx, ty = idx[~out], tx[~out], ty[~out]
+        if idx.size == 0:
+            break
+        it = _bilinear_reference(b, tx, ty) - patch[idx]
+        bx = -np.sum(gxv[idx] * it, axis=1)
+        by = -np.sum(gyv[idx] * it, axis=1)
+        inv_det = 1.0 / det[idx]
+        dx = (syy[idx] * bx - sxy[idx] * by) * inv_det
+        dy = (sxx[idx] * by - sxy[idx] * bx) * inv_det
+        disp[idx, 0] += dx
+        disp[idx, 1] += dy
+        active[idx[np.hypot(dx, dy) < cfg.step_tol]] = False
+    return [
+        optflow.FlowVector(
+            origin=(float(pts[i, 0]), float(pts[i, 1])),
+            displacement=(float(disp[i, 0]), float(disp[i, 1])) if valid[i] else (0.0, 0.0),
+            valid=bool(valid[i]),
+            min_eigenvalue=float(max(min_eig[i], 0.0)) if inb[i] else 0.0,
+        )
+        for i in range(n)
+    ]
+
+
+def test_lk_flow_matches_reference():
+    g = rng(61)
+    for seed, (dx, dy) in enumerate(((1.0, 0.0), (0.4, -0.7), (3.0, 2.5))):
+        pair = gen_shifted_pair(40, dx, dy, 2.0, seed=seed)
+        f1, f2 = pair.payload["frame1"], pair.payload["frame2"]
+        # features, off-grid points, points near and beyond the border
+        pts = np.vstack([
+            optflow.good_features(f1, 30, 0.05),
+            g.uniform(-2.0, 42.0, size=(40, 2)),
+            [(4.0, 4.0), (35.0, 35.0), (4.0, 35.5)],
+        ])
+        for cfg in (optflow.FlowConfig(), optflow.FlowConfig(window=5, max_refinements=3)):
+            expected = _lk_flow_reference(f1, f2, pts, cfg)
+            assert optflow.lk_flow(f1, f2, pts, cfg.window, cfg) == expected
+            assert any(v.valid for v in expected) and not all(v.valid for v in expected)
+
+
+def _crop_similarity(crop_prev, crop_next, cfg, feats):
+    """Per-pair reference for the batched score: two reference solves per pair."""
+    size = crop_prev.shape[0]
+    if feats.shape[0] == 0:
+        return 0.0
+    fwd = _lk_flow_reference(crop_prev, crop_next, feats, cfg)
+    valid = [f for f in fwd if f.valid]
+    if not valid:
+        return 0.0
+    landings = np.array(
+        [(f.origin[0] + f.displacement[0], f.origin[1] + f.displacement[1]) for f in valid]
+    )
+    inside = (
+        (landings[:, 0] >= 0)
+        & (landings[:, 0] <= size - 1)
+        & (landings[:, 1] >= 0)
+        & (landings[:, 1] <= size - 1)
+    )
+    score = 0
+    if np.any(inside):
+        back = _lk_flow_reference(crop_next, crop_prev, landings[inside], cfg)
+        fwd_inside = [f for f, ok in zip(valid, inside) if ok]
+        for f, bk in zip(fwd_inside, back):
+            if not bk.valid:
+                continue
+            err = np.hypot(
+                f.displacement[0] + bk.displacement[0],
+                f.displacement[1] + bk.displacement[1],
+            )
+            if err <= cfg.fb_max_error:
+                score += 1
+    return score / len(valid)
+
+
+def _scene_pairs(boxes, cfg):
+    n = len(boxes)
+    return [
+        ((t, i), (t2, j))
+        for t in range(n)
+        for t2 in range(t + 1, min(t + cfg.gap_max + 2, n))
+        for i in range(len(boxes[t]))
+        for j in range(len(boxes[t2]))
+    ]
+
+
+def _oracle_grouping(frames, boxes, thresholds, cfg):
+    """Reference similarities of every compared pair and the partition per threshold."""
+    crop = {
+        (t, i): optflow.canonical_crop(frames[t], b, cfg.canonical_size)
+        for t in range(len(frames))
+        for i, b in enumerate(boxes[t])
+    }
+    feats = {
+        k: optflow.good_features(c, cfg.max_features, cfg.feature_quality, cfg.window)
+        for k, c in crop.items()
+    }
+    pairs = _scene_pairs(boxes, cfg)
+    sims = {(a, b): _crop_similarity(crop[a], crop[b], cfg, feats[a]) for a, b in pairs}
+    partitions = []
+    for thr in thresholds:
+        uf = optflow._UnionFind(list(crop))
+        for (a, b), sim in sims.items():
+            if sim > thr:
+                uf.union(a, b)
+        partitions.append([g.members for g in optflow._groups_from_union(uf, list(crop))])
+    return sims, partitions, sum(len(feats[a]) for a, _b in pairs)
+
+
+def _batched_sims(frames, boxes, cfg):
+    """Every compared pair's similarity from one call of the batched scorer."""
+    pairs = _scene_pairs(boxes, cfg)
+    if not pairs:
+        return {}
+    keys = sorted({k for pair in pairs for k in pair})
+    slot = {k: n for n, k in enumerate(keys)}
+    crops = [optflow.canonical_crop(frames[t], boxes[t][i], cfg.canonical_size) for t, i in keys]
+    feats = [
+        optflow.good_features(crops[slot[a]], cfg.max_features, cfg.feature_quality, cfg.window)
+        for a, _b in pairs
+    ]
+    sims = optflow._fb_similarity(crops, [(slot[a], slot[b]) for a, b in pairs], feats, cfg)
+    return dict(zip(pairs, sims.tolist()))
+
+
+def _assert_matches_oracle(frames, boxes, cfg, thresholds=(0.2, 0.5, 0.9)):
+    sims, partitions, n_points = _oracle_grouping(frames, boxes, thresholds, cfg)
+    assert _batched_sims(frames, boxes, cfg) == sims
+    for thr, members in zip(thresholds, partitions):
+        groups = optflow.group_boxes(frames, boxes, thr, cfg)
+        assert [g.members for g in groups] == members, thr
+    return n_points
+
+
+def _criterion7_scene(seed):
+    g = rng(9000 + seed)
+    n_frames = int(g.integers(2, 5))
+    patches = [_noise_patch(seed * 3 + k) for k in range(2)]
+    frames, boxes = [], []
+    for _t in range(n_frames):
+        f = np.full((48, 64), 0.3)
+        fb = []
+        for patch in patches:
+            if g.random() < 0.7:
+                px, py = int(g.integers(2, 40)), int(g.integers(2, 24))
+                f[py : py + 20, px : px + 20] = patch
+                fb.append((px, py, px + 20, py + 20))
+        frames.append(f)
+        boxes.append(fb)
+    return frames, boxes
+
+
+def test_batched_grouping_matches_oracle_on_criterion7_scenes():
+    cfg = optflow.FlowConfig()
+    for seed in range(200):
+        frames, boxes = _criterion7_scene(seed)
+        _assert_matches_oracle(frames, boxes, cfg)
+
+
+def test_batched_grouping_matches_oracle_on_driver_session():
+    labels = ["safe_driving", "texting_left", "drinking", "talking_on_phone_left", "operating_radio"]
+    bundle = gen_driver_session([(lbl, 20) for lbl in labels], seed=21, side_flip_fraction=0.1)
+    frames = bundle.payload["images"]
+    h, w = frames[0].shape
+    boxes = [
+        [(hb.box[0] * w, hb.box[1] * h, hb.box[2] * w, hb.box[3] * h) for hb in hands]
+        for _pose, hands, _objects in bundle.payload["frames"]
+    ]
+    # the settings driver_session writes to session_config.json
+    cfg = optflow.FlowConfig(gap_max=1, max_features=16, max_refinements=10)
+    n_points = _assert_matches_oracle(frames, boxes, cfg)
+    assert n_points > optflow.BATCH_POINTS  # group_boxes scores several batches
+
+
+def test_batched_grouping_matches_oracle_across_small_batches(monkeypatch):
+    # a budget of a few points closes batches between the pairs of one frame
+    monkeypatch.setattr(optflow, "BATCH_POINTS", 5)
+    cfg = optflow.FlowConfig(max_features=8)
+    for seed in range(20):
+        frames, boxes = _criterion7_scene(seed)
+        _assert_matches_oracle(frames, boxes, cfg)
+
+
+def test_batched_grouping_matches_oracle_with_empty_frames_and_gaps():
+    a, b = _noise_patch(31), _noise_patch(77)
+    frames, boxes = [], []
+    for t in range(9):
+        f = np.full((60, 80), 0.3)
+        fb = []
+        if t not in (2, 3, 6):  # empty frames, including a two-frame gap
+            f[10 + t : 30 + t, 5 + 2 * t : 25 + 2 * t] = a
+            fb.append((5 + 2 * t, 10 + t, 25 + 2 * t, 30 + t))
+        if t % 3 == 0:
+            f[35:55, 50:70] = b
+            fb.append((50, 35, 70, 55))
+        frames.append(f)
+        boxes.append(fb)
+    frames.append(np.full((60, 80), 0.5))  # a box with no features at all...
+    boxes.append([(10, 10, 30, 30)])
+    frames.append(frames[0])  # ...compared with a later box
+    boxes.append(boxes[0])
+    for gap_max in (0, 1, 2):
+        _assert_matches_oracle(frames, boxes, optflow.FlowConfig(gap_max=gap_max))
+
+
+def test_box_similarity_matches_oracle():
+    cfg = optflow.FlowConfig()
+    patch = _noise_patch(3)
+    frames = [_patch_frame(80, 100, patch, 10 + 2 * t, 30) for t in range(2)]
+    for box_next in ((12, 30, 32, 50), (60, 5, 80, 25), (11, 31, 31, 51)):
+        p = optflow.canonical_crop(frames[0], (10, 30, 30, 50), cfg.canonical_size)
+        n = optflow.canonical_crop(frames[1], box_next, cfg.canonical_size)
+        feats = optflow.good_features(p, cfg.max_features, cfg.feature_quality, cfg.window)
+        expected = _crop_similarity(p, n, cfg, feats)
+        assert optflow.box_similarity(frames[0], frames[1], (10, 30, 30, 50), box_next) == expected
