@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import config as cfgmod
-from . import fileio, fusion, gflasso, pipeline, rpca, synth
+from . import fileio, fusion, gflasso, pipeline, synth
 from .fileio import ConfigError, InputFormatError, SchemaError
 
 
@@ -54,27 +54,7 @@ def _read_input_matrix(path: str, limit: int) -> np.ndarray:
 def cmd_rpca(args) -> int:
     cfg = _load_cfg(args)
     os.makedirs(args.out, exist_ok=True)
-    mat = _read_input_matrix(args.input, cfg["downscale_limit"])
-    result = rpca.decompose(mat, cfgmod.rpca_config(cfg))
-    energy = pipeline.outlier_energy(result.sparse)
-    fileio.write_matrix(os.path.join(args.out, "low_rank.mat"), result.low_rank)
-    fileio.write_matrix(os.path.join(args.out, "sparse.mat"), result.sparse)
-    fileio.write_json(
-        os.path.join(args.out, "rpca_summary.json"),
-        {
-            "rows": int(mat.shape[0]),
-            "cols": int(mat.shape[1]),
-            "iterations": result.iterations,
-            "converged": result.converged,
-            "final_residual": result.final_residual,
-            "singular_values": [float(v) for v in result.singular_values if v > 0],
-        },
-    )
-    fileio.write_csv(
-        os.path.join(args.out, "outlier_energy.csv"),
-        ["frame", "energy"],
-        [(i, float(e)) for i, e in enumerate(energy)],
-    )
+    pipeline.run_rpca_stage(_read_input_matrix(args.input, cfg["downscale_limit"]), cfg, args.out)
     return 0
 
 

@@ -47,11 +47,6 @@ def frames_to_matrix(frames: list[np.ndarray], limit: int) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def outlier_energy(sparse: np.ndarray) -> np.ndarray:
-    """Per-column 2-norm of the sparse part."""
-    return np.linalg.norm(sparse, axis=0)
-
-
 def warning_frames(energy: np.ndarray, warn_factor: float) -> list[int]:
     """Frames whose outlier energy exceeds warn_factor times the median."""
     med = float(np.median(energy))
@@ -62,10 +57,10 @@ def warning_frames(energy: np.ndarray, warn_factor: float) -> list[int]:
     return [int(i) for i in np.nonzero(energy > warn_factor * med)[0]]
 
 
-def run_rpca_stage(frames: list[np.ndarray], cfg: dict, out_dir: str) -> dict:
-    mat = frames_to_matrix(frames, cfg["downscale_limit"])
+def run_rpca_stage(mat: np.ndarray, cfg: dict, out_dir: str) -> dict:
+    """Decompose a frame matrix (one frame per column) and write its outputs."""
     result = rpca.decompose(mat, cfgmod.rpca_config(cfg))
-    energy = outlier_energy(result.sparse)
+    energy = np.linalg.norm(result.sparse, axis=0)  # per-frame outlier energy
     warns = warning_frames(energy, cfg["rpca"]["warn_factor"])
     fileio.write_matrix(os.path.join(out_dir, "low_rank.mat"), result.low_rank)
     fileio.write_matrix(os.path.join(out_dir, "sparse.mat"), result.sparse)
@@ -135,6 +130,7 @@ def run_segmentation_stage(detections, cfg: dict, out_dir: str) -> dict:
         fh.write(svgplot.line_plot(list(strengths), thresholds, title="jump strengths"))
     return {
         "converged": result.converged,
+        "iterations": result.iterations,
         "objective": result.objective,
         "thresholds": thresholds,
         "labelings": labelings,
@@ -239,7 +235,8 @@ def run_pipeline(session_dir: str, cfg: dict, out_dir: str) -> dict:
     """Run all stages over a session directory and write report.json.
 
     The session holds detections.jsonl and, optionally, frames/*.pgm; the
-    frame-based stages are skipped when no frames are present. Raises
+    frame-based stages are skipped when no frames are present; "warnings"
+    names each stage whose solver stopped at its iteration limit. Raises
     StageError naming the failing stage; outputs of completed stages stay.
     """
     os.makedirs(out_dir, exist_ok=True)
@@ -264,7 +261,8 @@ def run_pipeline(session_dir: str, cfg: dict, out_dir: str) -> dict:
     rpca_info = None
     if frames:
         try:
-            rpca_info = run_rpca_stage(frames, cfg, out_dir)
+            mat = frames_to_matrix(frames, cfg["downscale_limit"])
+            rpca_info = run_rpca_stage(mat, cfg, out_dir)
         except Exception as exc:
             raise StageError("rpca", exc) from exc
         report["stages"]["rpca"] = {
@@ -330,5 +328,11 @@ def run_pipeline(session_dir: str, cfg: dict, out_dir: str) -> dict:
             }
         )
 
+    solvers = [("rpca", rpca_info["summary"] if rpca_info else None), ("segmentation", seg)]
+    report["warnings"] = [
+        f"{stage} did not converge in {info['iterations']} iterations"
+        for stage, info in solvers
+        if info is not None and not info["converged"]
+    ]
     fileio.write_json(os.path.join(out_dir, "report.json"), report)
     return report

@@ -5,6 +5,12 @@ inexact augmented Lagrangian scheme: alternate a singular-value shrinkage
 step for U and an entrywise shrinkage step for S once per outer iteration
 while growing the penalty. Gross-but-sparse corruptions land in S; the
 typical structure lands in U.
+
+Each iteration computes only the singular values above 1/rho that the
+shrinkage keeps (numkit.singular_value_threshold): the previous iteration's
+right singular vectors warm-start a block subspace iteration, accepted only
+when it reaches a value at or below 1/rho; the full SVD remains as fallback
+and for the first iteration. The input is validated once, on entry.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numkit
-from .numkit import SvdFactors, as_matrix, soft_threshold
+from .numkit import as_matrix, soft_threshold
 
 
 @dataclass
@@ -85,18 +91,18 @@ def decompose(x, cfg: RpcaConfig | None = None) -> RpcaResult:
     # dual start: X scaled into the dual-feasible box/ball intersection
     y = a / max(sn, float(np.max(np.abs(a))) / lam)
     s = np.zeros_like(a)
-    u = np.zeros_like(a)
-    sv = np.zeros(min(a.shape))
+    f = None
     rank_history: list[int] = []
 
     iterations = 0
     residual = 1.0
     converged = False
     for iterations in range(1, cfg.max_iterations + 1):
-        f = numkit.svd(a - s + y / rho)
-        sv = np.maximum(f.singular_values - 1.0 / rho, 0.0)
-        u = (f.left * sv) @ f.right.T
-        rank_history.append(int(np.count_nonzero(sv)))
+        f, rank = numkit.singular_value_threshold(
+            a - s + y / rho, 1.0 / rho, None if f is None else f.right
+        )
+        u = f.reconstruct()
+        rank_history.append(rank)
         s = soft_threshold(a - u + y / rho, lam / rho)
         gap = a - u - s
         y = y + rho * gap
@@ -109,50 +115,9 @@ def decompose(x, cfg: RpcaConfig | None = None) -> RpcaResult:
     return RpcaResult(
         low_rank=u,
         sparse=s,
-        singular_values=sv,
+        singular_values=np.pad(f.singular_values, (0, min(a.shape) - f.singular_values.size)),
         iterations=iterations,
         final_residual=residual,
         converged=converged,
         rank_history=rank_history,
     )
-
-
-def project_frame(
-    basis: SvdFactors,
-    column,
-    lam: float,
-    max_iterations: int = 100,
-    tol: float = 1e-8,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Split a new column against a learned subspace.
-
-    Fixed-point iteration o <- shrink(column - P(column - o), lam) where P
-    projects onto the span of basis.left; typical = column - outlier.
-    """
-    v = np.asarray(column, dtype=np.float64).ravel()
-    if not np.isfinite(v).all():
-        raise ValueError("column contains non-finite entries")
-    left = basis.left
-    if left.shape[0] != v.size:
-        raise ValueError(
-            f"column length {v.size} does not match basis dimension {left.shape[0]}"
-        )
-    if lam < 0:
-        raise ValueError(f"lam must be non-negative, got {lam}")
-    o = np.zeros_like(v)
-    for _ in range(max_iterations):
-        p = left @ (left.T @ (v - o))
-        o_next = soft_threshold(v - p, lam)
-        done = np.max(np.abs(o_next - o)) <= tol
-        o = o_next
-        if done:
-            break
-    return v - o, o
-
-
-def outlier_mask(sparse, threshold: float) -> np.ndarray:
-    """Boolean mask of entries whose magnitude exceeds *threshold*."""
-    if threshold < 0:
-        raise ValueError(f"threshold must be non-negative, got {threshold}")
-    a = as_matrix(sparse, "sparse")
-    return np.abs(a) > threshold

@@ -385,3 +385,38 @@ def test_pipeline_discrete_outputs_are_pinned(tmp_path):
     for frame, _box, group in sorted((int(f), int(b), g) for f, b, g in rows):
         groups[frame] = groups.get(frame, "") + group
     assert " ".join(groups.get(f, "-") for f in range(100)) == PINNED_FLOW_GROUPS
+
+
+@pytest.mark.parametrize(
+    "override, warnings",
+    [
+        ({}, []),
+        ({"rpca": {"max_iterations": 2}}, ["rpca did not converge in 2 iterations"]),
+        ({"gfl": {"max_iterations": 2}}, ["segmentation did not converge in 2 iterations"]),
+    ],
+)
+def test_pipeline_reports_solver_non_convergence(tmp_path, override, warnings):
+    sess = tmp_path / "sess"
+    assert run(["synth", "--generator", "driver_session", "--seed", "4",
+                "--params", json.dumps({"episode_schedule": [["safe_driving", 12]]}),
+                "--out", sess]) == 0
+    cfg = fileio.read_json(sess / "session_config.json")
+    cfg.update(override)
+    fileio.write_json(tmp_path / "c.json", cfg)
+    out = tmp_path / "out"
+    assert run(["pipeline", "--session", sess, "--config", tmp_path / "c.json", "--out", out]) == 0
+    assert fileio.read_json(out / "report.json")["warnings"] == warnings
+
+
+def test_rpca_cmd_summary_matches_pipeline_stage(tmp_path):
+    sess = tmp_path / "sess"
+    assert run(["synth", "--generator", "driver_session", "--seed", "6",
+                "--params", json.dumps({"episode_schedule": [["safe_driving", 10], ["drinking", 10]]}),
+                "--out", sess]) == 0
+    config = sess / "session_config.json"
+    assert run(["pipeline", "--session", sess, "--config", config, "--out", tmp_path / "p"]) == 0
+    assert run(["rpca", "--input", sess / "frames", "--config", config, "--out", tmp_path / "r"]) == 0
+    from_pipeline = fileio.read_json(tmp_path / "p" / "rpca_summary.json")
+    from_cli = fileio.read_json(tmp_path / "r" / "rpca_summary.json")
+    assert "rank" in from_cli
+    assert from_cli == from_pipeline

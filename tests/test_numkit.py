@@ -122,6 +122,42 @@ def test_svt_shrinks_nuclear_norm(seed, tau):
     assert nuc(out) <= nuc(m) + 1e-9
 
 
+@pytest.mark.parametrize("basis_rank", [0, 2, 5])
+def test_svt_warm_start_matches_full_svd(monkeypatch, basis_rank):
+    g = rng(23)
+    signal = (g.standard_normal((80, 5)) * [40.0, 30.0, 20.0, 10.0, 5.0]) @ g.standard_normal((5, 60))
+    m = signal + 0.01 * g.standard_normal((80, 60))
+    full, rank = numkit.singular_value_threshold(m, 1.0)
+    # warm start from a perturbed subspace, as from the previous solver iteration
+    basis = numkit.svd(m + 0.1 * g.standard_normal(m.shape)).right[:, :basis_rank]
+
+    def no_full_svd(_m):
+        raise AssertionError("the warm-started step fell back to the full SVD")
+
+    monkeypatch.setattr(numkit, "svd", no_full_svd)
+    warm, warm_rank = numkit.singular_value_threshold(m, 1.0, basis)
+    assert warm_rank == rank == 5
+    assert np.allclose(warm.singular_values, full.singular_values, rtol=1e-9, atol=0.0)
+    assert np.allclose(warm, full, rtol=0.0, atol=1e-9 * np.abs(m).max())
+
+
+def test_svt_wide_warm_start_uses_full_svd(monkeypatch):
+    m = rng(29).standard_normal((40, 30))
+    calls = []
+    svd = numkit.svd
+
+    def spy_full(a):
+        calls.append(1)
+        return svd(a)
+
+    monkeypatch.setattr(numkit, "svd", spy_full)
+    # a 1-column basis plus the margin exceeds a quarter of 30 columns
+    out, rank = numkit.singular_value_threshold(m, 0.5, np.eye(30)[:, :1])
+    assert calls == [1]
+    ref, ref_rank = numkit.singular_value_threshold(m, 0.5)
+    assert rank == ref_rank and np.array_equal(np.asarray(out), np.asarray(ref))
+
+
 def test_spectral_norm_diagonal():
     tol = 1e-6
     est = numkit.spectral_norm_estimate(np.diag([3.0, 2.0, 1.0]), tol)
