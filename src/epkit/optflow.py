@@ -4,26 +4,38 @@ Frames are 2-D float arrays in [0, 1], shape (height, width); points are
 (x, y) with x along columns. Flow is the classic windowed least-squares
 solution with Newton refinement inside a single pyramid level, so reliable
 displacement magnitude is limited to roughly half the window. One kernel
-tracks points between images of a stack; `lk_flow` runs it on two frames.
+tracks points between images of a stack in two steps: `_lk_windows` samples
+each point's source window and structure tensor, `_lk_refine` solves against
+a target image; `lk_flow` runs it on two frames.
 
 Box grouping follows the track-then-merge recipe: consecutive (or nearly
 consecutive) boxes whose resampled contents move coherently are unioned
-into groups, and groups with correlated mean appearance are merged. Each
-box is cropped once; box pairs are scored forward and backward in batches
-of BATCH_POINTS feature points, a fixed budget that bounds their memory.
+into groups, and groups with correlated mean appearance are merged. Frames
+are taken in chunks whose pairs carry about BATCH_POINTS feature points.
+Each box's state is built once, in a few batched calls per chunk: its
+canonical crop (`_frame_crops`, one gather over the chunk's frames), gradient
+planes (`_planes`), corners (`_corners`) and the source windows of those
+corners (`_lk_windows`), which every pair the box starts shares. Frames are
+validated once each, when their boxes are first cropped, and all frames
+with boxes must share one shape.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.ndimage import maximum_filter, uniform_filter
 
-# About 8 frames of a two-hand driver session. Larger batches save little
-# time; at 2048 the peak memory of a 400-frame session rose by a sixth.
-BATCH_POINTS = 1024
+# Forward feature points solved in one batch. On the 400-frame benchmark
+# session (2-CPU host), group_boxes took a median 2.31 s at 256 points,
+# 1.86 s at 512, 1.82 s at 768 and 1.91 s at 1024: smaller batches repeat
+# the fixed per-round numpy calls more often, larger ones outgrow the L2
+# cache. At 512 the (points x window) temporaries are ~330 KB, and a whole
+# pipeline run takes ~20k minor page faults (360k with the former per-pair
+# windows and 1024-point batches).
+BATCH_POINTS = 512
 
 
 @dataclass
@@ -49,6 +61,14 @@ class FlowConfig:
             raise ValueError(f"max_features must be at least 1, got {self.max_features}")
         if self.canonical_size < 3:
             raise ValueError(f"canonical_size must be at least 3, got {self.canonical_size}")
+        if self.max_refinements < 1:
+            raise ValueError(f"max_refinements must be at least 1, got {self.max_refinements}")
+        if not self.step_tol > 0:
+            raise ValueError(f"step_tol must be positive, got {self.step_tol}")
+        if not self.fb_max_error >= 0:
+            raise ValueError(f"fb_max_error must be non-negative, got {self.fb_max_error}")
+        if self.eigen_floor is not None and not self.eigen_floor >= 0:
+            raise ValueError(f"eigen_floor must be non-negative, got {self.eigen_floor}")
 
     def resolved_eigen_floor(self, window: int | None = None) -> float:
         if self.eigen_floor is not None:
@@ -84,38 +104,133 @@ def as_frame(f, name: str = "frame") -> np.ndarray:
     return np.clip(a, 0.0, 1.0)
 
 
+def _planes(images: np.ndarray) -> np.ndarray:
+    """Image, x-gradient and y-gradient stacks (3, n, h, w) of images (n, h, w).
+
+    Central differences, one-sided at the borders; h, w >= 3.
+    """
+    iy, ix = np.gradient(images, axis=(1, 2))
+    return np.stack([images, ix, iy])
+
+
 def image_gradients(frame) -> tuple[np.ndarray, np.ndarray]:
     """Central-difference gradients (one-sided at the borders)."""
     f = as_frame(frame)
     if f.shape[0] < 3 or f.shape[1] < 3:
         raise ValueError(f"frame too small for gradients: {f.shape}")
-    return np.gradient(f, axis=1), np.gradient(f, axis=0)
+    _img, ix, iy = _planes(f[None])[:, 0]
+    return ix, iy
 
 
 def _bilinear(img: np.ndarray, xs, ys, base=0) -> np.ndarray:
-    """Samples at (xs, ys) of img (h, w), or of the stack image (..., h, w) at flat index base."""
+    """Samples at (xs, ys) of img (h, w), or of the stack image (..., h, w) at flat index base.
+
+    The points must lie inside the image. xs and ys are scratch: they are
+    overwritten.
+    """
     h, w = img.shape[-2:]
     flat = img.reshape(-1)
-    # truncation equals floor wherever the clip to [0, size - 2] keeps the value
-    x0 = np.clip(xs.astype(np.int64), 0, w - 2)
-    y0 = np.clip(ys.astype(np.int64), 0, h - 2)
-    fx = xs - x0
-    fy = ys - y0
-    i = base + y0 * w + x0
-    top = (1 - fx) * flat[i] + fx * flat[i + 1]
-    bot = (1 - fx) * flat[i + w] + fx * flat[i + w + 1]
-    return (1 - fy) * top + fy * bot
+    # inside the image, truncation is floor and only the upper clip can bind
+    x0 = xs.astype(np.int64)
+    np.minimum(x0, w - 2, out=x0)
+    y0 = ys.astype(np.int64)
+    np.minimum(y0, h - 2, out=y0)
+    fx = np.subtract(xs, x0, out=xs)
+    fy = np.subtract(ys, y0, out=ys)
+    y0 *= w
+    y0 += x0
+    # a base with one more axis (a stack of planes per point) widens the index
+    i = np.add(y0, base, out=y0 if np.ndim(base) <= y0.ndim else None)
+    wx = 1 - fx
+    # the four neighbours of flat index i are i, i + 1, i + w and i + w + 1
+    top = flat[i]
+    top *= wx
+    right = flat[1:][i]
+    right *= fx
+    top += right
+    bot = flat[w:][i]
+    bot *= wx
+    right = flat[w + 1 :][i]
+    right *= fx
+    bot += right
+    bot *= fy
+    np.subtract(1, fy, out=fy)
+    top *= fy
+    top += bot
+    return top
 
 
-def _min_eig_map(frame: np.ndarray, window: int) -> np.ndarray:
-    ix, iy = image_gradients(frame)
+def _check_box(box, shape, name="box"):
+    x0, y0, x1, y1 = (float(c) for c in box)
+    h, w = shape
+    if not (x1 > x0 and y1 > y0):
+        raise ValueError(f"{name} is empty: {box}")
+    if x0 < 0 or y0 < 0 or x1 > w or y1 > h:
+        raise ValueError(f"{name} {box} exceeds frame bounds {w}x{h}")
+    return x0, y0, x1, y1
+
+
+def _crops(stack: np.ndarray, slot, boxes, out_h: int, out_w: int) -> np.ndarray:
+    """Bilinear resamples (n, out_h, out_w) of box k of image slot[k] of stack, in one gather.
+
+    boxes is (n, 4) of checked (x0, y0, x1, y1).
+    """
+    _n, h, w = stack.shape
+    x0, y0, x1, y1 = np.asarray(boxes, dtype=np.float64).reshape(-1, 4).T
+    us = x0[:, None] + (x1 - x0)[:, None] * (np.arange(out_w) + 0.5) / out_w
+    vs = y0[:, None] + (y1 - y0)[:, None] * (np.arange(out_h) + 0.5) / out_h
+    np.clip(us, 0, w - 1, out=us)
+    np.clip(vs, 0, h - 1, out=vs)
+    shape = (us.shape[0], out_h, out_w)
+    gx = np.broadcast_to(us[:, None, :], shape).copy()
+    gy = np.broadcast_to(vs[:, :, None], shape).copy()
+    base = np.asarray(slot, dtype=np.int64)[:, None, None] * (h * w)
+    return _bilinear(stack, gx, gy, base)
+
+
+def canonical_rect(frame, box, out_h: int, out_w: int) -> np.ndarray:
+    """Resample a box region to out_h x out_w with bilinear interpolation."""
+    f = as_frame(frame)
+    return _crops(f[None], [0], [_check_box(box, f.shape)], out_h, out_w)[0]
+
+
+def canonical_crop(frame, box, size: int) -> np.ndarray:
+    """Resample a box to size x size with bilinear interpolation."""
+    return canonical_rect(frame, box, size, size)
+
+
+def _corners(planes: np.ndarray, max_count: int, quality: float, window: int) -> list[np.ndarray]:
+    """good_features of each image of planes (3, n, h, w), with batched filters."""
+    images, ix, iy = planes
+    n, h, w = images.shape
+    margin = window // 2 + 1
+    if 2 * margin >= min(h, w):
+        return [np.empty((0, 2)) for _ in range(n)]
+    # size 1 along the stack axis: each image is filtered exactly as on its own
+    size = (1, window, window)
     area = window * window
-    sxx = uniform_filter(ix * ix, size=window, mode="constant") * area
-    sxy = uniform_filter(ix * iy, size=window, mode="constant") * area
-    syy = uniform_filter(iy * iy, size=window, mode="constant") * area
+    sxx = uniform_filter(ix * ix, size=size, mode="constant") * area
+    sxy = uniform_filter(ix * iy, size=size, mode="constant") * area
+    syy = uniform_filter(iy * iy, size=size, mode="constant") * area
     trace = sxx + syy
     root = np.sqrt((sxx - syy) ** 2 + 4.0 * sxy * sxy)
-    return 0.5 * (trace - root)
+    resp = 0.5 * (trace - root)
+    inner = np.zeros_like(resp)
+    inner[:, margin : h - margin, margin : w - margin] = resp[:, margin : h - margin, margin : w - margin]
+    best = inner.max(axis=(1, 2))
+    # local maxima prefilter keeps the greedy suppression loop short; flat images have none
+    peaks = (inner >= (quality * best)[:, None, None]) & (inner == maximum_filter(inner, size=size))
+    peaks &= (best > 0)[:, None, None]
+    ks, ys, xs = np.nonzero(peaks)
+    order = np.lexsort((xs, ys, -inner[ks, ys, xs], ks))
+    ks, ys, xs = ks[order].tolist(), ys[order].tolist(), xs[order].tolist()
+    radius = window // 2
+    kept: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for k, y, x in zip(ks, ys, xs):
+        got = kept[k]
+        if len(got) < max_count and all(max(abs(x - kx), abs(y - ky)) > radius for kx, ky in got):
+            got.append((x, y))
+    return [np.array(got, dtype=np.float64).reshape(-1, 2) for got in kept]
 
 
 def good_features(frame, max_count: int, quality: float, window: int = 9) -> np.ndarray:
@@ -130,61 +245,48 @@ def good_features(frame, max_count: int, quality: float, window: int = 9) -> np.
     if not 0 < quality <= 1:
         raise ValueError(f"quality must lie in (0, 1], got {quality}")
     f = as_frame(frame)
-    resp = _min_eig_map(f, window)
-    margin = window // 2 + 1
-    h, w = f.shape
-    if 2 * margin >= min(h, w):
-        return np.empty((0, 2))
-    inner = np.zeros_like(resp)
-    inner[margin : h - margin, margin : w - margin] = resp[margin : h - margin, margin : w - margin]
-    best = inner.max()
-    if best <= 0:
-        return np.empty((0, 2))
-    # local maxima prefilter keeps the greedy suppression loop short
-    peaks = (inner >= quality * best) & (inner == maximum_filter(inner, size=window))
-    ys, xs = np.nonzero(peaks)
-    order = sorted(range(xs.size), key=lambda i: (-inner[ys[i], xs[i]], ys[i], xs[i]))
-    radius = window // 2
-    kept: list[tuple[int, int]] = []
-    for i in order:
-        x, y = int(xs[i]), int(ys[i])
-        if all(max(abs(x - kx), abs(y - ky)) > radius for kx, ky in kept):
-            kept.append((x, y))
-            if len(kept) == max_count:
-                break
-    return np.array(kept, dtype=np.float64).reshape(-1, 2)
+    if f.shape[0] < 3 or f.shape[1] < 3:
+        raise ValueError(f"frame too small for gradients: {f.shape}")
+    return _corners(_planes(f[None]), max_count, quality, window)[0]
 
 
-def _lk_batch(stack, src, dst, pts, cfg: FlowConfig):
-    """Windowed flow of each point pts[k] from image src[k] to dst[k] of stack (n, h, w).
+class _Windows(NamedTuple):
+    """Source windows of m points: sample coordinates, samples and structure tensor."""
 
-    Solves the 2x2 gradient system and refines by re-sampling the target at
-    the running estimate. Points too close to the border, points whose
-    structure tensor is near-singular, and points that drift out of frame
-    are invalid with zero displacement. h, w >= 3. Returns displacement
-    (m, 2), validity (m,) and the smaller structure-tensor eigenvalue (m,).
+    pts: np.ndarray  # (m, 2)
+    gx: np.ndarray  # (m, window area) sample coordinates
+    gy: np.ndarray
+    patch: np.ndarray  # (m, window area) image, x-gradient and y-gradient samples
+    gxv: np.ndarray
+    gyv: np.ndarray
+    sxx: np.ndarray  # (m,) structure tensor
+    sxy: np.ndarray
+    syy: np.ndarray
+    det: np.ndarray
+    min_eig: np.ndarray
+    valid: np.ndarray  # (m,) inside the image, with a well-conditioned tensor
+
+
+def _lk_windows(planes: np.ndarray, src, pts: np.ndarray, cfg: FlowConfig) -> _Windows:
+    """Window and structure tensor of each point pts[k] in image src[k] of planes (3, n, h, w).
+
+    Points too close to the border and points whose structure tensor is
+    near-singular are invalid. h, w >= 3.
     """
-    _n, h, w = stack.shape
-    floor = cfg.resolved_eigen_floor()
+    _p, _n, h, w = planes.shape
     half = cfg.window // 2
     offs = np.arange(-half, half + 1, dtype=np.float64)
     ox, oy = np.meshgrid(offs, offs)
-    ox = ox.ravel()
-    oy = oy.ravel()
-
-    gx = pts[:, 0:1] + ox[None, :]
-    gy = pts[:, 1:2] + oy[None, :]
+    gx = pts[:, 0:1] + ox.ravel()[None, :]
+    gy = pts[:, 1:2] + oy.ravel()[None, :]
     inb = (
         (pts[:, 0] - half >= 0)
         & (pts[:, 0] + half <= w - 1)
         & (pts[:, 1] - half >= 0)
         & (pts[:, 1] + half <= h - 1)
     )
-
-    # image, x gradient and y gradient of every source window in one gather
-    iy, ix = np.gradient(stack, axis=(1, 2))
-    planes = np.stack([stack, ix, iy])
-    base = src[:, None] * (h * w) + np.arange(3)[:, None, None] * stack.size
+    # image, x gradient and y gradient of every window in one gather
+    base = np.asarray(src)[:, None] * (h * w) + np.arange(3)[:, None, None] * planes[0].size
     sampled = np.zeros((3,) + gx.shape)
     sampled[:, inb] = _bilinear(planes, gx[inb], gy[inb], base[:, inb])
     patch, gxv, gyv = sampled
@@ -195,17 +297,31 @@ def _lk_batch(stack, src, dst, pts, cfg: FlowConfig):
     trace = sxx + syy
     min_eig = 0.5 * (trace - np.sqrt((sxx - syy) ** 2 + 4.0 * sxy * sxy))
     det = sxx * syy - sxy * sxy
+    valid = inb & (min_eig >= cfg.resolved_eigen_floor()) & (det > 0)
+    return _Windows(pts, gx, gy, patch, gxv, gyv, sxx, sxy, syy, det, min_eig, valid)
 
-    valid = inb & (min_eig >= floor) & (det > 0)
-    disp = np.zeros((pts.shape[0], 2))
-    dst_base = dst[:, None] * (h * w)
+
+def _lk_refine(images: np.ndarray, win: _Windows, rows, dst, cfg: FlowConfig):
+    """Flow of window win[rows[k]] into image dst[k] of images (n, h, w).
+
+    Refines by re-sampling the target at the running estimate; points that
+    drift out of frame become invalid. Invalid points have zero
+    displacement. Returns displacement (m, 2) and validity (m,).
+    """
+    _n, h, w = images.shape
+    valid = win.valid[rows]
+    disp = np.zeros((rows.size, 2))
+    dst_base = np.asarray(dst)[:, None] * (h * w)
     active = valid.copy()
     for _ in range(cfg.max_refinements):
         idx = np.nonzero(active)[0]
         if idx.size == 0:
             break
-        tx = gx[idx] + disp[idx, 0:1]
-        ty = gy[idx] + disp[idx, 1:2]
+        r = rows[idx]
+        tx = win.gx[r]
+        tx += disp[idx, 0:1]
+        ty = win.gy[r]
+        ty += disp[idx, 1:2]
         # rounding is monotonic, so the window's first and last samples are its extremes
         out = (tx[:, 0] < 0) | (tx[:, -1] > w - 1) | (ty[:, 0] < 0) | (ty[:, -1] > h - 1)
         if np.any(out):
@@ -213,26 +329,36 @@ def _lk_batch(stack, src, dst, pts, cfg: FlowConfig):
             valid[gone] = False
             disp[gone] = 0.0
             active[gone] = False
-            idx = idx[~out]
+            keep = ~out
+            idx, r, tx, ty = idx[keep], r[keep], tx[keep], ty[keep]
             if idx.size == 0:
                 break
-            tx = tx[~out]
-            ty = ty[~out]
-        it = _bilinear(stack, tx, ty, dst_base[idx]) - patch[idx]
-        bx = -np.sum(gxv[idx] * it, axis=1)
-        by = -np.sum(gyv[idx] * it, axis=1)
-        inv_det = 1.0 / det[idx]
-        dx = (syy[idx] * bx - sxy[idx] * by) * inv_det
-        dy = (sxx[idx] * by - sxy[idx] * bx) * inv_det
+        it = _bilinear(images, tx, ty, dst_base[idx])
+        it -= win.patch[r]
+        prod = win.gxv[r]
+        prod *= it
+        bx = -np.sum(prod, axis=1)
+        prod = win.gyv[r]
+        prod *= it
+        by = -np.sum(prod, axis=1)
+        sxx, sxy, syy = win.sxx[r], win.sxy[r], win.syy[r]
+        inv_det = 1.0 / win.det[r]
+        dx = (syy * bx - sxy * by) * inv_det
+        dy = (sxx * by - sxy * bx) * inv_det
         disp[idx, 0] += dx
         disp[idx, 1] += dy
         settled = np.hypot(dx, dy) < cfg.step_tol
         active[idx[settled]] = False
-    return disp, valid, min_eig
+    return disp, valid
 
 
 def lk_flow(prev, nxt, points, window: int = 9, cfg: FlowConfig | None = None) -> list[FlowVector]:
-    """Per-point displacement between two frames; see _lk_batch for invalid points."""
+    """Per-point displacement between two frames.
+
+    Points too close to the border, points whose structure tensor is
+    near-singular, and points that drift out of frame are invalid with zero
+    displacement.
+    """
     cfg = replace(cfg or FlowConfig(), window=window)
     a = as_frame(prev, "prev")
     b = as_frame(nxt, "next")
@@ -244,69 +370,141 @@ def lk_flow(prev, nxt, points, window: int = 9, cfg: FlowConfig | None = None) -
         return []
     if min(a.shape) < 3:
         raise ValueError(f"frame too small for gradients: {a.shape}")
-    disp, valid, min_eig = _lk_batch(np.stack([a, b]), np.zeros(n, int), np.ones(n, int), pts, cfg)
+    planes = _planes(np.stack([a, b]))
+    win = _lk_windows(planes, np.zeros(n, np.int64), pts, cfg)
+    disp, valid = _lk_refine(planes[0], win, np.arange(n), np.ones(n, np.int64), cfg)
     return [
         FlowVector(
             origin=(float(pts[i, 0]), float(pts[i, 1])),
             displacement=(float(disp[i, 0]), float(disp[i, 1])),
             valid=bool(valid[i]),
-            min_eigenvalue=float(max(min_eig[i], 0.0)),
+            min_eigenvalue=float(max(win.min_eig[i], 0.0)),
         )
         for i in range(n)
     ]
 
 
-def _check_box(box, shape, name="box"):
-    x0, y0, x1, y1 = (float(c) for c in box)
-    h, w = shape
-    if not (x1 > x0 and y1 > y0):
-        raise ValueError(f"{name} is empty: {box}")
-    if x0 < 0 or y0 < 0 or x1 > w or y1 > h:
-        raise ValueError(f"{name} {box} exceeds frame bounds {w}x{h}")
-    return x0, y0, x1, y1
+def _chunks(boxes_per_frame: Sequence[Sequence], cfg: FlowConfig):
+    """Frame ranges [t0, t1), each closed once its pairs could carry BATCH_POINTS feature points.
 
-
-def canonical_rect(frame, box, out_h: int, out_w: int) -> np.ndarray:
-    """Resample a box region to out_h x out_w with bilinear interpolation."""
-    f = as_frame(frame)
-    x0, y0, x1, y1 = _check_box(box, f.shape)
-    h, w = f.shape
-    us = x0 + (x1 - x0) * (np.arange(out_w) + 0.5) / out_w
-    vs = y0 + (y1 - y0) * (np.arange(out_h) + 0.5) / out_h
-    us = np.clip(us, 0, w - 1)
-    vs = np.clip(vs, 0, h - 1)
-    gx, gy = np.meshgrid(us, vs)
-    return _bilinear(f, gx, gy)
-
-
-def canonical_crop(frame, box, size: int) -> np.ndarray:
-    """Resample a box to size x size with bilinear interpolation."""
-    return canonical_rect(frame, box, size, size)
-
-
-def _fb_similarity(crops, pairs, feats, cfg: FlowConfig) -> np.ndarray:
-    """Motion-coherence score of each pair (i, j) of same-size crops, in one batch.
-
-    feats[k] holds the features of crops[i] for pairs[k]. A pair scores the
-    fraction of its valid forward vectors that land inside the canvas and
-    track back to within fb_max_error of their origin; a pair with no valid
-    vector scores 0.
+    A frame counts max_features points per box and later box it is compared
+    with (at least one), so a chunk also bounds the boxes it holds.
     """
-    stack = np.stack(crops)
-    _n, h, w = stack.shape
-    pair = np.repeat(np.arange(len(pairs)), [len(f) for f in feats])
-    src, dst = np.array(pairs, dtype=np.int64).reshape(-1, 2)[pair].T
-    pts = np.concatenate(feats)
-    disp, valid, _ = _lk_batch(stack, src, dst, pts, cfg)
-    land = pts[valid] + disp[valid]
+    n = len(boxes_per_frame)
+    t0 = t1 = 0
+    points = 0
+    while t1 < n:
+        later = sum(len(boxes_per_frame[t]) for t in range(t1 + 1, min(t1 + cfg.gap_max + 2, n)))
+        points += len(boxes_per_frame[t1]) * cfg.max_features * max(later, 1)
+        t1 += 1
+        if points >= BATCH_POINTS:
+            yield t0, t1
+            t0, points = t1, 0
+    if t0 < n:
+        yield t0, n
+
+
+def _check_frames(frames: Sequence, boxes_per_frame: Sequence[Sequence]) -> None:
+    if len(frames) != len(boxes_per_frame):
+        raise ValueError(f"got {len(frames)} frames but {len(boxes_per_frame)} box lists")
+    shapes = {np.shape(frames[t]) for t, boxes in enumerate(boxes_per_frame) if boxes}
+    if len(shapes) > 1:
+        raise ValueError(f"frames with boxes differ in shape: {sorted(shapes)}")
+
+
+def _frame_crops(frames: Sequence, boxes_per_frame: Sequence[Sequence], t0: int, t1: int, size: int):
+    """Keys (t, i) of the boxes of frames [t0, t1) and their canonical crops, in one gather.
+
+    Validates each of these frames that has boxes, and its boxes.
+    """
+    ts = [t for t in range(t0, t1) if boxes_per_frame[t]]
+    stack = [as_frame(frames[t], f"frame {t}") for t in ts]
+    keys, slots, boxes = [], [], []
+    for s, t in enumerate(ts):
+        for i, box in enumerate(boxes_per_frame[t]):
+            keys.append((t, i))
+            slots.append(s)
+            boxes.append(_check_box(box, stack[s].shape, f"box {i} of frame {t}"))
+    if not keys:
+        return keys, np.empty((0, size, size))
+    return keys, _crops(np.stack(stack), slots, boxes, size, size)
+
+
+def _scored_pairs(frames: Sequence, boxes_per_frame: Sequence[Sequence], cfg: FlowConfig):
+    """Motion-coherence score of every compared box pair: yields (a, b, similarity).
+
+    Boxes in frames t and t + k are compared for k up to gap_max + 1. A pair
+    (a, b) scores the fraction of a's valid forward vectors that land inside
+    the canvas and track back to within fb_max_error of their origin; a pair
+    with no valid vector scores 0. Each box's crop, gradients, corners and
+    corner windows are built once and shared by every pair it is in.
+    """
+    _check_frames(frames, boxes_per_frame)
+    n = len(frames)
+    keys: list[tuple[int, int]] = []
+    planes = np.empty((3, 0, cfg.canonical_size, cfg.canonical_size))
+    built = 0
+    for t0, t1 in _chunks(boxes_per_frame, cfg):
+        # keep the boxes of frames t0 and later, add those up to the last compared frame
+        stale = sum(1 for t, _i in keys if t < t0)
+        last = min(t1 + cfg.gap_max + 1, n)
+        new_keys, new_crops = _frame_crops(frames, boxes_per_frame, built, last, cfg.canonical_size)
+        built = max(built, last)
+        keys = keys[stale:] + new_keys
+        planes = np.concatenate([planes[:, stale:], _planes(new_crops)], axis=1)
+        slot = {key: s for s, key in enumerate(keys)}
+        pairs = [
+            (a, (t2, j))
+            for a in keys
+            if a[0] < t1
+            for t2 in range(a[0] + 1, min(a[0] + cfg.gap_max + 2, n))
+            for j in range(len(boxes_per_frame[t2]))
+        ]
+        if not pairs:
+            continue
+        # corners and forward windows of the chunk's source boxes, shared by their pairs
+        n_src = sum(1 for t, _i in keys if t < t1)
+        feats = _corners(planes[:, :n_src], cfg.max_features, cfg.feature_quality, cfg.window)
+        counts = np.array([len(f) for f in feats], dtype=np.int64)
+        win = _lk_windows(planes, np.repeat(np.arange(n_src), counts), np.concatenate(feats), cfg)
+        src, dst = np.array([(slot[a], slot[b]) for a, b in pairs], dtype=np.int64).T
+        # solved in even batches of at most about BATCH_POINTS forward points
+        ends = np.cumsum(counts[src])
+        n_batches = max(1, -(-int(ends[-1]) // BATCH_POINTS))
+        cuts = np.searchsorted(ends, ends[-1] * np.arange(1, n_batches) / n_batches, side="right")
+        for lo, hi in zip([0, *cuts.tolist()], [*cuts.tolist(), len(pairs)]):
+            if lo < hi:
+                sims = _fb_scores(planes, win, counts, src[lo:hi], dst[lo:hi], cfg)
+                for (a, b), sim in zip(pairs[lo:hi], sims.tolist()):
+                    yield a, b, sim
+
+
+def _fb_scores(planes: np.ndarray, win: _Windows, counts, src, dst, cfg: FlowConfig) -> np.ndarray:
+    """Forward-backward score of each pair (src[k], dst[k]) of images of planes.
+
+    Image i's features are the counts[i] consecutive windows of win starting
+    after those of images 0 .. i - 1.
+    """
+    _p, _n, h, w = planes.shape
+    per_pair = counts[src]
+    pair = np.repeat(np.arange(src.size), per_pair)
+    # rows of each pair's source windows, counted from the pair's first row
+    rows = np.arange(pair.size) - np.repeat(np.cumsum(per_pair) - per_pair, per_pair)
+    rows += np.repeat((np.cumsum(counts) - counts)[src], per_pair)
+    disp, valid = _lk_refine(planes[0], win, rows, dst[pair], cfg)
+    land = win.pts[rows[valid]] + disp[valid]
     inside = (land[:, 0] >= 0) & (land[:, 0] <= w - 1) & (land[:, 1] >= 0) & (land[:, 1] <= h - 1)
     fwd = disp[valid][inside]
-    back, back_valid, _ = _lk_batch(stack, dst[valid][inside], src[valid][inside], land[inside], cfg)
+    back_pair = pair[valid][inside]
+    back_win = _lk_windows(planes, dst[back_pair], land[inside], cfg)
+    back, back_valid = _lk_refine(
+        planes[0], back_win, np.arange(back_pair.size), src[back_pair], cfg
+    )
     err = np.hypot(fwd[:, 0] + back[:, 0], fwd[:, 1] + back[:, 1])
-    kept = pair[valid][inside][back_valid & (err <= cfg.fb_max_error)]
-    n_valid = np.bincount(pair[valid], minlength=len(pairs))
-    n_kept = np.bincount(kept, minlength=len(pairs))
-    return np.divide(n_kept, n_valid, out=np.zeros(len(pairs)), where=n_valid > 0)
+    kept = back_pair[back_valid & (err <= cfg.fb_max_error)]
+    n_valid = np.bincount(pair[valid], minlength=src.size)
+    n_kept = np.bincount(kept, minlength=src.size)
+    return np.divide(n_kept, n_valid, out=np.zeros(src.size), where=n_valid > 0)
 
 
 def box_similarity(prev, nxt, box_prev, box_next, cfg: FlowConfig | None = None) -> float:
@@ -315,14 +513,10 @@ def box_similarity(prev, nxt, box_prev, box_next, cfg: FlowConfig | None = None)
     Both boxes are resampled to the canonical size; features picked in the
     first crop are tracked into the second, and the score is the fraction of
     valid features that land inside the canvas with a consistent round trip.
+    The two frames must share one shape.
     """
-    if cfg is None:
-        cfg = FlowConfig()
-    size = cfg.canonical_size
-    p = canonical_crop(prev, box_prev, size)
-    n = canonical_crop(nxt, box_next, size)
-    feats = good_features(p, cfg.max_features, cfg.feature_quality, cfg.window)
-    return float(_fb_similarity([p, n], [(0, 1)], [feats], cfg)[0])
+    (_a, _b, sim), = _scored_pairs([prev, nxt], [[box_prev], [box_next]], cfg or FlowConfig())
+    return sim
 
 
 class _UnionFind:
@@ -369,62 +563,13 @@ def group_boxes(
     """
     if cfg is None:
         cfg = FlowConfig()
-    if len(frames) != len(boxes_per_frame):
-        raise ValueError(
-            f"got {len(frames)} frames but {len(boxes_per_frame)} box lists"
-        )
     keys = [
-        (t, i) for t in range(len(frames)) for i in range(len(boxes_per_frame[t]))
+        (t, i) for t in range(len(boxes_per_frame)) for i in range(len(boxes_per_frame[t]))
     ]
     uf = _UnionFind(keys)
-    size = cfg.canonical_size
-    crops: dict[tuple[int, int], np.ndarray] = {}
-    feats: dict[tuple[int, int], np.ndarray] = {}
-    pairs: list[tuple[tuple[int, int], tuple[int, int]]] = []
-
-    def score_pairs():
-        slot = {key: n for n, key in enumerate(crops)}
-        sims = _fb_similarity(
-            list(crops.values()),
-            [(slot[a], slot[b]) for a, b in pairs],
-            [feats[a] for a, _b in pairs],
-            cfg,
-        )
-        for (a, b), sim in zip(pairs, sims):
-            if sim > threshold:
-                uf.union(a, b)
-        pairs.clear()
-
-    n_frames = len(frames)
-    n_points = 0
-    for t in range(n_frames):
-        if not boxes_per_frame[t]:
-            continue
-        for k in range(1, cfg.gap_max + 2):
-            t2 = t + k
-            if t2 >= n_frames:
-                break
-            for i in range(len(boxes_per_frame[t])):
-                for j in range(len(boxes_per_frame[t2])):
-                    a, b = (t, i), (t2, j)
-                    for tk, ik in (a, b):
-                        if (tk, ik) not in crops:
-                            crops[tk, ik] = canonical_crop(frames[tk], boxes_per_frame[tk][ik], size)
-                    if a not in feats:
-                        feats[a] = good_features(
-                            crops[a], cfg.max_features, cfg.feature_quality, cfg.window
-                        )
-                    pairs.append((a, b))
-                    n_points += len(feats[a])
-                    if n_points >= BATCH_POINTS:
-                        score_pairs()
-                        n_points = 0
-                        # later pairs start at frame t or after
-                        for cache in (crops, feats):
-                            for key in [key for key in cache if key[0] < t]:
-                                del cache[key]
-    if pairs:
-        score_pairs()
+    for a, b, sim in _scored_pairs(frames, boxes_per_frame, cfg):
+        if sim > threshold:
+            uf.union(a, b)
     return _groups_from_union(uf, keys)
 
 
@@ -443,16 +588,22 @@ def merge_groups(
     """
     if cfg is None:
         cfg = FlowConfig()
-    members_seen = [m for g in groups for m in g.members]
-    if len(set(members_seen)) != len(members_seen):
+    owner = {m: gi for gi, g in enumerate(groups) for m in g.members}
+    if len(owner) != sum(len(g.members) for g in groups):
         raise ValueError("input groups are not a partition (duplicate member)")
     size = cfg.canonical_size
-    descs = []
-    for g in groups:
-        acc = np.zeros((size, size))
-        for t, i in g.members:
-            acc += canonical_crop(frames[t], boxes_per_frame[t][i], size)
-        descs.append((acc / max(len(g.members), 1)).ravel())
+    acc = np.zeros((len(groups), size, size))
+    _check_frames(frames, boxes_per_frame)
+    # member crops are summed in frame order, a chunk of frames at a time
+    found = 0
+    for t0, t1 in _chunks(boxes_per_frame, cfg):
+        for key, c in zip(*_frame_crops(frames, boxes_per_frame, t0, t1, size)):
+            if key in owner:
+                acc[owner[key]] += c
+                found += 1
+    if found != len(owner):
+        raise ValueError("input groups name boxes that are not in boxes_per_frame")
+    descs = [(a / max(len(g.members), 1)).ravel() for a, g in zip(acc, groups)]
 
     def corr(a, b):
         da = a - a.mean()

@@ -98,13 +98,16 @@ def decompose(x, cfg: RpcaConfig | None = None) -> RpcaResult:
     residual = 1.0
     converged = False
     for iterations in range(1, cfg.max_iterations + 1):
+        y_rho = y / rho
         f, rank = numkit.singular_value_threshold(
-            a - s + y / rho, 1.0 / rho, None if f is None else f.right
+            a - s + y_rho, 1.0 / rho, None if f is None else f.right
         )
-        u = f.reconstruct()
         rank_history.append(rank)
-        s = soft_threshold(a - u + y / rho, lam / rho)
-        gap = a - u - s
+        # a - u, formed once; u itself is rebuilt from f after the loop
+        gap = a - f.reconstruct()
+        y_rho += gap
+        s = soft_threshold(y_rho, lam / rho)
+        gap -= s
         y = y + rho * gap
         rho = min(rho * cfg.penalty_growth, cap)
         residual = float(np.linalg.norm(gap) / x_fro)
@@ -113,7 +116,7 @@ def decompose(x, cfg: RpcaConfig | None = None) -> RpcaResult:
             break
 
     return RpcaResult(
-        low_rank=u,
+        low_rank=f.reconstruct(),
         sparse=s,
         singular_values=np.pad(f.singular_values, (0, min(a.shape) - f.singular_values.size)),
         iterations=iterations,

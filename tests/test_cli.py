@@ -240,6 +240,10 @@ def test_flow_group_cmd_and_mismatch_exit(tmp_path, capsys):
     header, rows = fileio.read_csv(out / "flow_groups.csv")
     assert len(rows) == 3
     assert {r[2] for r in rows} == {"0"}
+    # a box beyond the frame's right edge
+    fileio.write_jsonl(boxes, [{"frame": i, "boxes": [[0.2, 0.2, 1.3, 0.7]]} for i in range(3)])
+    assert run(["flow-group", "--frames", frames_dir, "--boxes", boxes, "--out", out]) == 3
+    assert "exceeds frame bounds" in capsys.readouterr().err
     # frame/box count mismatch
     fileio.write_jsonl(boxes, [{"frame": 0, "boxes": []}])
     assert run(["flow-group", "--frames", frames_dir, "--boxes", boxes, "--out", out]) == 3
@@ -322,7 +326,15 @@ def test_config_unknown_key_exits_4(tmp_path, capsys):
     assert "rcpa" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("setting", [{"max_features": 0}, {"canonical_size": 2}])
+@pytest.mark.parametrize("setting", [
+    {"max_features": 0},
+    {"canonical_size": 2},
+    {"max_refinements": -1},
+    {"max_refinements": 0},
+    {"step_tol": 0},
+    {"fb_max_error": -0.1},
+    {"eigen_floor": -1e-3},
+])
 def test_pipeline_bad_flow_setting_exits_4_before_any_stage(tmp_path, capsys, setting):
     sess = tmp_path / "sess"
     assert run(["synth", "--generator", "driver_session", "--seed", "4",

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.ndimage import gaussian_filter
+from scipy.ndimage import gaussian_filter, maximum_filter, uniform_filter
 
 from epkit import optflow
 from epkit.synth import gen_driver_session, gen_shifted_pair, rng
@@ -328,7 +328,7 @@ def _lk_flow_reference(a, b, points, cfg):
         & (pts[:, 1] - half >= 0)
         & (pts[:, 1] + half <= h - 1)
     )
-    ix, iy = optflow.image_gradients(a)
+    ix, iy = np.gradient(a, axis=1), np.gradient(a, axis=0)
     patch, gxv, gyv = np.zeros_like(gx), np.zeros_like(gx), np.zeros_like(gx)
     patch[inb] = _bilinear_reference(a, gx[inb], gy[inb])
     gxv[inb] = _bilinear_reference(ix, gx[inb], gy[inb])
@@ -396,6 +396,61 @@ def test_lk_flow_matches_reference():
             assert any(v.valid for v in expected) and not all(v.valid for v in expected)
 
 
+def _canonical_rect_reference(frame, box, out_h, out_w):
+    """The per-image crop arithmetic, written apart from the batched builder."""
+    f = np.clip(np.asarray(frame, dtype=np.float64), 0.0, 1.0)
+    x0, y0, x1, y1 = (float(c) for c in box)
+    h, w = f.shape
+    us = np.clip(x0 + (x1 - x0) * (np.arange(out_w) + 0.5) / out_w, 0, w - 1)
+    vs = np.clip(y0 + (y1 - y0) * (np.arange(out_h) + 0.5) / out_h, 0, h - 1)
+    gx, gy = np.meshgrid(us, vs)
+    return _bilinear_reference(f, gx, gy)
+
+
+def _good_features_reference(img, max_count, quality, window):
+    """The per-image corner arithmetic, written apart from the batched builder."""
+    ix, iy = np.gradient(img, axis=1), np.gradient(img, axis=0)
+    area = window * window
+    sxx = uniform_filter(ix * ix, size=window, mode="constant") * area
+    sxy = uniform_filter(ix * iy, size=window, mode="constant") * area
+    syy = uniform_filter(iy * iy, size=window, mode="constant") * area
+    resp = 0.5 * ((sxx + syy) - np.sqrt((sxx - syy) ** 2 + 4.0 * sxy * sxy))
+    margin = window // 2 + 1
+    h, w = img.shape
+    if 2 * margin >= min(h, w):
+        return np.empty((0, 2))
+    inner = np.zeros_like(resp)
+    inner[margin : h - margin, margin : w - margin] = resp[margin : h - margin, margin : w - margin]
+    best = inner.max()
+    if best <= 0:
+        return np.empty((0, 2))
+    peaks = (inner >= quality * best) & (inner == maximum_filter(inner, size=window))
+    ys, xs = np.nonzero(peaks)
+    order = sorted(range(xs.size), key=lambda i: (-inner[ys[i], xs[i]], ys[i], xs[i]))
+    kept = []
+    for i in order:
+        x, y = int(xs[i]), int(ys[i])
+        if all(max(abs(x - kx), abs(y - ky)) > window // 2 for kx, ky in kept):
+            kept.append((x, y))
+            if len(kept) == max_count:
+                break
+    return np.array(kept, dtype=np.float64).reshape(-1, 2)
+
+
+def _reference_state(frames, boxes, cfg):
+    """Per-box reference crops and the features of each crop."""
+    crop = {
+        (t, i): _canonical_rect_reference(frames[t], b, cfg.canonical_size, cfg.canonical_size)
+        for t in range(len(frames))
+        for i, b in enumerate(boxes[t])
+    }
+    feats = {
+        k: _good_features_reference(c, cfg.max_features, cfg.feature_quality, cfg.window)
+        for k, c in crop.items()
+    }
+    return crop, feats
+
+
 def _crop_similarity(crop_prev, crop_next, cfg, feats):
     """Per-pair reference for the batched score: two reference solves per pair."""
     size = crop_prev.shape[0]
@@ -443,15 +498,7 @@ def _scene_pairs(boxes, cfg):
 
 def _oracle_grouping(frames, boxes, thresholds, cfg):
     """Reference similarities of every compared pair and the partition per threshold."""
-    crop = {
-        (t, i): optflow.canonical_crop(frames[t], b, cfg.canonical_size)
-        for t in range(len(frames))
-        for i, b in enumerate(boxes[t])
-    }
-    feats = {
-        k: optflow.good_features(c, cfg.max_features, cfg.feature_quality, cfg.window)
-        for k, c in crop.items()
-    }
+    crop, feats = _reference_state(frames, boxes, cfg)
     pairs = _scene_pairs(boxes, cfg)
     sims = {(a, b): _crop_similarity(crop[a], crop[b], cfg, feats[a]) for a, b in pairs}
     partitions = []
@@ -465,19 +512,10 @@ def _oracle_grouping(frames, boxes, thresholds, cfg):
 
 
 def _batched_sims(frames, boxes, cfg):
-    """Every compared pair's similarity from one call of the batched scorer."""
-    pairs = _scene_pairs(boxes, cfg)
-    if not pairs:
-        return {}
-    keys = sorted({k for pair in pairs for k in pair})
-    slot = {k: n for n, k in enumerate(keys)}
-    crops = [optflow.canonical_crop(frames[t], boxes[t][i], cfg.canonical_size) for t, i in keys]
-    feats = [
-        optflow.good_features(crops[slot[a]], cfg.max_features, cfg.feature_quality, cfg.window)
-        for a, _b in pairs
-    ]
-    sims = optflow._fb_similarity(crops, [(slot[a], slot[b]) for a, b in pairs], feats, cfg)
-    return dict(zip(pairs, sims.tolist()))
+    """Every compared pair's similarity from the batched scorer group_boxes runs on."""
+    scored = list(optflow._scored_pairs(frames, boxes, cfg))
+    assert sorted((a, b) for a, b, _sim in scored) == sorted(_scene_pairs(boxes, cfg))
+    return {(a, b): sim for a, b, sim in scored}
 
 
 def _assert_matches_oracle(frames, boxes, cfg, thresholds=(0.2, 0.5, 0.9)):
@@ -564,9 +602,128 @@ def test_box_similarity_matches_oracle():
     cfg = optflow.FlowConfig()
     patch = _noise_patch(3)
     frames = [_patch_frame(80, 100, patch, 10 + 2 * t, 30) for t in range(2)]
+    size = cfg.canonical_size
     for box_next in ((12, 30, 32, 50), (60, 5, 80, 25), (11, 31, 31, 51)):
-        p = optflow.canonical_crop(frames[0], (10, 30, 30, 50), cfg.canonical_size)
-        n = optflow.canonical_crop(frames[1], box_next, cfg.canonical_size)
-        feats = optflow.good_features(p, cfg.max_features, cfg.feature_quality, cfg.window)
+        p = _canonical_rect_reference(frames[0], (10, 30, 30, 50), size, size)
+        n = _canonical_rect_reference(frames[1], box_next, size, size)
+        feats = _good_features_reference(p, cfg.max_features, cfg.feature_quality, cfg.window)
         expected = _crop_similarity(p, n, cfg, feats)
         assert optflow.box_similarity(frames[0], frames[1], (10, 30, 30, 50), box_next) == expected
+
+
+# -- the per-box state builder against the per-image reference -----------------
+
+
+def _edge_scene():
+    """Boxes touching the right and bottom frame edges, a flat box and frames with no boxes."""
+    patch = _noise_patch(5)
+    frames, boxes = [], []
+    for t in range(6):
+        f = np.full((48, 64), 0.3)
+        f[28:48, 44 - t : 64 - t] = patch
+        frames.append(f)
+        # the second box covers flat background and has no features
+        boxes.append([] if t in (2, 3) else [(44.0 - t, 28.0, 64.0 - t, 48.0), (2.0, 2.0, 22.0, 22.0)])
+    return frames, boxes
+
+
+def _builder_state(frames, boxes, cfg):
+    """Crops and features per box from the builder, a chunk of frames at a time."""
+    crops, feats = {}, {}
+    for t0, t1 in optflow._chunks(boxes, cfg):
+        keys, stack = optflow._frame_crops(frames, boxes, t0, t1, cfg.canonical_size)
+        planes = optflow._planes(stack)
+        got = optflow._corners(planes, cfg.max_features, cfg.feature_quality, cfg.window)
+        for key, c, f in zip(keys, stack, got):
+            crops[key], feats[key] = c, f
+    return crops, feats
+
+
+@pytest.mark.parametrize("budget", [1, None, 10**9])
+def test_box_state_builder_matches_per_image_reference(monkeypatch, budget):
+    # budget 1: one frame with boxes per chunk; 10**9: one chunk for the whole scene
+    if budget is not None:
+        monkeypatch.setattr(optflow, "BATCH_POINTS", budget)
+    cfg = optflow.FlowConfig()
+    scenes = [_edge_scene()] + [_criterion7_scene(seed) for seed in range(200)]
+    for frames, boxes in scenes:
+        ref_crops, ref_feats = _reference_state(frames, boxes, cfg)
+        crops, feats = _builder_state(frames, boxes, cfg)
+        assert list(crops) == list(ref_crops)
+        for key in ref_crops:
+            assert np.array_equal(crops[key], ref_crops[key]), key
+            assert np.array_equal(feats[key], ref_feats[key]), key
+    frames, boxes = scenes[0]
+    _crops, feats = _builder_state(frames, boxes, cfg)
+    assert len(feats[(0, 0)]) > 0 and len(feats[(0, 1)]) == 0
+    chunks = list(optflow._chunks(boxes, cfg))
+    if budget == 1:
+        assert all(sum(1 for t in range(t0, t1) if boxes[t]) == 1 for t0, t1 in chunks)
+    elif budget == 10**9:
+        assert chunks == [(0, len(frames))]
+    for frames, boxes in scenes[:20]:
+        _assert_matches_oracle(frames, boxes, cfg)
+
+
+def test_corners_break_ties_like_reference():
+    # equal responses: the rank order and the suppression radius decide what is kept
+    pixels = np.zeros((20, 20))
+    pixels[12, 5] = pixels[5, 12] = pixels[5, 5] = 1.0
+    images = [pixels]
+    for cell in (2, 3, 4, 5):
+        images.append((np.indices((24, 24)).sum(0) // cell % 2).astype(float))
+    for img in images:
+        for window in (3, 5, 9):
+            for max_count in (1, 2, 5, 100):
+                got = optflow.good_features(img, max_count, 0.1, window)
+                assert np.array_equal(got, _good_features_reference(img, max_count, 0.1, window))
+
+
+def _merge_reference(groups, frames, boxes, merge_threshold, cfg):
+    """merge_groups with one reference crop per member box."""
+    size = cfg.canonical_size
+    descs = []
+    for g in groups:
+        acc = np.zeros((size, size))
+        for t, i in g.members:
+            acc += _canonical_rect_reference(frames[t], boxes[t][i], size, size)
+        descs.append((acc / max(len(g.members), 1)).ravel())
+    uf = optflow._UnionFind(range(len(groups)))
+    for i in range(len(groups)):
+        for j in range(i + 1, len(groups)):
+            if np.corrcoef(descs[i], descs[j])[0, 1] > merge_threshold:
+                uf.union(i, j)
+    merged = optflow._groups_from_union(uf, range(len(groups)))
+    return [sorted(m for i in g.members for m in groups[i].members) for g in merged]
+
+
+def test_merge_groups_matches_reference_descriptors():
+    cfg = optflow.FlowConfig()
+    for seed in range(30):
+        frames, boxes = _criterion7_scene(seed)
+        keys = [(t, i) for t in range(len(frames)) for i in range(len(boxes[t]))]
+        singletons = [optflow.BoxTrackGroup(n, [k]) for n, k in enumerate(keys)]
+        for groups in (singletons, optflow.group_boxes(frames, boxes, 0.5, cfg)):
+            for thr in (0.0, 0.5, 0.8, 0.9, 0.95, 0.99):
+                merged = optflow.merge_groups(groups, frames, boxes, thr, cfg)
+                assert [g.members for g in merged] == _merge_reference(groups, frames, boxes, thr, cfg)
+
+
+@pytest.mark.parametrize("bad", ["nan", "range", "box", "shape"])
+def test_group_and_merge_reject_bad_frames_and_boxes(bad):
+    patch = _noise_patch(3)
+    frames = [_patch_frame(60, 80, patch, 15, 20) for _ in range(4)]
+    boxes = [[(15, 20, 35, 40)] for _ in range(4)]
+    if bad == "nan":
+        frames[2][5, 5] = np.nan
+    elif bad == "range":
+        frames[2][5, 5] = 1.5
+    elif bad == "box":
+        boxes[2] = [(70, 20, 90, 40)]
+    else:
+        frames[2] = _patch_frame(50, 80, patch, 15, 20)
+    with pytest.raises(ValueError):
+        optflow.group_boxes(frames, boxes, 0.5)
+    groups = [optflow.BoxTrackGroup(0, [(t, 0) for t in range(4)])]
+    with pytest.raises(ValueError):
+        optflow.merge_groups(groups, frames, boxes, 0.9)
