@@ -11,13 +11,18 @@ a target image; `lk_flow` runs it on two frames.
 Box grouping follows the track-then-merge recipe: consecutive (or nearly
 consecutive) boxes whose resampled contents move coherently are unioned
 into groups, and groups with correlated mean appearance are merged. Frames
-are taken in chunks whose pairs carry about BATCH_POINTS feature points.
-Each box's state is built once, in a few batched calls per chunk: its
-canonical crop (`_frame_crops`, one gather over the chunk's frames), gradient
-planes (`_planes`), corners (`_corners`) and the source windows of those
-corners (`_lk_windows`), which every pair the box starts shares. Frames are
-validated once each, when their boxes are first cropped, and all frames
-with boxes must share one shape.
+are taken in chunks whose lag-1 pairs (boxes of frames t and t + 1) carry
+about BATCH_POINTS feature points. A chunk's pairs are solved in lag waves,
+lag 1 first, and `group_boxes` unions as pairs are scored: a pair whose two
+boxes are already in one set when its wave starts is not scored, since it
+cannot change the connected components (about 2,000 of 3,188 pairs are
+scored on a 400-frame session of 5 x 80 frames). `merge_groups` likewise
+compares no two groups already merged. Each box's state is built once, in a
+few batched calls per chunk: its canonical crop (`_frame_crops`, one gather
+over the chunk's frames), gradient planes (`_planes`), corners (`_corners`)
+and the source windows of those corners (`_lk_windows`), which every pair
+the box starts shares. Frames are validated once each, when their boxes are
+first cropped, and all frames with boxes must share one shape.
 """
 
 from __future__ import annotations
@@ -385,16 +390,17 @@ def lk_flow(prev, nxt, points, window: int = 9, cfg: FlowConfig | None = None) -
 
 
 def _chunks(boxes_per_frame: Sequence[Sequence], cfg: FlowConfig):
-    """Frame ranges [t0, t1), each closed once its pairs could carry BATCH_POINTS feature points.
+    """Frame ranges [t0, t1), each closed once its lag-1 pairs could carry BATCH_POINTS points.
 
-    A frame counts max_features points per box and later box it is compared
-    with (at least one), so a chunk also bounds the boxes it holds.
+    A frame counts max_features feature points per box and box of the next
+    frame (at least one), so a chunk's first wave fills a batch and the chunk
+    also bounds the boxes it holds.
     """
     n = len(boxes_per_frame)
     t0 = t1 = 0
     points = 0
     while t1 < n:
-        later = sum(len(boxes_per_frame[t]) for t in range(t1 + 1, min(t1 + cfg.gap_max + 2, n)))
+        later = len(boxes_per_frame[t1 + 1]) if t1 + 1 < n else 0
         points += len(boxes_per_frame[t1]) * cfg.max_features * max(later, 1)
         t1 += 1
         if points >= BATCH_POINTS:
@@ -430,14 +436,22 @@ def _frame_crops(frames: Sequence, boxes_per_frame: Sequence[Sequence], t0: int,
     return keys, _crops(np.stack(stack), slots, boxes, size, size)
 
 
-def _scored_pairs(frames: Sequence, boxes_per_frame: Sequence[Sequence], cfg: FlowConfig):
-    """Motion-coherence score of every compared box pair: yields (a, b, similarity).
+def _scored_pairs(
+    frames: Sequence, boxes_per_frame: Sequence[Sequence], cfg: FlowConfig, joined=None
+):
+    """Motion-coherence score of the compared box pairs: yields (a, b, similarity).
 
     Boxes in frames t and t + k are compared for k up to gap_max + 1. A pair
     (a, b) scores the fraction of a's valid forward vectors that land inside
     the canvas and track back to within fb_max_error of their origin; a pair
     with no valid vector scores 0. Each box's crop, gradients, corners and
     corner windows are built once and shared by every pair it is in.
+
+    A chunk's pairs are solved in lag waves: those of frames t and t + 1
+    first, then those of each longer lag. A pair for which joined(a, b) is
+    true when its wave starts is skipped: the generator resumes only after the
+    caller has handled every pair yielded before, so joins made from them
+    count. Without joined, every pair is scored exactly once.
     """
     _check_frames(frames, boxes_per_frame)
     n = len(frames)
@@ -452,31 +466,36 @@ def _scored_pairs(frames: Sequence, boxes_per_frame: Sequence[Sequence], cfg: Fl
         built = max(built, last)
         keys = keys[stale:] + new_keys
         planes = np.concatenate([planes[:, stale:], _planes(new_crops)], axis=1)
-        slot = {key: s for s, key in enumerate(keys)}
-        pairs = [
-            (a, (t2, j))
-            for a in keys
-            if a[0] < t1
-            for t2 in range(a[0] + 1, min(a[0] + cfg.gap_max + 2, n))
-            for j in range(len(boxes_per_frame[t2]))
-        ]
-        if not pairs:
+        n_src = sum(1 for t, _i in keys if t < t1)
+        lags = range(1, cfg.gap_max + 2)
+        if not any(boxes_per_frame[t + k] for t, _i in keys[:n_src] for k in lags if t + k < n):
             continue
         # corners and forward windows of the chunk's source boxes, shared by their pairs
-        n_src = sum(1 for t, _i in keys if t < t1)
+        slot = {key: s for s, key in enumerate(keys)}
         feats = _corners(planes[:, :n_src], cfg.max_features, cfg.feature_quality, cfg.window)
         counts = np.array([len(f) for f in feats], dtype=np.int64)
         win = _lk_windows(planes, np.repeat(np.arange(n_src), counts), np.concatenate(feats), cfg)
-        src, dst = np.array([(slot[a], slot[b]) for a, b in pairs], dtype=np.int64).T
-        # solved in even batches of at most about BATCH_POINTS forward points
-        ends = np.cumsum(counts[src])
-        n_batches = max(1, -(-int(ends[-1]) // BATCH_POINTS))
-        cuts = np.searchsorted(ends, ends[-1] * np.arange(1, n_batches) / n_batches, side="right")
-        for lo, hi in zip([0, *cuts.tolist()], [*cuts.tolist(), len(pairs)]):
-            if lo < hi:
-                sims = _fb_scores(planes, win, counts, src[lo:hi], dst[lo:hi], cfg)
-                for (a, b), sim in zip(pairs[lo:hi], sims.tolist()):
-                    yield a, b, sim
+        for lag in lags:
+            pairs = [
+                (a, (a[0] + lag, j))
+                for a in keys[:n_src]
+                if a[0] + lag < n
+                for j in range(len(boxes_per_frame[a[0] + lag]))
+                if joined is None or not joined(a, (a[0] + lag, j))
+            ]
+            if not pairs:
+                continue
+            src, dst = np.array([(slot[a], slot[b]) for a, b in pairs], dtype=np.int64).T
+            # solved in even batches of at most about BATCH_POINTS forward points
+            ends = np.cumsum(counts[src])
+            n_batches = max(1, -(-int(ends[-1]) // BATCH_POINTS))
+            bounds = ends[-1] * np.arange(1, n_batches) / n_batches
+            cuts = np.searchsorted(ends, bounds, side="right")
+            for lo, hi in zip([0, *cuts.tolist()], [*cuts.tolist(), len(pairs)]):
+                if lo < hi:
+                    sims = _fb_scores(planes, win, counts, src[lo:hi], dst[lo:hi], cfg)
+                    for (a, b), sim in zip(pairs[lo:hi], sims.tolist()):
+                        yield a, b, sim
 
 
 def _fb_scores(planes: np.ndarray, win: _Windows, counts, src, dst, cfg: FlowConfig) -> np.ndarray:
@@ -567,7 +586,9 @@ def group_boxes(
         (t, i) for t in range(len(boxes_per_frame)) for i in range(len(boxes_per_frame[t]))
     ]
     uf = _UnionFind(keys)
-    for a, b, sim in _scored_pairs(frames, boxes_per_frame, cfg):
+    # a pair whose boxes are already joined cannot change the partition, so it is not scored
+    scored = _scored_pairs(frames, boxes_per_frame, cfg, lambda a, b: uf.find(a) == uf.find(b))
+    for a, b, sim in scored:
         if sim > threshold:
             uf.union(a, b)
     return _groups_from_union(uf, keys)
@@ -604,21 +625,20 @@ def merge_groups(
     if found != len(owner):
         raise ValueError("input groups name boxes that are not in boxes_per_frame")
     descs = [(a / max(len(g.members), 1)).ravel() for a, g in zip(acc, groups)]
-
-    def corr(a, b):
-        da = a - a.mean()
-        db = b - b.mean()
-        na = np.linalg.norm(da)
-        nb = np.linalg.norm(db)
-        if na == 0 or nb == 0:
-            return 0.0
-        return float(np.dot(da, db) / (na * nb))
+    # each descriptor is centred and normalised once
+    centred = [d - d.mean() for d in descs]
+    norms = [np.linalg.norm(d) for d in centred]
 
     ids = list(range(len(groups)))
     uf = _UnionFind(ids)
     for i in range(len(groups)):
         for j in range(i + 1, len(groups)):
-            if corr(descs[i], descs[j]) > merge_threshold:
+            # a pair already in one merged set cannot change the result
+            if uf.find(i) == uf.find(j):
+                continue
+            na, nb = norms[i], norms[j]
+            corr = float(np.dot(centred[i], centred[j]) / (na * nb)) if na and nb else 0.0
+            if corr > merge_threshold:
                 uf.union(i, j)
 
     clusters: dict[int, list[int]] = {}

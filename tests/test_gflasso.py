@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.linalg import solveh_banded
 
 from epkit import gflasso
 from epkit.fusion import PoseFrame
@@ -129,6 +130,34 @@ def test_zero_weight_entries_never_matter():
     x2[2, 7] -= 50.0
     perturbed = gflasso.solve(x2, w, cfg)
     assert np.abs(base.smoothed - perturbed.smoothed).max() <= 1e-8
+
+
+def test_block_banded_solve_matches_per_row_solves(monkeypatch):
+    # solve's one banded call on all rows, checked against one call per row of the same band
+    g = rng(67)
+    d, t = 4, 30
+    bands = set()
+
+    def per_row_checked(ab, b, lower=False):
+        got = solveh_banded(ab, b, lower=lower)
+        bands.add(ab.tobytes())
+        for lo in range(0, b.size, t):
+            row = solveh_banded(ab[:, lo : lo + t].copy(), b[lo : lo + t], lower=lower)
+            assert np.array_equal(got[lo : lo + t], row)
+        return got
+
+    monkeypatch.setattr(gflasso, "solveh_banded", per_row_checked)
+    for order in (1, 2, 3):
+        bands.clear()
+        penalties = (0.01, 1.0, 100.0)
+        for penalty in penalties:
+            x = g.standard_normal((d, t))
+            w = g.uniform(0.3, 1.0, size=(d, t))
+            w[g.random((d, t)) < 0.2] = 0.0  # zero-weight entries
+            w[:, 0] = 1.0  # no row without a positive weight
+            cfg = gflasso.GflConfig(lam=0.8, order=order, admm_penalty=penalty, max_iterations=300)
+            gflasso.solve(x, w, cfg)
+        assert len(bands) > len(penalties), order  # rho changed within a solve
 
 
 def test_lambda_path_endpoints():

@@ -552,7 +552,8 @@ def test_batched_grouping_matches_oracle_on_criterion7_scenes():
         _assert_matches_oracle(frames, boxes, cfg)
 
 
-def test_batched_grouping_matches_oracle_on_driver_session():
+def _driver_session_scene():
+    """Frames, pixel boxes and flow settings of the seed-21 5 x 20-frame session."""
     labels = ["safe_driving", "texting_left", "drinking", "talking_on_phone_left", "operating_radio"]
     bundle = gen_driver_session([(lbl, 20) for lbl in labels], seed=21, side_flip_fraction=0.1)
     frames = bundle.payload["images"]
@@ -563,6 +564,11 @@ def test_batched_grouping_matches_oracle_on_driver_session():
     ]
     # the settings driver_session writes to session_config.json
     cfg = optflow.FlowConfig(gap_max=1, max_features=16, max_refinements=10)
+    return frames, boxes, cfg
+
+
+def test_batched_grouping_matches_oracle_on_driver_session():
+    frames, boxes, cfg = _driver_session_scene()
     n_points = _assert_matches_oracle(frames, boxes, cfg)
     assert n_points > optflow.BATCH_POINTS  # group_boxes scores several batches
 
@@ -596,6 +602,54 @@ def test_batched_grouping_matches_oracle_with_empty_frames_and_gaps():
     boxes.append(boxes[0])
     for gap_max in (0, 1, 2):
         _assert_matches_oracle(frames, boxes, optflow.FlowConfig(gap_max=gap_max))
+
+
+def _recorded_grouping(monkeypatch, frames, boxes, threshold, cfg):
+    """group_boxes' groups and the pairs it scored, in order."""
+    scored = []
+    scored_pairs = optflow._scored_pairs
+
+    def spy(*args):
+        for a, b, sim in scored_pairs(*args):
+            scored.append((a, b))
+            yield a, b, sim
+
+    with monkeypatch.context() as m:
+        m.setattr(optflow, "_scored_pairs", spy)
+        groups = optflow.group_boxes(frames, boxes, threshold, cfg)
+    return groups, scored
+
+
+def _assert_skips_only_joined_pairs(monkeypatch, frames, boxes, cfg, thresholds=(0.2, 0.5, 0.9)):
+    """Every pair group_boxes leaves unscored has both boxes in one group; returns the counts."""
+    counts = []
+    candidates = _scene_pairs(boxes, cfg)
+    for thr in thresholds:
+        groups, scored = _recorded_grouping(monkeypatch, frames, boxes, thr, cfg)
+        assert len(set(scored)) == len(scored) and set(scored) <= set(candidates)
+        group_of = {m: g.group_id for g in groups for m in g.members}
+        for a, b in set(candidates) - set(scored):
+            assert group_of[a] == group_of[b], (thr, a, b)
+        counts.append(len(scored))
+    return counts, len(candidates)
+
+
+def test_group_boxes_skips_only_pairs_already_joined(monkeypatch):
+    frames, boxes = _edge_scene()
+    scenes = [(frames, boxes, optflow.FlowConfig())]
+    scenes += [(*_criterion7_scene(seed), optflow.FlowConfig()) for seed in range(50)]
+    for frames, boxes, cfg in scenes:
+        _assert_skips_only_joined_pairs(monkeypatch, frames, boxes, cfg)
+    # one-frame chunks: every wave is solved apart from the chunks around it
+    monkeypatch.setattr(optflow, "BATCH_POINTS", 1)
+    for frames, boxes, cfg in scenes[:20]:
+        _assert_skips_only_joined_pairs(monkeypatch, frames, boxes, cfg)
+
+
+def test_group_boxes_scores_fewer_pairs_on_driver_session(monkeypatch):
+    frames, boxes, cfg = _driver_session_scene()
+    counts, n_candidates = _assert_skips_only_joined_pairs(monkeypatch, frames, boxes, cfg)
+    assert all(n < n_candidates for n in counts), (counts, n_candidates)
 
 
 def test_box_similarity_matches_oracle():
@@ -679,8 +733,19 @@ def test_corners_break_ties_like_reference():
                 assert np.array_equal(got, _good_features_reference(img, max_count, 0.1, window))
 
 
-def _merge_reference(groups, frames, boxes, merge_threshold, cfg):
-    """merge_groups with one reference crop per member box."""
+def _pearson(a, b):
+    """Correlation of two descriptors, centred and normalised for this pair alone."""
+    da = a - a.mean()
+    db = b - b.mean()
+    na = np.linalg.norm(da)
+    nb = np.linalg.norm(db)
+    if na == 0 or nb == 0:
+        return 0.0
+    return float(np.dot(da, db) / (na * nb))
+
+
+def _merge_reference(groups, frames, boxes, merge_threshold, cfg, corr=None):
+    """merge_groups with one reference crop per member box, comparing every pair of groups."""
     size = cfg.canonical_size
     descs = []
     for g in groups:
@@ -691,7 +756,8 @@ def _merge_reference(groups, frames, boxes, merge_threshold, cfg):
     uf = optflow._UnionFind(range(len(groups)))
     for i in range(len(groups)):
         for j in range(i + 1, len(groups)):
-            if np.corrcoef(descs[i], descs[j])[0, 1] > merge_threshold:
+            r = np.corrcoef(descs[i], descs[j])[0, 1] if corr is None else corr(descs[i], descs[j])
+            if r > merge_threshold:
                 uf.union(i, j)
     merged = optflow._groups_from_union(uf, range(len(groups)))
     return [sorted(m for i in g.members for m in groups[i].members) for g in merged]
@@ -707,6 +773,18 @@ def test_merge_groups_matches_reference_descriptors():
             for thr in (0.0, 0.5, 0.8, 0.9, 0.95, 0.99):
                 merged = optflow.merge_groups(groups, frames, boxes, thr, cfg)
                 assert [g.members for g in merged] == _merge_reference(groups, frames, boxes, thr, cfg)
+
+
+def test_merge_groups_matches_per_pair_reference_on_many_singletons():
+    frames, boxes, cfg = _driver_session_scene()
+    edge_frames, edge_boxes = _edge_scene()  # holds a flat box, whose descriptor has zero norm
+    for frames, boxes in ((frames, boxes), (edge_frames, edge_boxes)):
+        keys = [(t, i) for t in range(len(frames)) for i in range(len(boxes[t]))]
+        singletons = [optflow.BoxTrackGroup(n, [k]) for n, k in enumerate(keys)]
+        for thr in (-0.5, 0.0, 0.9, 0.99):
+            merged = optflow.merge_groups(singletons, frames, boxes, thr, cfg)
+            expected = _merge_reference(singletons, frames, boxes, thr, cfg, corr=_pearson)
+            assert [g.members for g in merged] == expected, thr
 
 
 @pytest.mark.parametrize("bad", ["nan", "range", "box", "shape"])
