@@ -1,7 +1,10 @@
 """Command-line surface.
 
 Subcommands: rpca, segment, flow-group, fuse, synth, pipeline. Exit codes:
-0 success, 2 malformed input, 3 schema/consistency error, 4 config error.
+0 success, 2 malformed input, 3 schema/consistency error, 4 config error
+(see EXIT_CODES); an error of any other type is a bug and surfaces as a
+traceback. Subcommands call the pipeline stages directly and main maps
+their errors to exit codes in one place.
 Flags mirror the config keys; --config points at a JSON file with
 per-subcommand sections (see config.DEFAULTS).
 """
@@ -12,8 +15,6 @@ import argparse
 import json
 import os
 import sys
-
-import numpy as np
 
 from . import config as cfgmod
 from . import fileio, fusion, gflasso, pipeline, synth
@@ -44,48 +45,29 @@ def _load_cfg(args) -> dict:
     return cfg
 
 
-def _read_input_matrix(path: str, limit: int) -> np.ndarray:
-    if os.path.isdir(path):
-        frames = [fileio.read_pgm(p) for p in fileio.list_pgm_frames(path)]
-        return pipeline.frames_to_matrix(frames, limit)
-    return fileio.read_matrix(path)
-
-
 def cmd_rpca(args) -> int:
     cfg = _load_cfg(args)
     os.makedirs(args.out, exist_ok=True)
-    pipeline.run_rpca_stage(_read_input_matrix(args.input, cfg["downscale_limit"]), cfg, args.out)
+    if os.path.isdir(args.input):
+        mat = pipeline.frames_to_matrix(fileio.read_frames(args.input), cfg["downscale_limit"])
+    else:
+        mat = fileio.read_matrix(args.input)
+    pipeline.run_rpca_stage(mat, cfg, args.out)
     return 0
 
 
 def cmd_segment(args) -> int:
     cfg = _load_cfg(args)
     os.makedirs(args.out, exist_ok=True)
-    detections = fileio.read_detections(args.detections)
-    try:
-        pipeline.run_segmentation_stage(detections, cfg, args.out)
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from None
+    pipeline.run_segmentation_stage(fileio.read_detections(args.detections), cfg, args.out)
     return 0
 
 
 def cmd_flow_group(args) -> int:
     cfg = _load_cfg(args)
     os.makedirs(args.out, exist_ok=True)
-    frames = [fileio.read_pgm(p) for p in fileio.list_pgm_frames(args.frames)]
-    records = fileio.read_jsonl(args.boxes)
-    h, w = frames[0].shape
-    boxes_per_frame = []
-    for i, rec in enumerate(sorted(records, key=lambda r: r.get("frame", 0))):
-        try:
-            boxes_per_frame.append(
-                [
-                    (b[0] * w, b[1] * h, b[2] * w, b[3] * h)
-                    for b in rec.get("boxes", [])
-                ]
-            )
-        except (TypeError, IndexError) as exc:
-            raise SchemaError(f"bad box record {args.boxes}:{i + 1}: {exc}") from None
+    frames = fileio.read_frames(args.frames)
+    boxes_per_frame = fileio.read_box_records(args.boxes, len(frames))
     pipeline.group_flow_boxes(frames, boxes_per_frame, cfg, args.out)
     return 0
 
@@ -105,15 +87,7 @@ def cmd_fuse(args) -> int:
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"bad segments file {args.segments}: {exc}") from None
     else:
-        try:
-            seg = pipeline.run_segmentation_stage(detections, cfg, args.out)
-        except ValueError as exc:
-            raise SchemaError(str(exc)) from None
-        labeling = seg["labelings"][0]
-    if len(labeling.group_ids) != len(detections):
-        raise SchemaError(
-            f"segments cover {len(labeling.group_ids)} frames, detections have {len(detections)}"
-        )
+        labeling = pipeline.run_segmentation_stage(detections, cfg, args.out)["labelings"][0]
     pipeline.run_episode_stage(detections, labeling, cfg, args.out)
     return 0
 
@@ -301,34 +275,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Exit code of each error type, first match wins; a pipeline StageError is
+# looked up by its cause. Any other error is a bug and propagates.
+EXIT_CODES = (
+    (ConfigError, 4),
+    (InputFormatError, 2),
+    (SchemaError, 3),
+    (OSError, 2),
+    (ValueError, 3),
+)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except pipeline.StageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        cause = exc.cause
-        if isinstance(cause, ConfigError):
-            return 4
-        if isinstance(cause, (SchemaError, ValueError)):
-            return 3
-        return 2
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except InputFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    except Exception as exc:
+        cause = exc.cause if isinstance(exc, pipeline.StageError) else exc
+        for kind, code in EXIT_CODES:
+            if isinstance(cause, kind):
+                print(f"error: {exc}", file=sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":

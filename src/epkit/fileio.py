@@ -205,15 +205,6 @@ def _csv_cell(c):
     return c
 
 
-def read_csv(path) -> tuple[list[str], list[list[str]]]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        rows = list(reader)
-    if not rows:
-        raise InputFormatError(f"{path}: empty CSV", byte_offset=0)
-    return rows[0], rows[1:]
-
-
 # --------------------------------------------------------------------------
 # detection streams
 
@@ -273,7 +264,8 @@ def detection_frame_from_dict(rec: dict, where: str = "") -> tuple[PoseFrame, li
             )
             for o in rec.get("objects", [])
         ]
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:
+        # AttributeError: a non-object where an object is expected ("pose": [])
         raise SchemaError(f"bad detection record {where}: {exc}") from None
     return PoseFrame(frame_index=idx, joints=joints), hands, objects
 
@@ -297,3 +289,36 @@ def list_pgm_frames(directory) -> list[str]:
     if not names:
         raise InputFormatError(f"{directory}: no .pgm frames found")
     return [os.path.join(directory, n) for n in names]
+
+
+def read_frames(directory) -> list[np.ndarray]:
+    """The .pgm frames of a directory, in file-name order."""
+    return [read_pgm(p) for p in list_pgm_frames(directory)]
+
+
+def read_box_records(path, n_frames: int) -> list[list]:
+    """Normalized boxes per frame from JSON lines {"frame": t, "boxes": [[x0, y0, x1, y1], ...]}.
+
+    Each of the n_frames frames has exactly one record, matched by its
+    "frame" number.
+    """
+    boxes_per_frame: list = [None] * n_frames
+    for i, rec in enumerate(read_jsonl(path)):
+        where = f"bad box record {path}:{i + 1}"
+        if not isinstance(rec, dict):
+            raise SchemaError(f"{where}: not an object")
+        t = rec.get("frame")
+        if type(t) is not int or not 0 <= t < n_frames:
+            raise SchemaError(f"{where}: frame must be an integer in [0, {n_frames}), got {t!r}")
+        if boxes_per_frame[t] is not None:
+            raise SchemaError(f"{where}: second record for frame {t}")
+        boxes = rec.get("boxes", [])
+        if not isinstance(boxes, list) or not all(
+            isinstance(b, list) and len(b) == 4 and all(type(c) in (int, float) for c in b)
+            for b in boxes
+        ):
+            raise SchemaError(f"{where}: boxes must be a list of [x0, y0, x1, y1] numbers")
+        boxes_per_frame[t] = boxes
+    if None in boxes_per_frame:
+        raise SchemaError(f"{path}: no box record for frame {boxes_per_frame.index(None)} of {n_frames}")
+    return boxes_per_frame

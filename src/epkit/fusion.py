@@ -110,6 +110,12 @@ class FusionConfig:
             raise ValueError("wrist_edge_dist_strict must not exceed wrist_edge_dist_max")
         if self.frame_rate <= 0:
             raise ValueError("frame_rate must be positive")
+        try:
+            region_contains(self.wheel_region, (0.0, 0.0))
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"wheel_region must be [x0, y0, x1, y1] or [[x, y], ...], got {self.wheel_region!r}"
+            ) from None
 
     def resolved_consistency_frames(self) -> int:
         if self.consistency_frames is not None:
@@ -211,7 +217,15 @@ def _angle_deg(u: tuple[float, float], v: tuple[float, float]) -> float:
 _WRIST_SPECS = (("l_wrist", "l_elbow", "left"), ("r_wrist", "r_elbow", "right"))
 
 
-def _associate(pose: PoseFrame, hands, cfg: FusionConfig, enforce_angle: bool):
+def _associate(pose: PoseFrame, hands, cfg: FusionConfig, enforce_angle: bool) -> list[WristAssociation]:
+    """Greedy wrist-to-hand-box assignment.
+
+    A confident wrist is a candidate for a box when it lies within
+    wrist_edge_dist_max of the box boundary and, with enforce_angle (unless
+    its elbow is unscored, which waives the check), the elbow-to-wrist
+    direction points at the box center within elbow_angle_max_deg. Smallest
+    distance assigns first; each box is used at most once.
+    """
     candidates = []
     for wrist_name, elbow_name, _side in _WRIST_SPECS:
         wj = pose.joints.get(wrist_name)
@@ -246,18 +260,6 @@ def _associate(pose: PoseFrame, hands, cfg: FusionConfig, enforce_angle: bool):
         out.append(WristAssociation(wrist_name, idx, dist, angle, waived))
     out.sort(key=lambda a: a.wrist)
     return out
-
-
-def associate_wrists(pose: PoseFrame, hands, cfg: FusionConfig) -> list[WristAssociation]:
-    """Greedy wrist-to-hand-box assignment.
-
-    A confident wrist is a candidate for a box when it lies within
-    wrist_edge_dist_max of the box boundary and (unless its elbow is
-    unscored, which waives the check) the elbow-to-wrist direction points at
-    the box center within elbow_angle_max_deg. Smallest distance assigns
-    first; each box is used at most once.
-    """
-    return _associate(pose, hands, cfg, enforce_angle=True)
 
 
 def evaluate_safe_driving(pose: PoseFrame, hands, cfg: FusionConfig) -> RuleVerdict:

@@ -118,15 +118,6 @@ def _planes(images: np.ndarray) -> np.ndarray:
     return np.stack([images, ix, iy])
 
 
-def image_gradients(frame) -> tuple[np.ndarray, np.ndarray]:
-    """Central-difference gradients (one-sided at the borders)."""
-    f = as_frame(frame)
-    if f.shape[0] < 3 or f.shape[1] < 3:
-        raise ValueError(f"frame too small for gradients: {f.shape}")
-    _img, ix, iy = _planes(f[None])[:, 0]
-    return ix, iy
-
-
 def _bilinear(img: np.ndarray, xs, ys, base=0) -> np.ndarray:
     """Samples at (xs, ys) of img (h, w), or of the stack image (..., h, w) at flat index base.
 

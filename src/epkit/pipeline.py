@@ -25,6 +25,14 @@ class StageError(Exception):
         self.cause = cause
 
 
+def _stage(name: str, fn, *args):
+    """fn(*args), with any exception it raises wrapped in a StageError naming the stage."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        raise StageError(name, exc) from exc
+
+
 def downscale(frame: np.ndarray, limit: int) -> np.ndarray:
     """Resize so the longest side is at most *limit* (bilinear)."""
     h, w = frame.shape
@@ -138,22 +146,22 @@ def run_segmentation_stage(detections, cfg: dict, out_dir: str) -> dict:
 
 
 def run_flow_stage(frames: list[np.ndarray], detections, cfg: dict, out_dir: str) -> dict:
-    h, w = frames[0].shape
-    boxes_per_frame = []
-    for _pose, hands, _objects in detections:
-        boxes_per_frame.append(
-            [
-                (hb.box[0] * w, hb.box[1] * h, hb.box[2] * w, hb.box[3] * h)
-                for hb in hands
-            ]
-        )
+    boxes_per_frame = [[hb.box for hb in hands] for _pose, hands, _objects in detections]
     return group_flow_boxes(frames, boxes_per_frame, cfg, out_dir)
 
 
 def group_flow_boxes(frames: list[np.ndarray], boxes_per_frame, cfg: dict, out_dir: str) -> dict:
-    """Group and merge pixel boxes by flow; write flow_groups.csv and .json."""
+    """Group and merge boxes by flow; write flow_groups.csv and .json.
+
+    Boxes are (x0, y0, x1, y1) normalized to [0, 1] and scaled here to the
+    pixels of the first frame.
+    """
     if len(boxes_per_frame) != len(frames):
         raise fileio.SchemaError(f"{len(frames)} frames but {len(boxes_per_frame)} box records")
+    h, w = frames[0].shape
+    boxes_per_frame = [
+        [(b[0] * w, b[1] * h, b[2] * w, b[3] * h) for b in boxes] for boxes in boxes_per_frame
+    ]
     fcfg = cfgmod.flow_config(cfg)
     groups = optflow.group_boxes(frames, boxes_per_frame, cfg["flow"]["group_threshold"], fcfg)
     merged = optflow.merge_groups(
@@ -240,40 +248,22 @@ def run_pipeline(session_dir: str, cfg: dict, out_dir: str) -> dict:
     StageError naming the failing stage; outputs of completed stages stay.
     """
     os.makedirs(out_dir, exist_ok=True)
-    det_path = os.path.join(session_dir, "detections.jsonl")
-    if not os.path.exists(det_path):
-        raise StageError("load", fileio.InputFormatError(f"missing {det_path}"))
-    try:
-        detections = fileio.read_detections(det_path)
-    except Exception as exc:
-        raise StageError("load", exc) from exc
-
-    frames: list[np.ndarray] = []
+    detections = _stage("load", fileio.read_detections, os.path.join(session_dir, "detections.jsonl"))
     frames_dir = os.path.join(session_dir, "frames")
-    if os.path.isdir(frames_dir):
-        try:
-            frames = [fileio.read_pgm(p) for p in fileio.list_pgm_frames(frames_dir)]
-        except Exception as exc:
-            raise StageError("load", exc) from exc
+    frames = _stage("load", fileio.read_frames, frames_dir) if os.path.isdir(frames_dir) else []
 
     report: dict = {"stages": {}, "frames": []}
 
     rpca_info = None
     if frames:
-        try:
-            mat = frames_to_matrix(frames, cfg["downscale_limit"])
-            rpca_info = run_rpca_stage(mat, cfg, out_dir)
-        except Exception as exc:
-            raise StageError("rpca", exc) from exc
+        mat = _stage("rpca", frames_to_matrix, frames, cfg["downscale_limit"])
+        rpca_info = _stage("rpca", run_rpca_stage, mat, cfg, out_dir)
         report["stages"]["rpca"] = {
             "summary": rpca_info["summary"],
             "warning_frames": rpca_info["warning_frames"],
         }
 
-    try:
-        seg = run_segmentation_stage(detections, cfg, out_dir)
-    except Exception as exc:
-        raise StageError("segmentation", exc) from exc
+    seg = _stage("segmentation", run_segmentation_stage, detections, cfg, out_dir)
     labeling = seg["labelings"][0]
     report["stages"]["segmentation"] = {
         "converged": seg["converged"],
@@ -283,39 +273,26 @@ def run_pipeline(session_dir: str, cfg: dict, out_dir: str) -> dict:
     }
 
     if frames:
-        try:
-            flow_info = run_flow_stage(frames, detections, cfg, out_dir)
-        except Exception as exc:
-            raise StageError("flow_groups", exc) from exc
+        flow_info = _stage("flow_groups", run_flow_stage, frames, detections, cfg, out_dir)
         report["stages"]["flow_groups"] = {
             "n_groups": len(flow_info["groups"]),
         }
 
-    try:
-        fus = run_fusion_stage(
-            detections,
-            cfg,
-            out_dir,
-            rpca_warnings=rpca_info["warning_frames"] if rpca_info else None,
-        )
-    except Exception as exc:
-        raise StageError("fusion", exc) from exc
+    warning_frames = rpca_info["warning_frames"] if rpca_info else []
+    fus = _stage("fusion", run_fusion_stage, detections, cfg, out_dir, warning_frames)
     report["stages"]["fusion"] = {
         "n_records": len(fus["records"]),
         "n_safe_frames": sum(1 for v in fus["verdicts"] if v.safe_driving),
     }
 
-    try:
-        episodes = run_episode_stage(detections, labeling, cfg, out_dir)
-    except Exception as exc:
-        raise StageError("episodes", exc) from exc
+    episodes = _stage("episodes", run_episode_stage, detections, labeling, cfg, out_dir)
     report["stages"]["episodes"] = [
         {"segment": e.segment, "start": e.start, "end": e.end, "label": e.label}
         for e in episodes
     ]
 
     label_by_segment = {e.segment: e.label for e in episodes}
-    warn_set = set(rpca_info["warning_frames"]) if rpca_info else set()
+    warn_set = set(warning_frames)
     for i, v in enumerate(fus["verdicts"]):
         report["frames"].append(
             {

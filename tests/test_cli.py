@@ -1,4 +1,5 @@
 import bisect
+import csv
 import filecmp
 import json
 import os
@@ -6,11 +7,17 @@ import os
 import numpy as np
 import pytest
 
-from epkit import cli, fileio, gflasso, rpca, synth
+from epkit import cli, fileio, gflasso, pipeline, rpca, synth
 
 
 def run(argv):
     return cli.main([str(a) for a in argv])
+
+
+def read_csv(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    return header, rows
 
 
 def test_synth_lowrank_sparse_round_trips_bit_exact(tmp_path):
@@ -60,7 +67,7 @@ def test_rpca_cmd_matches_in_process(tmp_path):
     summary = fileio.read_json(out / "rpca_summary.json")
     assert summary["iterations"] == ref.iterations
     assert summary["final_residual"] == ref.final_residual
-    header, rows = fileio.read_csv(out / "outlier_energy.csv")
+    header, rows = read_csv(out / "outlier_energy.csv")
     energies = np.array([float(r[1]) for r in rows])
     assert np.array_equal(energies, np.linalg.norm(ref.sparse, axis=0))
 
@@ -78,7 +85,7 @@ def test_rpca_cmd_constant_video_has_zero_outlier_energy(tmp_path):
         fileio.write_pgm(frames / f"f_{i:03d}.pgm", np.full((12, 16), 0.5))
     out = tmp_path / "out"
     assert run(["rpca", "--input", frames, "--out", out]) == 0
-    _, rows = fileio.read_csv(out / "outlier_energy.csv")
+    _, rows = read_csv(out / "outlier_energy.csv")
     assert max(float(r[1]) for r in rows) <= 1e-6
 
 
@@ -116,7 +123,7 @@ def test_segment_cmd_recovers_piecewise_boundaries(tmp_path):
     assert len(found) == len(truth)
     for c in truth:
         assert any(abs(f - c) <= 2 for f in found)
-    header, rows = fileio.read_csv(out / "groups.csv")
+    header, rows = read_csv(out / "groups.csv")
     assert header == ["frame", "group_t0"]
     assert len(rows) == 240
     assert (out / "strengths.svg").read_text().startswith("<svg")
@@ -146,7 +153,7 @@ def test_segment_cmd_constant_stream_single_segment(tmp_path):
     fileio.write_detections(det, frames)
     out = tmp_path / "out"
     assert run(["segment", "--detections", det, "--out", out]) == 0
-    _, rows = fileio.read_csv(out / "groups.csv")
+    _, rows = read_csv(out / "groups.csv")
     assert {r[1] for r in rows} == {"0"}
 
 
@@ -175,6 +182,15 @@ def test_fuse_cmd_requires_wheel_region(tmp_path, capsys):
     det = tmp_path / "d.jsonl"
     fileio.write_detections(det, bundle.payload["frames"])
     assert run(["fuse", "--detections", det, "--out", tmp_path / "o"]) == 4
+    assert "wheel_region" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("region", ["0.2,0.5", "0.2,0.5,0.7"])
+def test_fuse_cmd_malformed_wheel_region_exits_4(tmp_path, capsys, region):
+    bundle = synth.gen_driver_session([("safe_driving", 5)], seed=1, render=False)
+    det = tmp_path / "d.jsonl"
+    fileio.write_detections(det, bundle.payload["frames"])
+    assert run(["fuse", "--detections", det, "--wheel-region", region, "--out", tmp_path / "o"]) == 4
     assert "wheel_region" in capsys.readouterr().err
 
 
@@ -237,7 +253,7 @@ def test_flow_group_cmd_and_mismatch_exit(tmp_path, capsys):
     fileio.write_jsonl(boxes, [{"frame": i, "boxes": [[0.2, 0.2, 0.7, 0.7]]} for i in range(3)])
     out = tmp_path / "o"
     assert run(["flow-group", "--frames", frames_dir, "--boxes", boxes, "--out", out]) == 0
-    header, rows = fileio.read_csv(out / "flow_groups.csv")
+    header, rows = read_csv(out / "flow_groups.csv")
     assert len(rows) == 3
     assert {r[2] for r in rows} == {"0"}
     # a box beyond the frame's right edge
@@ -247,6 +263,87 @@ def test_flow_group_cmd_and_mismatch_exit(tmp_path, capsys):
     # frame/box count mismatch
     fileio.write_jsonl(boxes, [{"frame": 0, "boxes": []}])
     assert run(["flow-group", "--frames", frames_dir, "--boxes", boxes, "--out", out]) == 3
+
+
+@pytest.mark.parametrize("records, message", [
+    ([{"frame": 1, "boxes": []}, {"frame": 1, "boxes": []}], "second record for frame 1"),
+    ([{"frame": 0, "boxes": []}, [1, "boxes"]], ":2: not an object"),
+    ([{"frame": 0, "boxes": []}, {"frame": "1", "boxes": []}], "frame must be an integer"),
+    ([{"frame": 0, "boxes": []}, {"frame": 2, "boxes": []}], "in [0, 2), got 2"),
+    ([{"frame": 0, "boxes": [[0.1, 0.1, 0.5]]}, {"frame": 1}], "boxes must be a list"),
+    ([{"frame": 0, "boxes": [[0.1, 0.1, 0.5, "x"]]}, {"frame": 1}], "boxes must be a list"),
+])
+def test_flow_group_cmd_bad_box_records_exit_3(tmp_path, capsys, records, message):
+    frames_dir = tmp_path / "frames"
+    frames_dir.mkdir()
+    for i in range(2):
+        fileio.write_pgm(frames_dir / f"f_{i}.pgm", np.full((16, 16), 0.5))
+    boxes = tmp_path / "boxes.jsonl"
+    fileio.write_jsonl(boxes, records)
+    assert run(["flow-group", "--frames", frames_dir, "--boxes", boxes, "--out", tmp_path / "o"]) == 3
+    assert message in capsys.readouterr().err
+
+
+def test_flow_group_cmd_matches_records_by_frame_number(tmp_path):
+    bundle = synth.gen_shifted_pair(48, 0.0, 0.0, 1.5, seed=2)
+    frames_dir = tmp_path / "frames"
+    frames_dir.mkdir()
+    for i in range(3):
+        fileio.write_pgm(frames_dir / f"f_{i}.pgm", bundle.payload["frame1"])
+    boxes = tmp_path / "boxes.jsonl"
+    box = [0.2, 0.2, 0.7, 0.7]
+    fileio.write_jsonl(boxes, [
+        {"frame": 2, "boxes": [box]}, {"frame": 0, "boxes": [box]}, {"frame": 1, "boxes": []},
+    ])
+    out = tmp_path / "o"
+    assert run(["flow-group", "--frames", frames_dir, "--boxes", boxes, "--out", out]) == 0
+    _header, rows = read_csv(out / "flow_groups.csv")
+    assert sorted(int(r[0]) for r in rows) == [0, 2]
+
+
+def _tiny_session(tmp_path, frames=6):
+    sess = tmp_path / "sess"
+    assert run(["synth", "--generator", "driver_session", "--seed", "4",
+                "--params", json.dumps({"episode_schedule": [["safe_driving", frames]]}),
+                "--out", sess]) == 0
+    return sess
+
+
+@pytest.mark.parametrize("command", ["segment", "fuse", "pipeline"])
+def test_non_object_pose_exits_3(tmp_path, capsys, command):
+    sess = tmp_path / "sess"
+    sess.mkdir()
+    det = sess / "detections.jsonl"
+    fileio.write_jsonl(det, [{"frame": 0, "pose": []}])
+    argv = {
+        "segment": ["segment", "--detections", det],
+        "fuse": ["fuse", "--detections", det, "--wheel-region", "0.2,0.5,0.7,0.9"],
+        "pipeline": ["pipeline", "--session", sess],
+    }[command]
+    assert run(argv + ["--out", tmp_path / "o"]) == 3
+    assert "bad detection record" in capsys.readouterr().err
+
+
+def test_pipeline_bug_in_a_stage_propagates(tmp_path, monkeypatch):
+    sess = _tiny_session(tmp_path)
+
+    def broken(*args, **kwargs):
+        raise TypeError("a bug, not bad input")
+
+    monkeypatch.setattr(pipeline, "run_fusion_stage", broken)
+    with pytest.raises(pipeline.StageError) as info:
+        run(["pipeline", "--session", sess, "--config", sess / "session_config.json",
+             "--out", tmp_path / "o"])
+    assert info.value.stage == "fusion"
+    assert isinstance(info.value.cause, TypeError)
+
+
+def test_pipeline_frame_count_mismatch_exits_3(tmp_path, capsys):
+    sess = _tiny_session(tmp_path)
+    os.remove(sorted((sess / "frames").iterdir())[-1])
+    assert run(["pipeline", "--session", sess, "--config", sess / "session_config.json",
+                "--out", tmp_path / "o"]) == 3
+    assert "flow_groups" in capsys.readouterr().err
 
 
 def test_pipeline_cmd_missing_session_exits_2(tmp_path, capsys):
@@ -392,7 +489,7 @@ def test_pipeline_discrete_outputs_are_pinned(tmp_path):
     assert [fr["episode_label"] for fr in report["frames"]] == [
         PINNED_EPISODES[bisect.bisect_right(starts, f) - 1][1] for f in range(100)
     ]
-    _header, rows = fileio.read_csv(out / "flow_groups.csv")
+    _header, rows = read_csv(out / "flow_groups.csv")
     groups: dict[int, str] = {}
     for frame, _box, group in sorted((int(f), int(b), g) for f, b, g in rows):
         groups[frame] = groups.get(frame, "") + group

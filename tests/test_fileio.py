@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -87,7 +89,8 @@ def test_jsonl_bad_line_names_offset(tmp_path):
 def test_csv_round_trip(tmp_path):
     path = tmp_path / "t.csv"
     fileio.write_csv(path, ["frame", "energy"], [(0, 1.5), (1, 0.25)])
-    header, rows = fileio.read_csv(path)
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
     assert header == ["frame", "energy"]
     assert [(int(r[0]), float(r[1])) for r in rows] == [(0, 1.5), (1, 0.25)]
 

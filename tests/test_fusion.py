@@ -8,11 +8,11 @@ import pytest
 from epkit import fusion
 from epkit.fileio import canon_dumps
 from epkit.fusion import (
+    _associate,
     FusionConfig,
     HandDetection,
     ObjectDetection,
     PoseFrame,
-    associate_wrists,
     classify_episode,
     edge_distance,
     evaluate_safe_driving,
@@ -92,7 +92,7 @@ def test_associate_wrist_on_edge_pointing_at_center():
         },
     )
     hands = [_hand_at(0.45, 0.55)]  # wrist exactly on the top edge, arm points down
-    out = associate_wrists(pose, hands, _cfg())
+    out = _associate(pose, hands, _cfg(), enforce_angle=True)
     assert len(out) == 1
     assert out[0].wrist == "l_wrist" and out[0].hand_index == 0
     assert out[0].angle_deg == pytest.approx(0.0)
@@ -101,13 +101,13 @@ def test_associate_wrist_on_edge_pointing_at_center():
 def test_associate_far_wrist_is_unassociated():
     pose = PoseFrame(0, {"l_wrist": _joint(0.1, 0.1), "l_elbow": _joint(0.1, 0.3)})
     hands = [_hand_at(0.5, 0.5)]  # ~0.3 diagonal units away
-    assert associate_wrists(pose, hands, _cfg()) == []
+    assert _associate(pose, hands, _cfg(), enforce_angle=True) == []
 
 
 def test_associate_missing_elbow_waives_angle():
     pose = PoseFrame(0, {"l_wrist": _joint(0.45, 0.50)})
     hands = [_hand_at(0.45, 0.55)]
-    out = associate_wrists(pose, hands, _cfg())
+    out = _associate(pose, hands, _cfg(), enforce_angle=True)
     assert len(out) == 1 and out[0].angle_waived
 
 
@@ -154,7 +154,7 @@ def test_associate_crossing_hands_matches_brute_force():
     ]
     assert len(valid) == 1  # exactly one geometrically consistent assignment
     expected = dict(zip(("l_wrist", "r_wrist"), valid[0]))
-    got = {a.wrist: a.hand_index for a in associate_wrists(pose, hands, cfg)}
+    got = {a.wrist: a.hand_index for a in _associate(pose, hands, cfg, enforce_angle=True)}
     assert got == expected
 
 
