@@ -41,7 +41,12 @@ def _load_cfg(args) -> dict:
     if getattr(args, "gap_max", None) is not None:
         cfg["flow"]["gap_max"] = args.gap_max
     if getattr(args, "wheel_region", None) is not None:
-        cfg["fusion"]["wheel_region"] = [float(c) for c in args.wheel_region.split(",")]
+        try:
+            cfg["fusion"]["wheel_region"] = [float(c) for c in args.wheel_region.split(",")]
+        except ValueError:
+            raise ConfigError(
+                f"fusion.wheel_region must be x0,y0,x1,y1 numbers, got {args.wheel_region!r}"
+            ) from None
     return cfg
 
 
@@ -76,7 +81,7 @@ def cmd_fuse(args) -> int:
     cfg = _load_cfg(args)
     os.makedirs(args.out, exist_ok=True)
     detections = fileio.read_detections(args.detections)
-    pipeline.run_fusion_stage(detections, cfg, args.out)
+    verdicts = pipeline.run_fusion_stage(detections, cfg, args.out)["verdicts"]
     if args.segments:
         data = fileio.read_json(args.segments)
         try:
@@ -88,7 +93,7 @@ def cmd_fuse(args) -> int:
             raise SchemaError(f"bad segments file {args.segments}: {exc}") from None
     else:
         labeling = pipeline.run_segmentation_stage(detections, cfg, args.out)["labelings"][0]
-    pipeline.run_episode_stage(detections, labeling, cfg, args.out)
+    pipeline.run_episode_stage(detections, verdicts, labeling, cfg, args.out)
     return 0
 
 

@@ -69,7 +69,9 @@ def _merge(base: dict, override: dict, where: str) -> dict:
     for key, value in override.items():
         if key not in out:
             raise ConfigError(f"unknown config key {where}{key!r}")
-        if isinstance(out[key], dict) and isinstance(value, dict) and key != "episode_rules":
+        if isinstance(out[key], dict):
+            if not isinstance(value, dict):
+                raise ConfigError(f"config key {where}{key!r} must hold an object")
             out[key] = _merge(out[key], value, where=f"{where}{key}.")
         else:
             out[key] = value
@@ -89,10 +91,13 @@ def load_config(path: str | None) -> dict:
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
     merged = _merge(DEFAULTS, data, where="")
-    rules = merged.get("episode_rules")
-    if isinstance(rules, str) and not os.path.exists(rules):
-        raise ConfigError(f"episode_rules file not found: {rules}")
-    flow_config(merged)  # bad flow settings fail here, not after the earlier stages ran
+    # build every section once so a bad setting fails here, not after the earlier stages ran
+    rpca_config(merged)
+    gfl_config(merged)
+    flow_config(merged)
+    if merged["fusion"]["wheel_region"] is not None:
+        fusion_config(merged)
+    episode_rules(merged)
     return merged
 
 
@@ -140,7 +145,7 @@ def episode_rules(cfg: dict) -> EpisodeRuleTable:
         return DEFAULT_EPISODE_RULES
     if isinstance(rules, str):
         try:
-            return EpisodeRuleTable.from_json(rules)
+            return EpisodeRuleTable.from_dict(read_json(rules))
         except (OSError, KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad episode rule table {rules}: {exc}") from None
     try:

@@ -274,11 +274,26 @@ def write_detections(path, frames) -> None:
     write_jsonl(path, (detection_frame_to_dict(p, h, o) for p, h, o in frames))
 
 
+def _frame_slot(rec, slots: list, where: str) -> int:
+    """The record's "frame" number: an int in [0, len(slots)) whose slot is still None."""
+    if not isinstance(rec, dict):
+        raise SchemaError(f"{where}: not an object")
+    t = rec.get("frame")
+    if type(t) is not int or not 0 <= t < len(slots):
+        raise SchemaError(f"{where}: frame must be an integer in [0, {len(slots)}), got {t!r}")
+    if slots[t] is not None:
+        raise SchemaError(f"{where}: second record for frame {t}")
+    return t
+
+
 def read_detections(path) -> list[tuple[PoseFrame, list[HandDetection], list[ObjectDetection]]]:
-    out = []
-    for i, rec in enumerate(read_jsonl(path)):
-        out.append(detection_frame_from_dict(rec, where=f"{path}:{i + 1}"))
-    out.sort(key=lambda f: f[0].frame_index)
+    """Detection frames in frame order; the n records number their frames 0..n-1."""
+    records = read_jsonl(path)
+    out: list = [None] * len(records)
+    for i, rec in enumerate(records):
+        where = f"{path}:{i + 1}"
+        t = _frame_slot(rec, out, f"bad detection record {where}")
+        out[t] = detection_frame_from_dict(rec, where)
     return out
 
 
@@ -305,13 +320,7 @@ def read_box_records(path, n_frames: int) -> list[list]:
     boxes_per_frame: list = [None] * n_frames
     for i, rec in enumerate(read_jsonl(path)):
         where = f"bad box record {path}:{i + 1}"
-        if not isinstance(rec, dict):
-            raise SchemaError(f"{where}: not an object")
-        t = rec.get("frame")
-        if type(t) is not int or not 0 <= t < n_frames:
-            raise SchemaError(f"{where}: frame must be an integer in [0, {n_frames}), got {t!r}")
-        if boxes_per_frame[t] is not None:
-            raise SchemaError(f"{where}: second record for frame {t}")
+        t = _frame_slot(rec, boxes_per_frame, where)
         boxes = rec.get("boxes", [])
         if not isinstance(boxes, list) or not all(
             isinstance(b, list) and len(b) == 4 and all(type(c) in (int, float) for c in b)

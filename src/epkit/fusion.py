@@ -15,7 +15,9 @@ exactly one scored hand is on the wheel, the pose side of its wrist is
 trusted over the detector side, mislabels are corrected, and every change
 is exported as a training record with the justifying rule trace. Episode
 labels are assigned per temporal segment from a data-driven predicate
-table.
+table; the predicates read the same per-frame verdicts, so each frame's
+rules are evaluated once. A rule table naming an unknown predicate is
+rejected when it is built.
 
 Coordinates are normalized to [0, 1] by image size; distances are measured
 in units of the image diagonal.
@@ -23,7 +25,6 @@ in units of the image diagonal.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 from typing import Sequence
@@ -348,7 +349,7 @@ def relabel_hands(
     pose: PoseFrame,
     hands,
     cfg: FusionConfig,
-    verdict: RuleVerdict | None = None,
+    verdict: RuleVerdict,
 ) -> tuple[list[HandDetection], list[TrainingRecord]]:
     """Correct left/right hand labels using the pose as the side authority.
 
@@ -356,43 +357,37 @@ def relabel_hands(
     is associated to a confident wrist with rules 1, 3 and 4 holding for
     that wrist: the on-wheel hand takes the wrist's side, and any other
     associated hand sharing that side flips to the opposite one. Each change
-    yields a hand_side_label training record. Idempotent. If *verdict* is
-    given, skip reasons are appended to its notes.
+    yields a hand_side_label training record. Idempotent. *verdict* is the
+    frame's evaluate_safe_driving result; relabels and skip reasons are
+    appended to it.
     """
     corrected = list(hands)
     records: list[TrainingRecord] = []
-    local = verdict if verdict is not None else evaluate_safe_driving(pose, hands, cfg)
-
-    def note(msg: str):
-        if verdict is not None:
-            verdict.notes.append(msg)
 
     scored = [i for i, h in enumerate(hands) if h.score >= cfg.hand_score_min]
     on_wheel = [i for i in scored if region_contains(cfg.wheel_region, hands[i].center)]
     if len(on_wheel) != 1:
-        note(f"relabel skipped: {len(on_wheel)} scored hand(s) in wheel region")
+        verdict.notes.append(f"relabel skipped: {len(on_wheel)} scored hand(s) in wheel region")
         return corrected, records
 
-    rule1 = any(r.rule == 1 and r.passed for r in local.rule_results)
+    rule1 = any(r.rule == 1 and r.passed for r in verdict.rule_results)
     if not rule1:
-        note("relabel skipped: pose confidence (rule 1) failed")
+        verdict.notes.append("relabel skipped: pose confidence (rule 1) failed")
         return corrected, records
 
     wheel_idx = on_wheel[0]
-    assoc = {w: i for w, i in local.associations.items()}
-    wheel_wrist = next((w for w, i in assoc.items() if i == wheel_idx), None)
+    wheel_wrist = next((w for w, i in verdict.associations.items() if i == wheel_idx), None)
     if wheel_wrist is None:
-        note("relabel skipped: on-wheel hand not associated to a wrist")
+        verdict.notes.append("relabel skipped: on-wheel hand not associated to a wrist")
         return corrected, records
 
     wheel_side = _wrist_side(wheel_wrist)
-    trace_rules = sorted(set(local.passed_rules()) & {1, 2, 3, 4, 5, 6, 7})
     provenance = {
         "frame": pose.frame_index,
-        "rules": trace_rules,
+        "rules": verdict.passed_rules(),
         "on_wheel_wrist": wheel_wrist,
         "values": {
-            str(r.rule): r.value for r in local.rule_results if r.passed and r.value is not None
+            str(r.rule): r.value for r in verdict.rule_results if r.passed and r.value is not None
         },
     }
 
@@ -406,8 +401,7 @@ def relabel_hands(
             "new_side": new_side,
             "reason": reason,
         }
-        if verdict is not None:
-            verdict.relabels.append(change)
+        verdict.relabels.append(change)
         records.append(
             TrainingRecord(
                 frame_index=pose.frame_index,
@@ -419,7 +413,7 @@ def relabel_hands(
 
     if corrected[wheel_idx].side != wheel_side:
         relabel(wheel_idx, wheel_side, "pose side of the on-wheel wrist is trusted")
-    for wrist, idx in sorted(assoc.items()):
+    for wrist, idx in sorted(verdict.associations.items()):
         if idx == wheel_idx:
             continue
         if corrected[idx].side == wheel_side:
@@ -431,7 +425,6 @@ def emit_pose_corrections(
     pose: PoseFrame,
     corrected_hands,
     side_records: list[TrainingRecord],
-    cfg: FusionConfig,
 ) -> list[TrainingRecord]:
     """One wrist-position correction per relabeled hand.
 
@@ -485,16 +478,16 @@ class EpisodeRule:
     params: dict = field(default_factory=dict)
     with_side: bool = False
 
+    def __post_init__(self):
+        if self.predicate not in PREDICATES:
+            raise ValueError(f"unknown predicate {self.predicate!r}")
+        if not isinstance(self.label, str) or not isinstance(self.params, dict):
+            raise ValueError(f"rule label must be a string and params an object: {self!r}")
+
 
 @dataclass
 class EpisodeRuleTable:
     rules: list[EpisodeRule]
-
-    @classmethod
-    def from_json(cls, path) -> "EpisodeRuleTable":
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        return cls.from_dict(data)
 
     @classmethod
     def from_dict(cls, data: dict) -> "EpisodeRuleTable":
@@ -536,20 +529,19 @@ class EpisodeLabel:
 @dataclass
 class _FrameContext:
     pose: PoseFrame
-    hands: list[HandDetection]
-    objects: list[ObjectDetection]
+    hands: Sequence[HandDetection]
+    objects: Sequence[ObjectDetection]
     verdict: RuleVerdict
-    associations: dict[str, int]
     on_wheel: set[int]
 
     def off_wheel_assoc(self):
         return [
-            (w, i) for w, i in sorted(self.associations.items()) if i not in self.on_wheel
+            (w, i) for w, i in sorted(self.verdict.associations.items()) if i not in self.on_wheel
         ]
 
 
 def _pred_both_hands_on_wheel(ctx: _FrameContext, params: dict):
-    return ("", None) if ctx.verdict.safe_driving else None
+    return "" if ctx.verdict.safe_driving else None
 
 
 def _boxes_overlap(a, b) -> bool:
@@ -577,7 +569,7 @@ def _pred_phone_at_head(ctx: _FrameContext, params: dict):
                 ctx.hands[wi[1]].center[0] - cx, ctx.hands[wi[1]].center[1] - cy
             ),
         )
-        return ("", ctx.hands[idx].side if ctx.hands[idx].side != "unknown" else _wrist_side(wrist))
+        return ctx.hands[idx].side if ctx.hands[idx].side != "unknown" else _wrist_side(wrist)
     return None
 
 
@@ -595,17 +587,17 @@ def _pred_phone_at_offwheel_wrist(ctx: _FrameContext, params: dict):
             cx, cy = obj.center
             if math.hypot(cx - wj[0], cy - wj[1]) <= radius:
                 side = ctx.hands[idx].side
-                return ("", side if side != "unknown" else _wrist_side(wrist))
+                return side if side != "unknown" else _wrist_side(wrist)
     return None
 
 
 def _pred_object_in_hand(ctx: _FrameContext, params: dict):
     labels = set(params.get("object_labels", ["cup", "bottle"]))
-    for _wrist, idx in sorted(ctx.associations.items()):
+    for _wrist, idx in sorted(ctx.verdict.associations.items()):
         hand = ctx.hands[idx]
         for obj in ctx.objects:
             if obj.label in labels and _boxes_overlap(obj.box, hand.box):
-                return ("", hand.side if hand.side != "unknown" else None)
+                return hand.side if hand.side != "unknown" else ""
     return None
 
 
@@ -616,17 +608,19 @@ def _pred_offwheel_wrist_in_region(ctx: _FrameContext, params: dict):
     for wrist, _idx in ctx.off_wheel_assoc():
         wj = ctx.pose.joints.get(wrist)
         if wj is not None and region_contains(region, (wj[0], wj[1])):
-            return ("", _wrist_side(wrist))
+            return _wrist_side(wrist)
     # also allow a confident wrist with no hand box at all
     for wrist, _elbow, _side in _WRIST_SPECS:
-        if wrist in ctx.associations:
+        if wrist in ctx.verdict.associations:
             continue
         wj = ctx.pose.joints.get(wrist)
         if wj is not None and wj[2] > 0 and region_contains(region, (wj[0], wj[1])):
-            return ("", _wrist_side(wrist))
+            return _wrist_side(wrist)
     return None
 
 
+# predicate(ctx, params) -> the side it fired for ("" when it names none),
+# or None when it does not fire
 PREDICATES = {
     "both_hands_on_wheel": _pred_both_hands_on_wheel,
     "phone_at_head": _pred_phone_at_head,
@@ -660,59 +654,44 @@ DEFAULT_EPISODE_RULES = EpisodeRuleTable(
 )
 
 
-def frame_context(pose: PoseFrame, hands, objects, cfg: FusionConfig) -> _FrameContext:
-    verdict = evaluate_safe_driving(pose, hands, cfg)
-    on_wheel = {
-        i
-        for i, h in enumerate(hands)
-        if h.score >= cfg.hand_score_min and region_contains(cfg.wheel_region, h.center)
-    }
-    return _FrameContext(
-        pose=pose,
-        hands=list(hands),
-        objects=list(objects),
-        verdict=verdict,
-        associations=dict(verdict.associations),
-        on_wheel=on_wheel,
-    )
-
-
 def classify_episode(
     frames: Sequence[tuple[PoseFrame, Sequence[HandDetection], Sequence[ObjectDetection]]],
+    verdicts: Sequence[RuleVerdict],
     segments,
     rule_table: EpisodeRuleTable,
     cfg: FusionConfig,
 ) -> list[EpisodeLabel]:
     """Majority-vote a label per temporal segment from the predicate table.
 
-    Every firing predicate contributes one vote per frame; a segment whose
-    top two labels tie is reported unknown with the candidates noted, and a
+    verdicts[i] is the evaluate_safe_driving result of frames[i]; the
+    predicates read its safe_driving flag and wrist associations. Every
+    firing predicate contributes one vote per frame; a segment whose top
+    two labels tie is reported unknown with the candidates noted, and a
     segment with no votes is unknown.
     """
     group_ids = list(segments.group_ids)
-    if len(group_ids) != len(frames):
+    if not len(group_ids) == len(verdicts) == len(frames):
         raise ValueError(
-            f"segments cover {len(group_ids)} frames but {len(frames)} were given"
+            f"{len(frames)} frames but segments cover {len(group_ids)} and {len(verdicts)} verdicts were given"
         )
-    for rule in rule_table.rules:
-        if rule.predicate not in PREDICATES:
-            raise ValueError(f"unknown predicate {rule.predicate!r}")
 
     votes_per_segment: dict[int, dict[str, int]] = {}
     bounds: dict[int, tuple[int, int]] = {}
-    for i, (gid, (pose, hands, objects)) in enumerate(zip(group_ids, frames)):
+    for i, (gid, (pose, hands, objects), verdict) in enumerate(zip(group_ids, frames, verdicts)):
         lo, hi = bounds.get(gid, (i, i))
         bounds[gid] = (min(lo, i), max(hi, i))
-        ctx = frame_context(pose, hands, objects, cfg)
+        on_wheel = {
+            j
+            for j, h in enumerate(hands)
+            if h.score >= cfg.hand_score_min and region_contains(cfg.wheel_region, h.center)
+        }
+        ctx = _FrameContext(pose, hands, objects, verdict, on_wheel)
         tally = votes_per_segment.setdefault(gid, {})
         for rule in rule_table.rules:
-            fired = PREDICATES[rule.predicate](ctx, rule.params)
-            if fired is None:
+            side = PREDICATES[rule.predicate](ctx, rule.params)
+            if side is None:
                 continue
-            _, side = fired
-            label = rule.label
-            if rule.with_side and side is not None:
-                label = f"{rule.label}_{side}"
+            label = f"{rule.label}_{side}" if rule.with_side and side else rule.label
             tally[label] = tally.get(label, 0) + 1
 
     out: list[EpisodeLabel] = []

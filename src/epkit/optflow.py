@@ -75,11 +75,10 @@ class FlowConfig:
         if self.eigen_floor is not None and not self.eigen_floor >= 0:
             raise ValueError(f"eigen_floor must be non-negative, got {self.eigen_floor}")
 
-    def resolved_eigen_floor(self, window: int | None = None) -> float:
+    def resolved_eigen_floor(self) -> float:
         if self.eigen_floor is not None:
             return self.eigen_floor
-        win = self.window if window is None else window
-        return 1e-4 * win * win
+        return 1e-4 * self.window * self.window
 
 
 @dataclass(frozen=True)

@@ -87,7 +87,7 @@ def run_rpca_stage(mat: np.ndarray, cfg: dict, out_dir: str) -> dict:
         ["frame", "energy"],
         [(i, float(e)) for i, e in enumerate(energy)],
     )
-    return {"summary": summary, "energy": [float(e) for e in energy], "warning_frames": warns}
+    return {"summary": summary, "warning_frames": warns}
 
 
 def segmentation_thresholds(strengths: np.ndarray, cfg: dict) -> list[float]:
@@ -197,8 +197,8 @@ def run_fusion_stage(detections, cfg: dict, out_dir: str, rpca_warnings=None) ->
     records = []
     for pose, hands, _objects in detections:
         verdict = fusion.evaluate_safe_driving(pose, hands, fcfg)
-        corrected, side_records = fusion.relabel_hands(pose, hands, fcfg, verdict=verdict)
-        pose_records = fusion.emit_pose_corrections(pose, corrected, side_records, fcfg)
+        corrected, side_records = fusion.relabel_hands(pose, hands, fcfg, verdict)
+        pose_records = fusion.emit_pose_corrections(pose, corrected, side_records)
         records.extend(side_records)
         records.extend(pose_records)
         verdicts.append(verdict)
@@ -215,13 +215,13 @@ def run_fusion_stage(detections, cfg: dict, out_dir: str, rpca_warnings=None) ->
         os.path.join(out_dir, "training_records.jsonl"),
         [fusion.record_to_dict(r) for r in records],
     )
-    return {"verdicts": verdicts, "verdict_dicts": verdict_dicts, "records": records}
+    return {"verdicts": verdicts, "records": records}
 
 
-def run_episode_stage(detections, labeling, cfg: dict, out_dir: str) -> list[fusion.EpisodeLabel]:
+def run_episode_stage(detections, verdicts, labeling, cfg: dict, out_dir: str) -> list[fusion.EpisodeLabel]:
     fcfg = cfgmod.fusion_config(cfg)
     table = cfgmod.episode_rules(cfg)
-    episodes = fusion.classify_episode(detections, labeling, table, fcfg)
+    episodes = fusion.classify_episode(detections, verdicts, labeling, table, fcfg)
     fileio.write_json(
         os.path.join(out_dir, "episodes.json"),
         [
@@ -285,7 +285,7 @@ def run_pipeline(session_dir: str, cfg: dict, out_dir: str) -> dict:
         "n_safe_frames": sum(1 for v in fus["verdicts"] if v.safe_driving),
     }
 
-    episodes = _stage("episodes", run_episode_stage, detections, labeling, cfg, out_dir)
+    episodes = _stage("episodes", run_episode_stage, detections, fus["verdicts"], labeling, cfg, out_dir)
     report["stages"]["episodes"] = [
         {"segment": e.segment, "start": e.start, "end": e.end, "label": e.label}
         for e in episodes

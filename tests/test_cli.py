@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from epkit import cli, fileio, gflasso, pipeline, rpca, synth
+from epkit import cli, fileio, fusion, gflasso, pipeline, rpca, synth
 
 
 def run(argv):
@@ -168,6 +168,25 @@ def test_segment_cmd_missing_joint_exits_3(tmp_path, capsys):
     assert "r_wrist" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("frame, message", [
+    (0, ":2: second record for frame 0"),
+    (1.7, ":2: frame must be an integer in [0, 6), got 1.7"),
+    (True, ":2: frame must be an integer in [0, 6), got True"),
+    (6, ":2: frame must be an integer in [0, 6), got 6"),
+])
+def test_segment_cmd_bad_frame_number_exits_3(tmp_path, capsys, frame, message):
+    joints = {j: (0.4, 0.6, 1.0) for j in ("l_wrist", "r_wrist", "l_elbow", "r_elbow")}
+    records = [
+        fileio.detection_frame_to_dict(synth.PoseFrame(frame_index=t, joints=joints), [], [])
+        for t in range(6)
+    ]
+    records[1]["frame"] = frame
+    det = tmp_path / "d.jsonl"
+    fileio.write_jsonl(det, records)
+    assert run(["segment", "--detections", det, "--out", tmp_path / "o"]) == 3
+    assert message in capsys.readouterr().err
+
+
 def test_segment_cmd_outputs_are_byte_identical(tmp_path):
     det, _ = _piecewise_detections(tmp_path)
     out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -185,7 +204,7 @@ def test_fuse_cmd_requires_wheel_region(tmp_path, capsys):
     assert "wheel_region" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("region", ["0.2,0.5", "0.2,0.5,0.7"])
+@pytest.mark.parametrize("region", ["0.2,0.5", "0.2,0.5,0.7", "0.2,abc"])
 def test_fuse_cmd_malformed_wheel_region_exits_4(tmp_path, capsys, region):
     bundle = synth.gen_driver_session([("safe_driving", 5)], seed=1, render=False)
     det = tmp_path / "d.jsonl"
@@ -338,6 +357,21 @@ def test_pipeline_bug_in_a_stage_propagates(tmp_path, monkeypatch):
     assert isinstance(info.value.cause, TypeError)
 
 
+def test_pipeline_evaluates_each_frames_rules_once(tmp_path, monkeypatch):
+    sess = _tiny_session(tmp_path)
+    calls = []
+    evaluate = fusion.evaluate_safe_driving
+
+    def counted(pose, hands, cfg):
+        calls.append(pose.frame_index)
+        return evaluate(pose, hands, cfg)
+
+    monkeypatch.setattr(fusion, "evaluate_safe_driving", counted)
+    assert run(["pipeline", "--session", sess, "--config", sess / "session_config.json",
+                "--out", tmp_path / "o"]) == 0
+    assert calls == list(range(6))
+
+
 def test_pipeline_frame_count_mismatch_exits_3(tmp_path, capsys):
     sess = _tiny_session(tmp_path)
     os.remove(sorted((sess / "frames").iterdir())[-1])
@@ -443,6 +477,27 @@ def test_pipeline_bad_flow_setting_exits_4_before_any_stage(tmp_path, capsys, se
     out = tmp_path / "o"
     assert run(["pipeline", "--session", sess, "--config", tmp_path / "c.json", "--out", out]) == 4
     assert next(iter(setting)) in capsys.readouterr().err
+    assert not out.exists()  # failed at config load, before the rpca stage
+
+
+@pytest.mark.parametrize("section, setting, message", [
+    ("rpca", {"tolerance": 0}, "tolerance"),
+    ("gfl", {"order": 0}, "order"),
+    ("fusion", {"hand_score_strict": 0.1}, "hand_score_strict"),
+    ("episode_rules", {"rules": [{"label": "x", "predicate": "nope"}]}, "unknown predicate 'nope'"),
+    ("episode_rules", {"rules": [{"label": "x", "predicate": "phone_at_head", "params": 5}]},
+     "params an object"),
+    ("episode_rules", {"rules": [{"label": ["x"], "predicate": "phone_at_head"}]}, "label must be a string"),
+    ("gfl", 3, "'gfl' must hold an object"),
+])
+def test_pipeline_bad_setting_exits_4_before_any_stage(tmp_path, capsys, section, setting, message):
+    sess = _tiny_session(tmp_path)
+    cfg = fileio.read_json(sess / "session_config.json")
+    cfg[section] = {**cfg.get(section, {}), **setting} if isinstance(setting, dict) else setting
+    fileio.write_json(tmp_path / "c.json", cfg)
+    out = tmp_path / "o"
+    assert run(["pipeline", "--session", sess, "--config", tmp_path / "c.json", "--out", out]) == 4
+    assert message in capsys.readouterr().err
     assert not out.exists()  # failed at config load, before the rpca stage
 
 

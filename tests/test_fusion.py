@@ -194,7 +194,7 @@ def test_relabel_corrects_onwheel_hand_side():
     pose, hands = _safe_frame(l_side="right", r_side="right")
     # keep only the left-wrist hand so exactly one scored hand is on the wheel
     hands = [hands[0], replace(hands[1], score=0.1)]
-    corrected, records = relabel_hands(pose, hands, _cfg())
+    corrected, records = relabel_hands(pose, hands, _cfg(), evaluate_safe_driving(pose, hands, _cfg()))
     assert corrected[0].side == "left"
     assert len(records) == 1
     assert records[0].kind == "hand_side_label"
@@ -216,7 +216,8 @@ def test_relabel_flips_offwheel_duplicate_side():
     pose = PoseFrame(0, joints)
     on_wheel = _hand_at(0.4211, 0.7599, side="right")
     raised = _hand_at(0.6637, 0.3102, side="right")
-    corrected, records = relabel_hands(pose, [on_wheel, raised], _cfg())
+    hands = [on_wheel, raised]
+    corrected, records = relabel_hands(pose, hands, _cfg(), evaluate_safe_driving(pose, hands, _cfg()))
     assert corrected[0].side == "right"  # matches its wrist already
     assert corrected[1].side == "left"  # flipped away from the on-wheel side
     assert len(records) == 1
@@ -232,17 +233,17 @@ def test_relabel_flips_offwheel_duplicate_side():
 def test_relabel_consistent_labels_is_noop_and_idempotent():
     pose, hands = _safe_frame()
     hands = [hands[0], replace(hands[1], score=0.1)]
-    corrected, records = relabel_hands(pose, hands, _cfg())
+    corrected, records = relabel_hands(pose, hands, _cfg(), evaluate_safe_driving(pose, hands, _cfg()))
     assert records == []
     assert [h.side for h in corrected] == [h.side for h in hands]
-    twice, records2 = relabel_hands(pose, corrected, _cfg())
+    twice, records2 = relabel_hands(pose, corrected, _cfg(), evaluate_safe_driving(pose, corrected, _cfg()))
     assert records2 == []
 
 
 def test_relabel_skips_when_both_hands_on_wheel():
     pose, hands = _safe_frame(l_side="right", r_side="right")
     v = evaluate_safe_driving(pose, hands, _cfg())
-    corrected, records = relabel_hands(pose, hands, _cfg(), verdict=v)
+    corrected, records = relabel_hands(pose, hands, _cfg(), v)
     assert records == []
     assert any("relabel skipped" in n for n in v.notes)
 
@@ -250,15 +251,15 @@ def test_relabel_skips_when_both_hands_on_wheel():
 def test_pose_corrections_one_per_relabel():
     pose, hands = _safe_frame(l_side="right", r_side="right")
     hands = [hands[0], replace(hands[1], score=0.1)]
-    corrected, records = relabel_hands(pose, hands, _cfg())
-    out = emit_pose_corrections(pose, corrected, records, _cfg())
+    corrected, records = relabel_hands(pose, hands, _cfg(), evaluate_safe_driving(pose, hands, _cfg()))
+    out = emit_pose_corrections(pose, corrected, records)
     assert len(out) == 1
     rec = out[0]
     assert rec.kind == "pose_correction"
     assert rec.payload["joint"] == "l_wrist"
     assert rec.payload["x"] == pytest.approx(corrected[0].center[0])
     assert rec.provenance == records[0].provenance
-    assert emit_pose_corrections(pose, list(hands), [], _cfg()) == []
+    assert emit_pose_corrections(pose, list(hands), []) == []
 
 
 def _verdict(idx, safe):
@@ -324,11 +325,15 @@ def _segment_frames(kind, n=6):
     return frames
 
 
+def _verdicts(frames):
+    return [evaluate_safe_driving(pose, hands, _cfg()) for pose, hands, _objects in frames]
+
+
 def test_classify_episode_drinking_and_safe():
     frames = _segment_frames("drinking", 5) + _segment_frames("safe", 5)
     seg = SegmentLabeling(change_points=[4], group_ids=[0] * 5 + [1] * 5)
     table = fusion.DEFAULT_EPISODE_RULES
-    out = classify_episode(frames, seg, table, _cfg())
+    out = classify_episode(frames, _verdicts(frames), seg, table, _cfg())
     assert [e.label for e in out] == ["drinking", "safe_driving"]
     assert out[0].votes["drinking"] == 5
 
@@ -357,7 +362,7 @@ def test_classify_episode_tie_is_unknown_with_note():
             phone = ObjectDetection("cell phone", (0.56, 0.15, 0.62, 0.23), 0.9)
         frames.append((pose, [_hand_at(0.4211, 0.7599, side="right"), hand], [phone]))
     seg = SegmentLabeling(change_points=[], group_ids=[0] * 6)
-    out = classify_episode(frames, seg, fusion.DEFAULT_EPISODE_RULES, _cfg())
+    out = classify_episode(frames, _verdicts(frames), seg, fusion.DEFAULT_EPISODE_RULES, _cfg())
     assert out[0].label == "unknown"
     assert out[0].notes and "ambiguous" in out[0].notes[0]
     assert out[0].votes["texting_left"] == out[0].votes["talking_on_phone_left"] == 3
@@ -366,7 +371,7 @@ def test_classify_episode_tie_is_unknown_with_note():
 def test_classify_episode_empty_segment_unknown():
     frames = [( PoseFrame(0, {}), [], [] )]
     seg = SegmentLabeling(change_points=[], group_ids=[0])
-    out = classify_episode(frames, seg, fusion.DEFAULT_EPISODE_RULES, _cfg())
+    out = classify_episode(frames, _verdicts(frames), seg, fusion.DEFAULT_EPISODE_RULES, _cfg())
     assert out[0].label == "unknown"
 
 
@@ -374,7 +379,21 @@ def test_classify_episode_validates_coverage():
     frames = _segment_frames("safe", 3)
     seg = SegmentLabeling(change_points=[], group_ids=[0, 0])
     with pytest.raises(ValueError):
-        classify_episode(frames, seg, fusion.DEFAULT_EPISODE_RULES, _cfg())
+        classify_episode(frames, _verdicts(frames), seg, fusion.DEFAULT_EPISODE_RULES, _cfg())
+
+
+def test_classify_episode_validates_verdict_count():
+    frames = _segment_frames("safe", 3)
+    seg = SegmentLabeling(change_points=[], group_ids=[0, 0, 0])
+    with pytest.raises(ValueError, match="2 verdicts"):
+        classify_episode(frames, _verdicts(frames)[:2], seg, fusion.DEFAULT_EPISODE_RULES, _cfg())
+
+
+def test_rule_table_rejects_unknown_predicate():
+    table = fusion.DEFAULT_EPISODE_RULES.to_dict()
+    table["rules"][1]["predicate"] = "phone_near_head"
+    with pytest.raises(ValueError, match="phone_near_head"):
+        fusion.EpisodeRuleTable.from_dict(table)
 
 
 def _random_frame(g, idx):
@@ -421,9 +440,9 @@ def test_rule_soundness_randomized():
         assert v.strict_safe_driving == (v.safe_driving and rules[6] and rules[7])
         if v.strict_safe_driving:
             assert v.safe_driving
-        corrected, records = relabel_hands(pose, hands, cfg)
+        corrected, records = relabel_hands(pose, hands, cfg, v)
         passed = set(v.passed_rules())
-        for rec in records + emit_pose_corrections(pose, corrected, records, cfg):
+        for rec in records + emit_pose_corrections(pose, corrected, records):
             assert rec.provenance["rules"], rec
             assert set(rec.provenance["rules"]) <= passed
 
@@ -462,8 +481,8 @@ def test_determinism_bitwise_serialization():
         blobs = []
         for pose, hands, _objects in bundle.payload["frames"]:
             v = evaluate_safe_driving(pose, hands, cfg)
-            corrected, recs = relabel_hands(pose, hands, cfg, verdict=v)
-            recs += emit_pose_corrections(pose, corrected, recs, cfg)
+            corrected, recs = relabel_hands(pose, hands, cfg, v)
+            recs += emit_pose_corrections(pose, corrected, recs)
             blobs.append(canon_dumps(fusion.verdict_to_dict(v)))
             blobs.extend(canon_dumps(fusion.record_to_dict(r)) for r in recs)
         return "\n".join(blobs)
