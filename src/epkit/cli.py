@@ -6,7 +6,9 @@ Subcommands: rpca, segment, flow-group, fuse, synth, pipeline. Exit codes:
 traceback. Subcommands call the pipeline stages directly and main maps
 their errors to exit codes in one place.
 Flags mirror the config keys; --config points at a JSON file with
-per-subcommand sections (see config.DEFAULTS).
+per-subcommand sections (see config.Config and its section dataclasses).
+Flags are merged over the file and checked together with it, so a bad
+setting exits 4 before any stage runs.
 """
 
 from __future__ import annotations
@@ -21,40 +23,44 @@ from . import fileio, fusion, gflasso, pipeline, synth
 from .fileio import ConfigError, InputFormatError, SchemaError
 
 
-def _load_cfg(args) -> dict:
-    cfg = cfgmod.load_config(getattr(args, "config", None))
-    if getattr(args, "downscale", None) is not None:
-        cfg["downscale_limit"] = args.downscale
-    if getattr(args, "lam", None) is not None:
-        cfg["rpca"]["lambda"] = args.lam
-        cfg["gfl"]["lambda"] = args.lam
-    if getattr(args, "threshold", None):
-        cfg["gfl"]["threshold"] = list(args.threshold)
-    if getattr(args, "min_gap", None) is not None:
-        cfg["gfl"]["min_gap"] = args.min_gap
-    if getattr(args, "order", None) is not None:
-        cfg["gfl"]["order"] = args.order
-    if getattr(args, "group_threshold", None) is not None:
-        cfg["flow"]["group_threshold"] = args.group_threshold
-    if getattr(args, "merge_threshold", None) is not None:
-        cfg["flow"]["merge_threshold"] = args.merge_threshold
-    if getattr(args, "gap_max", None) is not None:
-        cfg["flow"]["gap_max"] = args.gap_max
-    if getattr(args, "wheel_region", None) is not None:
-        try:
-            cfg["fusion"]["wheel_region"] = [float(c) for c in args.wheel_region.split(",")]
-        except ValueError:
-            raise ConfigError(
-                f"fusion.wheel_region must be x0,y0,x1,y1 numbers, got {args.wheel_region!r}"
-            ) from None
-    return cfg
+# Flag -> the config keys it sets, "section.key" or a top-level key.
+FLAG_KEYS = {
+    "downscale": ("downscale_limit",),
+    "lam": ("rpca.lambda", "gfl.lambda"),
+    "threshold": ("gfl.threshold",),
+    "min_gap": ("gfl.min_gap",),
+    "order": ("gfl.order",),
+    "group_threshold": ("flow.group_threshold",),
+    "merge_threshold": ("flow.merge_threshold",),
+    "gap_max": ("flow.gap_max",),
+    "wheel_region": ("fusion.wheel_region",),
+}
+
+
+def _load_cfg(args) -> cfgmod.Config:
+    overrides: dict = {}
+    for flag, keys in FLAG_KEYS.items():
+        value = getattr(args, flag, None)
+        if value is None:
+            continue
+        if flag == "wheel_region":
+            try:
+                value = [float(c) for c in value.split(",")]
+            except ValueError:
+                raise ConfigError(
+                    f"fusion.wheel_region must be x0,y0,x1,y1 numbers, got {value!r}"
+                ) from None
+        for key in keys:
+            section, _, name = key.rpartition(".")
+            (overrides.setdefault(section, {}) if section else overrides)[name] = value
+    return cfgmod.load_config(getattr(args, "config", None), overrides)
 
 
 def cmd_rpca(args) -> int:
     cfg = _load_cfg(args)
     os.makedirs(args.out, exist_ok=True)
     if os.path.isdir(args.input):
-        mat = pipeline.frames_to_matrix(fileio.read_frames(args.input), cfg["downscale_limit"])
+        mat = pipeline.frames_to_matrix(fileio.read_frames(args.input), cfg.downscale_limit)
     else:
         mat = fileio.read_matrix(args.input)
     pipeline.run_rpca_stage(mat, cfg, args.out)
@@ -79,8 +85,9 @@ def cmd_flow_group(args) -> int:
 
 def cmd_fuse(args) -> int:
     cfg = _load_cfg(args)
-    os.makedirs(args.out, exist_ok=True)
     detections = fileio.read_detections(args.detections)
+    cfg.require_fusion()
+    os.makedirs(args.out, exist_ok=True)
     verdicts = pipeline.run_fusion_stage(detections, cfg, args.out)["verdicts"]
     if args.segments:
         data = fileio.read_json(args.segments)

@@ -1,14 +1,20 @@
 """Configuration schema for the CLI and the end-to-end pipeline.
 
-A config file is a single JSON document with per-subcommand sections; any
-value can be omitted and falls back to the defaults below. Flags mirror the
-keys. The JSON key "lambda" maps to the dataclass attribute `lam`.
+A config file is a single JSON document; each section maps onto one
+dataclass, whose field defaults are the config defaults: "rpca" onto
+RpcaConfig, "gfl" onto GflConfig, "flow" onto FlowConfig, "fusion" onto
+FusionConfig. "episode_rules" is null (the built-in table), a path to a
+rule-table file or an inline table, and "downscale_limit" the longest-side
+pixel limit for frames. The JSON key "lambda" maps to the attribute `lam`.
+`load_config` builds and checks every section once, so a bad setting fails
+before any stage runs.
 """
 
 from __future__ import annotations
 
-import copy
+import dataclasses
 import os
+from dataclasses import dataclass, field
 
 from .fileio import ConfigError, read_json
 from .fusion import DEFAULT_EPISODE_RULES, EpisodeRuleTable, FusionConfig
@@ -16,72 +22,62 @@ from .gflasso import GflConfig
 from .optflow import FlowConfig
 from .rpca import RpcaConfig
 
-DEFAULTS: dict = {
-    "downscale_limit": 80,
-    "rpca": {
-        "lambda": None,
-        "tolerance": 1e-7,
-        "max_iterations": 1000,
-        "penalty_growth": 1.5,
-        "penalty_cap": None,
-        "warn_factor": 2.0,
-    },
-    "gfl": {
-        "lambda": 3.0,  # tuned for standardized pose rows; see README
-        "order": 1,
-        "admm_penalty": 1.0,
-        "tolerance": 1e-7,
-        "max_iterations": 5000,
-        "threshold": None,  # None: 0.1 * max strength
-        "threshold_fraction": 0.1,
-        "min_gap": 5,
-    },
-    "flow": {
-        "window": 9,
-        "eigen_floor": None,
-        "max_refinements": 20,
-        "step_tol": 0.01,
-        "fb_max_error": 0.5,
-        "canonical_size": 64,
-        "max_features": 32,
-        "feature_quality": 0.05,
-        "gap_max": 2,
-        "group_threshold": 0.5,
-        "merge_threshold": 0.9,
-    },
-    "fusion": {
-        "wheel_region": None,
-        "pose_score_min": 0.5,
-        "hand_score_min": 0.5,
-        "hand_score_strict": 0.8,
-        "wrist_edge_dist_max": 0.05,
-        "wrist_edge_dist_strict": 0.02,
-        "elbow_angle_max_deg": 45.0,
-        "frame_rate": 10.0,
-        "consistency_frames": None,
-    },
-    "episode_rules": None,  # None: built-in table; or a path; or an inline table dict
-}
+SECTIONS = {"rpca": RpcaConfig, "gfl": GflConfig, "flow": FlowConfig, "fusion": FusionConfig}
 
 
-def _merge(base: dict, override: dict, where: str) -> dict:
-    out = copy.deepcopy(base)
-    for key, value in override.items():
-        if key not in out:
-            raise ConfigError(f"unknown config key {where}{key!r}")
-        if isinstance(out[key], dict):
-            if not isinstance(value, dict):
-                raise ConfigError(f"config key {where}{key!r} must hold an object")
-            out[key] = _merge(out[key], value, where=f"{where}{key}.")
-        else:
-            out[key] = value
-    return out
+@dataclass(frozen=True)
+class Config:
+    """Every setting of one run, each section built and checked once.
+
+    fusion is None when no wheel region is set; fuse and pipeline refuse to
+    run without one, the other subcommands do not read it.
+    """
+
+    downscale_limit: int = 80
+    rpca: RpcaConfig = field(default_factory=RpcaConfig)
+    gfl: GflConfig = field(default_factory=GflConfig)
+    flow: FlowConfig = field(default_factory=FlowConfig)
+    fusion: FusionConfig | None = None
+    episode_rules: EpisodeRuleTable = DEFAULT_EPISODE_RULES
+
+    def __post_init__(self):
+        limit = self.downscale_limit
+        if isinstance(limit, bool) or not isinstance(limit, int) or limit < 1:
+            raise ConfigError(f"downscale_limit must be an integer of at least 1, got {limit!r}")
+
+    def require_fusion(self) -> FusionConfig:
+        if self.fusion is None:
+            raise ConfigError("fusion.wheel_region is required (box [x0,y0,x1,y1] or polygon)")
+        return self.fusion
 
 
-def load_config(path: str | None) -> dict:
-    """Read and validate a JSON config file merged over the defaults."""
-    if path is None:
-        return copy.deepcopy(DEFAULTS)
+def load_config(path: str | None = None, overrides: dict | None = None) -> Config:
+    """Build the config from a JSON file (None: defaults) with *overrides* merged over it.
+
+    *overrides* has the file's shape; a section in it replaces only the keys
+    it names. Raises ConfigError naming the first bad or unknown setting.
+    """
+    data = {} if path is None else _read(path)
+    for key, value in (overrides or {}).items():
+        data[key] = {**_section(data, key), **value} if key in SECTIONS else value
+    kwargs = {}
+    for key, value in data.items():
+        if key in SECTIONS:
+            value = _build(SECTIONS[key], key, _section(data, key))
+        elif key == "episode_rules":
+            value = _episode_rules(value)
+        elif key != "downscale_limit":
+            raise ConfigError(f"unknown config key {key!r}")
+        kwargs[key] = value
+    return Config(**kwargs)
+
+
+def rpca_config(cfg: Config) -> RpcaConfig:
+    """The rpca section; perfbench's recovery workload reads it through this name."""
+    return cfg.rpca
+
+
+def _read(path: str) -> dict:
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     try:
@@ -90,65 +86,37 @@ def load_config(path: str | None) -> dict:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
-    merged = _merge(DEFAULTS, data, where="")
-    # build every section once so a bad setting fails here, not after the earlier stages ran
-    rpca_config(merged)
-    gfl_config(merged)
-    flow_config(merged)
-    if merged["fusion"]["wheel_region"] is not None:
-        fusion_config(merged)
-    episode_rules(merged)
-    return merged
+    return data
 
 
-def _build(cls, section: dict, rename: dict, drop: tuple = ()):
-    kwargs = {}
-    for key, value in section.items():
-        if key in drop:
-            continue
-        kwargs[rename.get(key, key)] = value
+def _section(data: dict, key: str) -> dict:
+    section = data.get(key, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"config key {key!r} must hold an object")
+    return section
+
+
+def _build(cls, key: str, section: dict):
+    attrs = {("lambda" if f.name == "lam" else f.name): f.name for f in dataclasses.fields(cls)}
+    for name in section:
+        if name not in attrs:
+            raise ConfigError(f"unknown config key {key}.{name!r}")
+    if cls is FusionConfig and section.get("wheel_region") is None:
+        return None  # fuse and pipeline refuse to run without a wheel region
     try:
-        return cls(**kwargs)
+        return cls(**{attrs[name]: value for name, value in section.items()})
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad {cls.__name__} settings: {exc}") from None
 
 
-def rpca_config(cfg: dict) -> RpcaConfig:
-    return _build(RpcaConfig, cfg["rpca"], {"lambda": "lam"}, drop=("warn_factor",))
-
-
-def gfl_config(cfg: dict) -> GflConfig:
-    return _build(
-        GflConfig,
-        cfg["gfl"],
-        {"lambda": "lam"},
-        drop=("threshold", "threshold_fraction", "min_gap"),
-    )
-
-
-def flow_config(cfg: dict) -> FlowConfig:
-    return _build(
-        FlowConfig, cfg["flow"], {}, drop=("group_threshold", "merge_threshold")
-    )
-
-
-def fusion_config(cfg: dict) -> FusionConfig:
-    section = cfg["fusion"]
-    if section.get("wheel_region") is None:
-        raise ConfigError("fusion.wheel_region is required (box [x0,y0,x1,y1] or polygon)")
-    return _build(FusionConfig, section, {})
-
-
-def episode_rules(cfg: dict) -> EpisodeRuleTable:
-    rules = cfg.get("episode_rules")
+def _episode_rules(rules) -> EpisodeRuleTable:
     if rules is None:
         return DEFAULT_EPISODE_RULES
-    if isinstance(rules, str):
-        try:
-            return EpisodeRuleTable.from_dict(read_json(rules))
-        except (OSError, KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad episode rule table {rules}: {exc}") from None
+    where = "inline episode rule table"
     try:
+        if isinstance(rules, str):
+            where = f"episode rule table {rules}"
+            rules = read_json(rules)
         return EpisodeRuleTable.from_dict(rules)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad inline episode rule table: {exc}") from None
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {where}: {exc}") from None

@@ -111,6 +111,9 @@ class FusionConfig:
             raise ValueError("wrist_edge_dist_strict must not exceed wrist_edge_dist_max")
         if self.frame_rate <= 0:
             raise ValueError("frame_rate must be positive")
+        k = self.consistency_frames
+        if k is not None and (isinstance(k, bool) or not isinstance(k, int) or k < 1):
+            raise ValueError(f"consistency_frames must be an integer of at least 1, got {k!r}")
         try:
             region_contains(self.wheel_region, (0.0, 0.0))
         except (TypeError, ValueError):
@@ -120,8 +123,6 @@ class FusionConfig:
 
     def resolved_consistency_frames(self) -> int:
         if self.consistency_frames is not None:
-            if self.consistency_frames < 1:
-                raise ValueError("consistency_frames must be at least 1")
             return self.consistency_frames
         return max(1, math.ceil(self.frame_rate / 2.0))
 
@@ -483,24 +484,17 @@ class EpisodeRule:
             raise ValueError(f"unknown predicate {self.predicate!r}")
         if not isinstance(self.label, str) or not isinstance(self.params, dict):
             raise ValueError(f"rule label must be a string and params an object: {self!r}")
+        if not isinstance(self.with_side, bool):
+            raise ValueError(f"rule with_side must be true or false, got {self.with_side!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class EpisodeRuleTable:
     rules: list[EpisodeRule]
 
     @classmethod
     def from_dict(cls, data: dict) -> "EpisodeRuleTable":
-        rules = [
-            EpisodeRule(
-                label=r["label"],
-                predicate=r["predicate"],
-                params=r.get("params", {}),
-                with_side=bool(r.get("with_side", False)),
-            )
-            for r in data["rules"]
-        ]
-        return cls(rules=rules)
+        return cls(rules=[EpisodeRule(**r) for r in data["rules"]])
 
     def to_dict(self) -> dict:
         return {

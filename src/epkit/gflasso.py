@@ -28,11 +28,19 @@ from .numkit import as_matrix
 
 @dataclass
 class GflConfig:
-    lam: float = 1.0
+    """Solver knobs, plus the change-point levels and spacing the pipeline reads.
+
+    threshold=None means threshold_fraction times the largest jump strength.
+    """
+
+    lam: float = 3.0  # tuned for standardized pose rows; see README
     order: int = 1
     admm_penalty: float = 1.0
     tolerance: float = 1e-7
     max_iterations: int = 5000
+    threshold: float | list[float] | None = None  # stored as a list of levels
+    threshold_fraction: float = 0.1
+    min_gap: int = 5
 
     def __post_init__(self):
         if self.lam < 0:
@@ -45,6 +53,23 @@ class GflConfig:
             raise ValueError("tolerance must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
+        if self.threshold is not None:
+            levels = self.threshold if isinstance(self.threshold, (list, tuple)) else [self.threshold]
+            if not (levels and all(_non_negative(t) for t in levels)):
+                raise ValueError(
+                    f"threshold must be a non-negative number or a non-empty list of them, got {self.threshold!r}"
+                )
+            self.threshold = [float(t) for t in levels]
+        if not _non_negative(self.threshold_fraction):
+            raise ValueError(
+                f"threshold_fraction must be a non-negative number, got {self.threshold_fraction!r}"
+            )
+        if isinstance(self.min_gap, bool) or not isinstance(self.min_gap, int) or self.min_gap < 1:
+            raise ValueError(f"min_gap must be an integer of at least 1, got {self.min_gap!r}")
+
+
+def _non_negative(x) -> bool:
+    return not isinstance(x, bool) and isinstance(x, (int, float)) and x >= 0
 
 
 @dataclass

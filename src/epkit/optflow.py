@@ -54,6 +54,8 @@ class FlowConfig:
     max_features: int = 32
     feature_quality: float = 0.05
     gap_max: int = 2
+    group_threshold: float = 0.5  # read by the pipeline's group_boxes call
+    merge_threshold: float = 0.9  # read by the pipeline's merge_groups call
 
     def __post_init__(self):
         if self.window < 3 or self.window % 2 == 0:
@@ -74,6 +76,10 @@ class FlowConfig:
             raise ValueError(f"fb_max_error must be non-negative, got {self.fb_max_error}")
         if self.eigen_floor is not None and not self.eigen_floor >= 0:
             raise ValueError(f"eigen_floor must be non-negative, got {self.eigen_floor}")
+        for name in ("group_threshold", "merge_threshold"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"{name} must be a number, got {value!r}")
 
     def resolved_eigen_floor(self) -> float:
         if self.eigen_floor is not None:

@@ -14,8 +14,8 @@ import os
 
 import numpy as np
 
-from . import config as cfgmod
 from . import fileio, fusion, gflasso, optflow, rpca, svgplot
+from .config import Config
 
 
 class StageError(Exception):
@@ -65,11 +65,11 @@ def warning_frames(energy: np.ndarray, warn_factor: float) -> list[int]:
     return [int(i) for i in np.nonzero(energy > warn_factor * med)[0]]
 
 
-def run_rpca_stage(mat: np.ndarray, cfg: dict, out_dir: str) -> dict:
+def run_rpca_stage(mat: np.ndarray, cfg: Config, out_dir: str) -> dict:
     """Decompose a frame matrix (one frame per column) and write its outputs."""
-    result = rpca.decompose(mat, cfgmod.rpca_config(cfg))
+    result = rpca.decompose(mat, cfg.rpca)
     energy = np.linalg.norm(result.sparse, axis=0)  # per-frame outlier energy
-    warns = warning_frames(energy, cfg["rpca"]["warn_factor"])
+    warns = warning_frames(energy, cfg.rpca.warn_factor)
     fileio.write_matrix(os.path.join(out_dir, "low_rank.mat"), result.low_rank)
     fileio.write_matrix(os.path.join(out_dir, "sparse.mat"), result.sparse)
     summary = {
@@ -90,22 +90,14 @@ def run_rpca_stage(mat: np.ndarray, cfg: dict, out_dir: str) -> dict:
     return {"summary": summary, "warning_frames": warns}
 
 
-def segmentation_thresholds(strengths: np.ndarray, cfg: dict) -> list[float]:
-    section = cfg["gfl"]
-    if section["threshold"] is not None:
-        raw = section["threshold"]
-        return [float(t) for t in (raw if isinstance(raw, (list, tuple)) else [raw])]
-    top = float(strengths.max()) if strengths.size else 0.0
-    return [section["threshold_fraction"] * top]
-
-
-def run_segmentation_stage(detections, cfg: dict, out_dir: str) -> dict:
+def run_segmentation_stage(detections, cfg: Config, out_dir: str) -> dict:
     poses = [p for p, _h, _o in detections]
     x, w = gflasso.normalize_and_weight(poses)
-    result = gflasso.solve(x, w, cfgmod.gfl_config(cfg))
+    result = gflasso.solve(x, w, cfg.gfl)
     strengths = result.jump_strengths
-    thresholds = segmentation_thresholds(strengths, cfg)
-    min_gap = cfg["gfl"]["min_gap"]
+    top = float(strengths.max()) if strengths.size else 0.0
+    thresholds = cfg.gfl.threshold or [cfg.gfl.threshold_fraction * top]
+    min_gap = cfg.gfl.min_gap
     labelings = [
         gflasso.extract_change_points(strengths, t, min_gap, n_frames=len(poses))
         for t in thresholds
@@ -145,12 +137,12 @@ def run_segmentation_stage(detections, cfg: dict, out_dir: str) -> dict:
     }
 
 
-def run_flow_stage(frames: list[np.ndarray], detections, cfg: dict, out_dir: str) -> dict:
+def run_flow_stage(frames: list[np.ndarray], detections, cfg: Config, out_dir: str) -> dict:
     boxes_per_frame = [[hb.box for hb in hands] for _pose, hands, _objects in detections]
     return group_flow_boxes(frames, boxes_per_frame, cfg, out_dir)
 
 
-def group_flow_boxes(frames: list[np.ndarray], boxes_per_frame, cfg: dict, out_dir: str) -> dict:
+def group_flow_boxes(frames: list[np.ndarray], boxes_per_frame, cfg: Config, out_dir: str) -> dict:
     """Group and merge boxes by flow; write flow_groups.csv and .json.
 
     Boxes are (x0, y0, x1, y1) normalized to [0, 1] and scaled here to the
@@ -162,11 +154,8 @@ def group_flow_boxes(frames: list[np.ndarray], boxes_per_frame, cfg: dict, out_d
     boxes_per_frame = [
         [(b[0] * w, b[1] * h, b[2] * w, b[3] * h) for b in boxes] for boxes in boxes_per_frame
     ]
-    fcfg = cfgmod.flow_config(cfg)
-    groups = optflow.group_boxes(frames, boxes_per_frame, cfg["flow"]["group_threshold"], fcfg)
-    merged = optflow.merge_groups(
-        groups, frames, boxes_per_frame, cfg["flow"]["merge_threshold"], fcfg
-    )
+    groups = optflow.group_boxes(frames, boxes_per_frame, cfg.flow.group_threshold, cfg.flow)
+    merged = optflow.merge_groups(groups, frames, boxes_per_frame, cfg.flow.merge_threshold, cfg.flow)
     fileio.write_csv(
         os.path.join(out_dir, "flow_groups.csv"),
         ["frame", "box", "group"],
@@ -190,8 +179,8 @@ def group_flow_boxes(frames: list[np.ndarray], boxes_per_frame, cfg: dict, out_d
     return {"groups": merged}
 
 
-def run_fusion_stage(detections, cfg: dict, out_dir: str, rpca_warnings=None) -> dict:
-    fcfg = cfgmod.fusion_config(cfg)
+def run_fusion_stage(detections, cfg: Config, out_dir: str, rpca_warnings=None) -> dict:
+    fcfg = cfg.fusion
     warn_set = set(rpca_warnings or [])
     verdicts = []
     records = []
@@ -218,10 +207,8 @@ def run_fusion_stage(detections, cfg: dict, out_dir: str, rpca_warnings=None) ->
     return {"verdicts": verdicts, "records": records}
 
 
-def run_episode_stage(detections, verdicts, labeling, cfg: dict, out_dir: str) -> list[fusion.EpisodeLabel]:
-    fcfg = cfgmod.fusion_config(cfg)
-    table = cfgmod.episode_rules(cfg)
-    episodes = fusion.classify_episode(detections, verdicts, labeling, table, fcfg)
+def run_episode_stage(detections, verdicts, labeling, cfg: Config, out_dir: str) -> list[fusion.EpisodeLabel]:
+    episodes = fusion.classify_episode(detections, verdicts, labeling, cfg.episode_rules, cfg.fusion)
     fileio.write_json(
         os.path.join(out_dir, "episodes.json"),
         [
@@ -239,24 +226,27 @@ def run_episode_stage(detections, verdicts, labeling, cfg: dict, out_dir: str) -
     return episodes
 
 
-def run_pipeline(session_dir: str, cfg: dict, out_dir: str) -> dict:
+def run_pipeline(session_dir: str, cfg: Config, out_dir: str) -> dict:
     """Run all stages over a session directory and write report.json.
 
     The session holds detections.jsonl and, optionally, frames/*.pgm; the
     frame-based stages are skipped when no frames are present; "warnings"
     names each stage whose solver stopped at its iteration limit. Raises
     StageError naming the failing stage; outputs of completed stages stay.
+    The session is read and the wheel region required before *out_dir* is
+    created.
     """
-    os.makedirs(out_dir, exist_ok=True)
     detections = _stage("load", fileio.read_detections, os.path.join(session_dir, "detections.jsonl"))
     frames_dir = os.path.join(session_dir, "frames")
     frames = _stage("load", fileio.read_frames, frames_dir) if os.path.isdir(frames_dir) else []
+    cfg.require_fusion()
+    os.makedirs(out_dir, exist_ok=True)
 
     report: dict = {"stages": {}, "frames": []}
 
     rpca_info = None
     if frames:
-        mat = _stage("rpca", frames_to_matrix, frames, cfg["downscale_limit"])
+        mat = _stage("rpca", frames_to_matrix, frames, cfg.downscale_limit)
         rpca_info = _stage("rpca", run_rpca_stage, mat, cfg, out_dir)
         report["stages"]["rpca"] = {
             "summary": rpca_info["summary"],

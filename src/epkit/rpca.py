@@ -39,6 +39,7 @@ class RpcaConfig:
     max_iterations: int = 1000
     penalty_growth: float = 1.5
     penalty_cap: float | None = None
+    warn_factor: float = 2.0  # pipeline: flag frames above this times the median outlier energy
 
     def __post_init__(self):
         if self.lam is not None and self.lam <= 0:
@@ -51,6 +52,8 @@ class RpcaConfig:
             raise ValueError(f"penalty_growth must exceed 1, got {self.penalty_growth}")
         if self.penalty_cap is not None and self.penalty_cap <= 0:
             raise ValueError("penalty_cap must be positive")
+        if isinstance(self.warn_factor, bool) or not isinstance(self.warn_factor, (int, float)):
+            raise ValueError(f"warn_factor must be a number, got {self.warn_factor!r}")
 
 
 @dataclass

@@ -1,13 +1,15 @@
 import bisect
+import builtins
 import csv
 import filecmp
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from epkit import cli, fileio, fusion, gflasso, pipeline, rpca, synth
+from epkit import cli, config, fileio, fusion, gflasso, optflow, pipeline, rpca, synth
 
 
 def run(argv):
@@ -489,6 +491,15 @@ def test_pipeline_bad_flow_setting_exits_4_before_any_stage(tmp_path, capsys, se
      "params an object"),
     ("episode_rules", {"rules": [{"label": ["x"], "predicate": "phone_at_head"}]}, "label must be a string"),
     ("gfl", 3, "'gfl' must hold an object"),
+    ("gfl", {"min_gap": 0}, "min_gap"),
+    ("gfl", {"threshold": -1}, "threshold"),
+    ("gfl", {"threshold_fraction": -0.1}, "threshold_fraction"),
+    ("rpca", {"warn_factor": "x"}, "warn_factor"),
+    ("flow", {"group_threshold": "a"}, "group_threshold"),
+    ("downscale_limit", 0, "downscale_limit"),
+    ("fusion", {"consistency_frames": 0}, "consistency_frames"),
+    ("episode_rules", {"rules": [{"label": "x", "predicate": "phone_at_head", "with_side": "no"}]},
+     "with_side"),
 ])
 def test_pipeline_bad_setting_exits_4_before_any_stage(tmp_path, capsys, section, setting, message):
     sess = _tiny_session(tmp_path)
@@ -499,6 +510,71 @@ def test_pipeline_bad_setting_exits_4_before_any_stage(tmp_path, capsys, section
     assert run(["pipeline", "--session", sess, "--config", tmp_path / "c.json", "--out", out]) == 4
     assert message in capsys.readouterr().err
     assert not out.exists()  # failed at config load, before the rpca stage
+
+
+@pytest.mark.parametrize("argv", [
+    ["segment", "--min-gap", "-3"],
+    ["segment", "--threshold", "-1"],
+    ["pipeline", "--downscale", "0"],
+])
+def test_bad_flag_exits_4_before_any_output(tmp_path, capsys, argv):
+    sess = _tiny_session(tmp_path)
+    inputs = {"segment": ["--detections", sess / "detections.jsonl"], "pipeline": ["--session", sess]}
+    out = tmp_path / "o"
+    assert run(argv + inputs[argv[0]] + ["--config", sess / "session_config.json", "--out", out]) == 4
+    assert argv[1].lstrip("-").replace("-", "_") in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["fuse", "pipeline"])
+def test_missing_wheel_region_exits_4_before_any_output(tmp_path, capsys, command):
+    sess = _tiny_session(tmp_path)
+    cfg = fileio.read_json(sess / "session_config.json")
+    del cfg["fusion"]["wheel_region"]
+    fileio.write_json(tmp_path / "c.json", cfg)
+    inputs = {"fuse": ["--detections", sess / "detections.jsonl"], "pipeline": ["--session", sess]}
+    out = tmp_path / "o"
+    assert run([command] + inputs[command] + ["--config", tmp_path / "c.json", "--out", out]) == 4
+    assert "wheel_region" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_pipeline_builds_each_config_section_once(tmp_path, monkeypatch):
+    sess = _tiny_session(tmp_path)
+    cfg = fileio.read_json(sess / "session_config.json")
+    rules = tmp_path / "rules.json"
+    fileio.write_json(rules, cfg["episode_rules"])
+    cfg["episode_rules"] = str(rules)
+    fileio.write_json(tmp_path / "c.json", cfg)
+    built = []
+    for cls in (rpca.RpcaConfig, gflasso.GflConfig, optflow.FlowConfig, fusion.FusionConfig):
+        def counted(self, check=cls.__post_init__):
+            built.append(type(self).__name__)
+            check(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    opened = []
+    real_open = builtins.open
+
+    def counted_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counted_open)
+    assert run(["pipeline", "--session", sess, "--config", tmp_path / "c.json",
+                "--out", tmp_path / "o"]) == 0
+    assert sorted(built) == ["FlowConfig", "FusionConfig", "GflConfig", "RpcaConfig"]
+    assert opened.count(str(rules)) == 1
+
+
+def test_readme_config_example_loads(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Configuration", 1)[1]
+    example = section.split("```json\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "c.json"
+    path.write_text(example, encoding="utf-8")
+    cfg = config.load_config(str(path))
+    assert cfg.fusion is not None and cfg.gfl.min_gap == json.loads(example)["gfl"]["min_gap"]
 
 
 # Discrete outputs of the seed-21 session below, recorded before flow grouping
