@@ -14,6 +14,7 @@ setting exits 4 before any stage runs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -58,11 +59,11 @@ def _load_cfg(args) -> cfgmod.Config:
 
 def cmd_rpca(args) -> int:
     cfg = _load_cfg(args)
-    os.makedirs(args.out, exist_ok=True)
     if os.path.isdir(args.input):
         mat = pipeline.frames_to_matrix(fileio.read_frames(args.input), cfg.downscale_limit)
     else:
         mat = fileio.read_matrix(args.input)
+    os.makedirs(args.out, exist_ok=True)
     pipeline.run_rpca_stage(mat, cfg, args.out)
     return 0
 
@@ -76,9 +77,9 @@ def cmd_segment(args) -> int:
 
 def cmd_flow_group(args) -> int:
     cfg = _load_cfg(args)
-    os.makedirs(args.out, exist_ok=True)
     frames = fileio.read_frames(args.frames)
     boxes_per_frame = fileio.read_box_records(args.boxes, len(frames))
+    os.makedirs(args.out, exist_ok=True)
     pipeline.group_flow_boxes(frames, boxes_per_frame, cfg, args.out)
     return 0
 
@@ -124,7 +125,7 @@ def cmd_synth(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     try:
         generators[args.generator](args.out, args.seed, params)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad parameters for {args.generator}: {exc}") from None
     return 0
 
@@ -179,10 +180,6 @@ def _synth_driver_session(out, seed, params):
             ["talking_on_phone_left", 120],
             ["operating_radio", 120],
         ],
-        frame_rate=10.0,
-        score_noise=0.03,
-        side_flip_fraction=0.0,
-        render=True,
     )
     defaults.update(params)
     schedule = [tuple(e) for e in defaults.pop("episode_schedule")]
@@ -215,7 +212,7 @@ def write_session(out: str, bundle) -> None:
 
 
 def _session_rule_table(truth: dict) -> dict:
-    table = fusion.DEFAULT_EPISODE_RULES.to_dict()
+    table = dataclasses.asdict(fusion.DEFAULT_EPISODE_RULES)  # a copy: the writes below stay local
     for rule in table["rules"]:
         if rule["predicate"] == "offwheel_wrist_in_region":
             rule["params"]["region"] = truth["radio_region"]

@@ -7,7 +7,8 @@ FusionConfig. "episode_rules" is null (the built-in table), a path to a
 rule-table file or an inline table, and "downscale_limit" the longest-side
 pixel limit for frames. The JSON key "lambda" maps to the attribute `lam`.
 `load_config` builds and checks every section once, so a bad setting fails
-before any stage runs.
+before any stage runs; a setting's default also fixes its type
+(fusion.check_number).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import os
 from dataclasses import dataclass, field
 
 from .fileio import ConfigError, read_json
-from .fusion import DEFAULT_EPISODE_RULES, EpisodeRuleTable, FusionConfig
+from .fusion import DEFAULT_EPISODE_RULES, EpisodeRuleTable, FusionConfig, check_number
 from .gflasso import GflConfig
 from .optflow import FlowConfig
 from .rpca import RpcaConfig
@@ -41,9 +42,8 @@ class Config:
     episode_rules: EpisodeRuleTable = DEFAULT_EPISODE_RULES
 
     def __post_init__(self):
-        limit = self.downscale_limit
-        if isinstance(limit, bool) or not isinstance(limit, int) or limit < 1:
-            raise ConfigError(f"downscale_limit must be an integer of at least 1, got {limit!r}")
+        if self.downscale_limit < 1:
+            raise ConfigError(f"downscale_limit must be at least 1, got {self.downscale_limit!r}")
 
     def require_fusion(self) -> FusionConfig:
         if self.fusion is None:
@@ -66,7 +66,9 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Confi
             value = _build(SECTIONS[key], key, _section(data, key))
         elif key == "episode_rules":
             value = _episode_rules(value)
-        elif key != "downscale_limit":
+        elif key == "downscale_limit":
+            check_number(key, value, Config.downscale_limit, ConfigError)
+        else:
             raise ConfigError(f"unknown config key {key!r}")
         kwargs[key] = value
     return Config(**kwargs)
@@ -97,14 +99,15 @@ def _section(data: dict, key: str) -> dict:
 
 
 def _build(cls, key: str, section: dict):
-    attrs = {("lambda" if f.name == "lam" else f.name): f.name for f in dataclasses.fields(cls)}
-    for name in section:
-        if name not in attrs:
+    fields = {("lambda" if f.name == "lam" else f.name): f for f in dataclasses.fields(cls)}
+    for name, value in section.items():
+        if name not in fields:
             raise ConfigError(f"unknown config key {key}.{name!r}")
+        check_number(f"{key}.{name}", value, fields[name].default, ConfigError)
     if cls is FusionConfig and section.get("wheel_region") is None:
         return None  # fuse and pipeline refuse to run without a wheel region
     try:
-        return cls(**{attrs[name]: value for name, value in section.items()})
+        return cls(**{fields[name].name: value for name, value in section.items()})
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad {cls.__name__} settings: {exc}") from None
 

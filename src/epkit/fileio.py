@@ -307,8 +307,13 @@ def list_pgm_frames(directory) -> list[str]:
 
 
 def read_frames(directory) -> list[np.ndarray]:
-    """The .pgm frames of a directory, in file-name order."""
-    return [read_pgm(p) for p in list_pgm_frames(directory)]
+    """The .pgm frames of a directory, in file-name order, all of the first frame's shape."""
+    paths = list_pgm_frames(directory)
+    frames = [read_pgm(p) for p in paths]
+    for path, frame in zip(paths, frames):
+        if frame.shape != frames[0].shape:
+            raise SchemaError(f"{path}: shape {frame.shape} differs from the first frame's {frames[0].shape}")
+    return frames
 
 
 def read_box_records(path, n_frames: int) -> list[list]:

@@ -16,8 +16,9 @@ trusted over the detector side, mislabels are corrected, and every change
 is exported as a training record with the justifying rule trace. Episode
 labels are assigned per temporal segment from a data-driven predicate
 table; the predicates read the same per-frame verdicts, so each frame's
-rules are evaluated once. A rule table naming an unknown predicate is
-rejected when it is built.
+rules are evaluated once. Predicates declare their parameters, with their
+defaults, as keyword arguments; a rule table naming an unknown predicate or
+parameter, or giving a parameter a bad value, is rejected when it is built.
 
 Coordinates are normalized to [0, 1] by image size; distances are measured
 in units of the image diagonal.
@@ -25,6 +26,7 @@ in units of the image diagonal.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field, replace
 from typing import Sequence
@@ -114,12 +116,7 @@ class FusionConfig:
         k = self.consistency_frames
         if k is not None and (isinstance(k, bool) or not isinstance(k, int) or k < 1):
             raise ValueError(f"consistency_frames must be an integer of at least 1, got {k!r}")
-        try:
-            region_contains(self.wheel_region, (0.0, 0.0))
-        except (TypeError, ValueError):
-            raise ValueError(
-                f"wheel_region must be [x0, y0, x1, y1] or [[x, y], ...], got {self.wheel_region!r}"
-            ) from None
+        check_region("wheel_region", self.wheel_region)
 
     def resolved_consistency_frames(self) -> int:
         if self.consistency_frames is not None:
@@ -173,6 +170,20 @@ class TrainingRecord:
             raise ValueError("training record requires a justifying rule trace")
 
 
+def check_number(name: str, value, default, error=ValueError) -> None:
+    """Raise *error* if *value* breaks the number rule of a setting whose default is *default*.
+
+    An int default takes integers, a float default any number, and bool is
+    neither; other defaults carry no number rule. config applies it to every
+    setting, EpisodeRule to every predicate parameter.
+    """
+    if isinstance(default, bool) or not isinstance(default, (int, float)):
+        return
+    integer = isinstance(default, int)
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        raise error(f"{name} must be {'an integer' if integer else 'a number'}, got {value!r}")
+
+
 def region_contains(region: Sequence, point: tuple[float, float]) -> bool:
     """Point-in-region test for a flat box [x0,y0,x1,y1] or a polygon."""
     x, y = point
@@ -192,6 +203,14 @@ def region_contains(region: Sequence, point: tuple[float, float]) -> bool:
             inside = not inside
         j = i
     return inside
+
+
+def check_region(name: str, region) -> None:
+    """Raise ValueError naming *name* unless region_contains can read *region*."""
+    try:
+        region_contains(region, (0.0, 0.0))
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be [x0, y0, x1, y1] or [[x, y], ...], got {region!r}") from None
 
 
 def edge_distance(point: tuple[float, float], box: Sequence) -> float:
@@ -486,6 +505,18 @@ class EpisodeRule:
             raise ValueError(f"rule label must be a string and params an object: {self!r}")
         if not isinstance(self.with_side, bool):
             raise ValueError(f"rule with_side must be true or false, got {self.with_side!r}")
+        _ctx, *declared = inspect.signature(PREDICATES[self.predicate]).parameters.values()
+        defaults = {p.name: p.default for p in declared}
+        for name, value in self.params.items():
+            where = f"rule {self.label!r} parameter {name!r}"
+            if name not in defaults:
+                raise ValueError(f"{where}: {self.predicate} takes {sorted(defaults) or 'no parameters'}")
+            check_number(where, value, defaults[name])
+            labels = isinstance(value, list) and all(isinstance(v, str) for v in value)
+            if name == "object_labels" and not labels:  # a bare string would match by substring
+                raise ValueError(f"{where} must be a list of strings, got {value!r}")
+            if name == "region":
+                check_region(where, value)
 
 
 @dataclass(frozen=True)
@@ -495,19 +526,6 @@ class EpisodeRuleTable:
     @classmethod
     def from_dict(cls, data: dict) -> "EpisodeRuleTable":
         return cls(rules=[EpisodeRule(**r) for r in data["rules"]])
-
-    def to_dict(self) -> dict:
-        return {
-            "rules": [
-                {
-                    "label": r.label,
-                    "predicate": r.predicate,
-                    "params": r.params,
-                    "with_side": r.with_side,
-                }
-                for r in self.rules
-            ]
-        }
 
 
 @dataclass
@@ -534,7 +552,7 @@ class _FrameContext:
         ]
 
 
-def _pred_both_hands_on_wheel(ctx: _FrameContext, params: dict):
+def _pred_both_hands_on_wheel(ctx: _FrameContext):
     return "" if ctx.verdict.safe_driving else None
 
 
@@ -542,20 +560,21 @@ def _boxes_overlap(a, b) -> bool:
     return a[0] < b[2] and b[0] < a[2] and a[1] < b[3] and b[1] < a[3]
 
 
-def _pred_phone_at_head(ctx: _FrameContext, params: dict):
+_PHONE_LABELS = ("cell phone", "phone")
+
+
+def _pred_phone_at_head(ctx: _FrameContext, object_labels=_PHONE_LABELS, head_radius=0.12):
     head = ctx.pose.joints.get("head")
     if head is None:
         return None
-    labels = set(params.get("object_labels", ["cell phone", "phone"]))
-    radius = params.get("head_radius", 0.12)
     off = ctx.off_wheel_assoc()
     if not off:
         return None
     for obj in ctx.objects:
-        if obj.label not in labels:
+        if obj.label not in object_labels:
             continue
         cx, cy = obj.center
-        if math.hypot(cx - head[0], cy - head[1]) > radius:
+        if math.hypot(cx - head[0], cy - head[1]) > head_radius:
             continue
         wrist, idx = min(
             off,
@@ -567,36 +586,33 @@ def _pred_phone_at_head(ctx: _FrameContext, params: dict):
     return None
 
 
-def _pred_phone_at_offwheel_wrist(ctx: _FrameContext, params: dict):
-    labels = set(params.get("object_labels", ["cell phone", "phone"]))
-    radius = params.get("wrist_radius", 0.10)
-    chest = params.get("chest_line", 0.45)
+def _pred_phone_at_offwheel_wrist(
+    ctx: _FrameContext, object_labels=_PHONE_LABELS, wrist_radius=0.10, chest_line=0.45
+):
     for wrist, idx in ctx.off_wheel_assoc():
         wj = ctx.pose.joints.get(wrist)
-        if wj is None or wj[1] <= chest:
+        if wj is None or wj[1] <= chest_line:
             continue
         for obj in ctx.objects:
-            if obj.label not in labels:
+            if obj.label not in object_labels:
                 continue
             cx, cy = obj.center
-            if math.hypot(cx - wj[0], cy - wj[1]) <= radius:
+            if math.hypot(cx - wj[0], cy - wj[1]) <= wrist_radius:
                 side = ctx.hands[idx].side
                 return side if side != "unknown" else _wrist_side(wrist)
     return None
 
 
-def _pred_object_in_hand(ctx: _FrameContext, params: dict):
-    labels = set(params.get("object_labels", ["cup", "bottle"]))
+def _pred_object_in_hand(ctx: _FrameContext, object_labels=("cup", "bottle")):
     for _wrist, idx in sorted(ctx.verdict.associations.items()):
         hand = ctx.hands[idx]
         for obj in ctx.objects:
-            if obj.label in labels and _boxes_overlap(obj.box, hand.box):
+            if obj.label in object_labels and _boxes_overlap(obj.box, hand.box):
                 return hand.side if hand.side != "unknown" else ""
     return None
 
 
-def _pred_offwheel_wrist_in_region(ctx: _FrameContext, params: dict):
-    region = params.get("region")
+def _pred_offwheel_wrist_in_region(ctx: _FrameContext, region=None):
     if region is None:
         return None
     for wrist, _idx in ctx.off_wheel_assoc():
@@ -613,8 +629,8 @@ def _pred_offwheel_wrist_in_region(ctx: _FrameContext, params: dict):
     return None
 
 
-# predicate(ctx, params) -> the side it fired for ("" when it names none),
-# or None when it does not fire
+# predicate(ctx, **params) -> the side it fired for ("" when it names none),
+# or None when it does not fire; its keyword arguments are its rule parameters
 PREDICATES = {
     "both_hands_on_wheel": _pred_both_hands_on_wheel,
     "phone_at_head": _pred_phone_at_head,
@@ -626,24 +642,10 @@ PREDICATES = {
 DEFAULT_EPISODE_RULES = EpisodeRuleTable(
     rules=[
         EpisodeRule("safe_driving", "both_hands_on_wheel"),
-        EpisodeRule(
-            "talking_on_phone",
-            "phone_at_head",
-            {"object_labels": ["cell phone", "phone"], "head_radius": 0.12},
-            with_side=True,
-        ),
-        EpisodeRule(
-            "texting",
-            "phone_at_offwheel_wrist",
-            {"object_labels": ["cell phone", "phone"], "wrist_radius": 0.10, "chest_line": 0.45},
-            with_side=True,
-        ),
-        EpisodeRule("drinking", "object_in_hand", {"object_labels": ["cup", "bottle"]}),
-        EpisodeRule(
-            "operating_radio",
-            "offwheel_wrist_in_region",
-            {"region": [0.66, 0.50, 0.86, 0.68]},
-        ),
+        EpisodeRule("talking_on_phone", "phone_at_head", with_side=True),
+        EpisodeRule("texting", "phone_at_offwheel_wrist", with_side=True),
+        EpisodeRule("drinking", "object_in_hand"),
+        EpisodeRule("operating_radio", "offwheel_wrist_in_region", {"region": [0.66, 0.5, 0.86, 0.68]}),
     ]
 )
 
@@ -682,7 +684,7 @@ def classify_episode(
         ctx = _FrameContext(pose, hands, objects, verdict, on_wheel)
         tally = votes_per_segment.setdefault(gid, {})
         for rule in rule_table.rules:
-            side = PREDICATES[rule.predicate](ctx, rule.params)
+            side = PREDICATES[rule.predicate](ctx, **rule.params)
             if side is None:
                 continue
             label = f"{rule.label}_{side}" if rule.with_side and side else rule.label

@@ -60,12 +60,10 @@ class GflConfig:
                     f"threshold must be a non-negative number or a non-empty list of them, got {self.threshold!r}"
                 )
             self.threshold = [float(t) for t in levels]
-        if not _non_negative(self.threshold_fraction):
-            raise ValueError(
-                f"threshold_fraction must be a non-negative number, got {self.threshold_fraction!r}"
-            )
-        if isinstance(self.min_gap, bool) or not isinstance(self.min_gap, int) or self.min_gap < 1:
-            raise ValueError(f"min_gap must be an integer of at least 1, got {self.min_gap!r}")
+        if self.threshold_fraction < 0:
+            raise ValueError(f"threshold_fraction must be non-negative, got {self.threshold_fraction!r}")
+        if self.min_gap < 1:
+            raise ValueError(f"min_gap must be at least 1, got {self.min_gap!r}")
 
 
 def _non_negative(x) -> bool:

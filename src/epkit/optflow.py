@@ -27,7 +27,7 @@ first cropped, and all frames with boxes must share one shape.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -76,10 +76,6 @@ class FlowConfig:
             raise ValueError(f"fb_max_error must be non-negative, got {self.fb_max_error}")
         if self.eigen_floor is not None and not self.eigen_floor >= 0:
             raise ValueError(f"eigen_floor must be non-negative, got {self.eigen_floor}")
-        for name in ("group_threshold", "merge_threshold"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"{name} must be a number, got {value!r}")
 
     def resolved_eigen_floor(self) -> float:
         if self.eigen_floor is not None:
@@ -353,14 +349,14 @@ def _lk_refine(images: np.ndarray, win: _Windows, rows, dst, cfg: FlowConfig):
     return disp, valid
 
 
-def lk_flow(prev, nxt, points, window: int = 9, cfg: FlowConfig | None = None) -> list[FlowVector]:
+def lk_flow(prev, nxt, points, cfg: FlowConfig | None = None) -> list[FlowVector]:
     """Per-point displacement between two frames.
 
     Points too close to the border, points whose structure tensor is
     near-singular, and points that drift out of frame are invalid with zero
-    displacement.
+    displacement. The window and refinement settings come from *cfg*.
     """
-    cfg = replace(cfg or FlowConfig(), window=window)
+    cfg = cfg or FlowConfig()
     a = as_frame(prev, "prev")
     b = as_frame(nxt, "next")
     if a.shape != b.shape:

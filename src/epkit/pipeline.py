@@ -48,11 +48,7 @@ def frames_to_matrix(frames: list[np.ndarray], limit: int) -> np.ndarray:
     """Stack downscaled frames as columns: one pixel per row, one frame per column."""
     if not frames:
         raise fileio.InputFormatError("no frames to stack")
-    cols = [downscale(f, limit).ravel() for f in frames]
-    sizes = {c.size for c in cols}
-    if len(sizes) != 1:
-        raise fileio.SchemaError(f"frames disagree in downscaled size: {sorted(sizes)}")
-    return np.stack(cols, axis=1)
+    return np.stack([downscale(f, limit).ravel() for f in frames], axis=1)
 
 
 def warning_frames(energy: np.ndarray, warn_factor: float) -> list[int]:

@@ -52,8 +52,6 @@ class RpcaConfig:
             raise ValueError(f"penalty_growth must exceed 1, got {self.penalty_growth}")
         if self.penalty_cap is not None and self.penalty_cap <= 0:
             raise ValueError("penalty_cap must be positive")
-        if isinstance(self.warn_factor, bool) or not isinstance(self.warn_factor, (int, float)):
-            raise ValueError(f"warn_factor must be a number, got {self.warn_factor!r}")
 
 
 @dataclass

@@ -1,7 +1,9 @@
 import bisect
 import builtins
+import copy
 import csv
 import filecmp
+import inspect
 import json
 import os
 from pathlib import Path
@@ -500,6 +502,17 @@ def test_pipeline_bad_flow_setting_exits_4_before_any_stage(tmp_path, capsys, se
     ("fusion", {"consistency_frames": 0}, "consistency_frames"),
     ("episode_rules", {"rules": [{"label": "x", "predicate": "phone_at_head", "with_side": "no"}]},
      "with_side"),
+    ("rpca", {"max_iterations": 2.5}, "rpca.max_iterations must be an integer"),
+    ("rpca", {"max_iterations": True}, "rpca.max_iterations must be an integer"),
+    ("gfl", {"order": 1.5}, "gfl.order must be an integer"),
+    ("flow", {"gap_max": 1.5}, "flow.gap_max must be an integer"),
+    ("flow", {"window": 9.0}, "flow.window must be an integer"),
+    ("episode_rules", {"rules": [{"label": "x", "predicate": "phone_at_head",
+                                  "params": {"head_raduis": 0.5}}]}, "head_raduis"),
+    ("episode_rules", {"rules": [{"label": "x", "predicate": "phone_at_head",
+                                  "params": {"head_radius": "x"}}]}, "'head_radius' must be a number"),
+    ("episode_rules", {"rules": [{"label": "x", "predicate": "offwheel_wrist_in_region",
+                                  "params": {"region": [0.1, 0.2]}}]}, "'region' must be [x0, y0, x1, y1]"),
 ])
 def test_pipeline_bad_setting_exits_4_before_any_stage(tmp_path, capsys, section, setting, message):
     sess = _tiny_session(tmp_path)
@@ -510,6 +523,38 @@ def test_pipeline_bad_setting_exits_4_before_any_stage(tmp_path, capsys, section
     assert run(["pipeline", "--session", sess, "--config", tmp_path / "c.json", "--out", out]) == 4
     assert message in capsys.readouterr().err
     assert not out.exists()  # failed at config load, before the rpca stage
+
+
+def test_pipeline_frames_of_two_shapes_exit_3_before_any_output(tmp_path, capsys):
+    sess = _tiny_session(tmp_path)
+    odd = sess / "frames" / "frame_00003.pgm"
+    fileio.write_pgm(odd, fileio.read_pgm(odd).T)
+    out = tmp_path / "o"
+    assert run(["pipeline", "--session", sess, "--config", sess / "session_config.json",
+                "--out", out]) == 3
+    assert "frame_00003.pgm" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_synth_driver_session_leaves_default_rules_alone(tmp_path, monkeypatch):
+    # a session whose radio region and chest line differ from the built-in rules
+    monkeypatch.setattr(synth, "RADIO_REGION", (0.1, 0.1, 0.3, 0.3))
+    monkeypatch.setattr(synth, "CHEST_LINE", 0.6)
+    before = copy.deepcopy(fusion.DEFAULT_EPISODE_RULES)
+    sess = _tiny_session(tmp_path)
+    assert fusion.DEFAULT_EPISODE_RULES == before
+    rules = config.load_config(str(sess / "session_config.json")).episode_rules.rules
+    assert [r.params for r in rules if r.params] == [{"chest_line": 0.6}, {"region": [0.1, 0.1, 0.3, 0.3]}]
+
+
+@pytest.mark.parametrize("generator, params, message", [
+    ("lowrank_sparse", {"rank": 500}, "rank 500"),
+    ("driver_session", {"episode_schedule": [["bogus", 3]]}, "'bogus'"),
+])
+def test_synth_bad_params_exit_4(tmp_path, capsys, generator, params, message):
+    assert run(["synth", "--generator", generator, "--params", json.dumps(params),
+                "--out", tmp_path / "o"]) == 4
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -575,6 +620,21 @@ def test_readme_config_example_loads(tmp_path):
     path.write_text(example, encoding="utf-8")
     cfg = config.load_config(str(path))
     assert cfg.fusion is not None and cfg.gfl.min_gap == json.loads(example)["gfl"]["min_gap"]
+
+
+def test_readme_predicate_parameters_match_the_code():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| Predicate | Parameter | Default | Meaning |\n|---|---|---|---|\n", 1)[1]
+    documented = {}
+    for row in table.split("\n\n", 1)[0].splitlines():
+        predicate, name, default = (c.strip().strip("`") for c in row.strip("|").split("|")[:3])
+        documented[predicate, name] = json.loads(default)
+    declared = {
+        (predicate, p.name): list(p.default) if isinstance(p.default, tuple) else p.default
+        for predicate, fn in fusion.PREDICATES.items()
+        for p in list(inspect.signature(fn).parameters.values())[1:]
+    }
+    assert documented == declared
 
 
 # Discrete outputs of the seed-21 session below, recorded before flow grouping

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from dataclasses import replace
@@ -390,7 +391,7 @@ def test_classify_episode_validates_verdict_count():
 
 
 def test_rule_table_rejects_unknown_predicate():
-    table = fusion.DEFAULT_EPISODE_RULES.to_dict()
+    table = dataclasses.asdict(fusion.DEFAULT_EPISODE_RULES)
     table["rules"][1]["predicate"] = "phone_near_head"
     with pytest.raises(ValueError, match="phone_near_head"):
         fusion.EpisodeRuleTable.from_dict(table)

@@ -397,8 +397,18 @@ def test_lk_flow_matches_reference():
         ])
         for cfg in (optflow.FlowConfig(), optflow.FlowConfig(window=5, max_refinements=3)):
             expected = _lk_flow_reference(f1, f2, pts, cfg)
-            assert optflow.lk_flow(f1, f2, pts, cfg.window, cfg) == expected
+            assert optflow.lk_flow(f1, f2, pts, cfg=cfg) == expected
             assert any(v.valid for v in expected) and not all(v.valid for v in expected)
+
+
+def test_lk_flow_reads_window_from_cfg():
+    pair = gen_shifted_pair(40, 0.4, -0.7, 2.0, seed=1)
+    f1, f2 = pair.payload["frame1"], pair.payload["frame2"]
+    pts = optflow.good_features(f1, 30, 0.05)
+    cfg = optflow.FlowConfig(window=5)
+    flows = optflow.lk_flow(f1, f2, pts, cfg=cfg)
+    assert flows == _lk_flow_reference(f1, f2, pts, cfg)
+    assert flows != optflow.lk_flow(f1, f2, pts)
 
 
 def _canonical_rect_reference(frame, box, out_h, out_w):
