@@ -64,7 +64,7 @@ def cmd_rpca(args) -> int:
     else:
         mat = fileio.read_matrix(args.input)
     os.makedirs(args.out, exist_ok=True)
-    pipeline.run_rpca_stage(mat, cfg, args.out)
+    pipeline.in_worker(pipeline.run_rpca_stage, mat, cfg, args.out)()  # one BLAS thread, as in pipeline
     return 0
 
 
@@ -122,8 +122,7 @@ def cmd_synth(args) -> int:
         raise ConfigError(f"--params is not valid JSON: {exc}") from None
     if not isinstance(params, dict):
         raise ConfigError("--params must hold a JSON object")
-    os.makedirs(args.out, exist_ok=True)
-    try:
+    try:  # each generator creates --out once it has accepted its parameters
         generators[args.generator](args.out, args.seed, params)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad parameters for {args.generator}: {exc}") from None
@@ -134,6 +133,7 @@ def _synth_lowrank_sparse(out, seed, params):
     defaults = dict(d=200, t=200, rank=10, sparse_fraction=0.05, magnitude=5.0)
     defaults.update(params)
     bundle = synth.gen_lowrank_sparse(seed=seed, **defaults)
+    os.makedirs(out, exist_ok=True)
     fileio.write_matrix(os.path.join(out, "x.mat"), bundle.payload["x"])
     fileio.write_matrix(os.path.join(out, "truth_low_rank.mat"), bundle.ground_truth["low_rank"])
     fileio.write_matrix(os.path.join(out, "truth_sparse.mat"), bundle.ground_truth["sparse"])
@@ -147,6 +147,7 @@ def _synth_piecewise(out, seed, params):
     defaults = dict(d=8, t=240, change_points=[40, 90, 150, 200], jump_scale=2.0, noise_sigma=0.3)
     defaults.update(params)
     bundle = synth.gen_piecewise(seed=seed, **defaults)
+    os.makedirs(out, exist_ok=True)
     fileio.write_matrix(os.path.join(out, "x.mat"), bundle.payload["x"])
     fileio.write_matrix(os.path.join(out, "w.mat"), bundle.payload["w"])
     fileio.write_json(
@@ -163,6 +164,7 @@ def _synth_shifted_pair(out, seed, params):
     defaults = dict(size=64, dx=1.0, dy=0.0, texture_scale=2.0)
     defaults.update(params)
     bundle = synth.gen_shifted_pair(seed=seed, **defaults)
+    os.makedirs(out, exist_ok=True)
     fileio.write_pgm(os.path.join(out, "frame1.pgm"), bundle.payload["frame1"])
     fileio.write_pgm(os.path.join(out, "frame2.pgm"), bundle.payload["frame2"])
     fileio.write_json(
@@ -189,6 +191,7 @@ def _synth_driver_session(out, seed, params):
 
 def write_session(out: str, bundle) -> None:
     """Write a driver-session bundle: detections, frames, truth, config."""
+    os.makedirs(out, exist_ok=True)
     fileio.write_detections(os.path.join(out, "detections.jsonl"), bundle.payload["frames"])
     images = bundle.payload.get("images")
     if images:

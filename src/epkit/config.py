@@ -7,8 +7,8 @@ FusionConfig. "episode_rules" is null (the built-in table), a path to a
 rule-table file or an inline table, and "downscale_limit" the longest-side
 pixel limit for frames. The JSON key "lambda" maps to the attribute `lam`.
 `load_config` builds and checks every section once, so a bad setting fails
-before any stage runs; a setting's default also fixes its type
-(fusion.check_number).
+before any stage runs; a setting's default, or for a None default its
+field's metadata["number_rule"], also fixes its type (fusion.check_number).
 """
 
 from __future__ import annotations
@@ -103,7 +103,9 @@ def _build(cls, key: str, section: dict):
     for name, value in section.items():
         if name not in fields:
             raise ConfigError(f"unknown config key {key}.{name!r}")
-        check_number(f"{key}.{name}", value, fields[name].default, ConfigError)
+        default = fields[name].default
+        rule = default if value is None else fields[name].metadata.get("number_rule", default)
+        check_number(f"{key}.{name}", value, rule, ConfigError)
     if cls is FusionConfig and section.get("wheel_region") is None:
         return None  # fuse and pipeline refuse to run without a wheel region
     try:

@@ -104,7 +104,7 @@ class FusionConfig:
     wrist_edge_dist_strict: float = 0.02
     elbow_angle_max_deg: float = 45.0
     frame_rate: float = 10.0
-    consistency_frames: int | None = None
+    consistency_frames: int | None = field(default=None, metadata={"number_rule": 1})
 
     def __post_init__(self):
         if self.hand_score_strict < self.hand_score_min:
@@ -114,8 +114,8 @@ class FusionConfig:
         if self.frame_rate <= 0:
             raise ValueError("frame_rate must be positive")
         k = self.consistency_frames
-        if k is not None and (isinstance(k, bool) or not isinstance(k, int) or k < 1):
-            raise ValueError(f"consistency_frames must be an integer of at least 1, got {k!r}")
+        if k is not None and k < 1:
+            raise ValueError(f"consistency_frames must be at least 1, got {k!r}")
         check_region("wheel_region", self.wheel_region)
 
     def resolved_consistency_frames(self) -> int:

@@ -27,7 +27,7 @@ first cropped, and all frames with boxes must share one shape.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -46,7 +46,7 @@ BATCH_POINTS = 512
 @dataclass
 class FlowConfig:
     window: int = 9
-    eigen_floor: float | None = None  # None: 1e-4 * window area
+    eigen_floor: float | None = field(default=None, metadata={"number_rule": 0.0})  # None: 1e-4 * window area
     max_refinements: int = 20
     step_tol: float = 0.01
     fb_max_error: float = 0.5

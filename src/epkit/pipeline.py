@@ -5,12 +5,15 @@ the raw frames, change-point segmentation of the pose stream, flow-based
 box grouping, per-frame rule fusion with self-training records, and episode
 labels per segment. Every stage writes its own files as it completes, so a
 failing stage leaves the earlier outputs on disk; the final report links
-everything by frame index.
+everything by frame index; rpca runs in a worker beside segmentation and flow.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import os
+import pickle
 
 import numpy as np
 
@@ -31,6 +34,54 @@ def _stage(name: str, fn, *args):
         return fn(*args)
     except Exception as exc:
         raise StageError(name, exc) from exc
+
+
+def in_worker(fn, *args):
+    """Start fn(*args) in a forked child with one BLAS thread; return a function that waits for it.
+
+    The waiting function reaps the child and returns fn's result or raises
+    its exception. Without os.fork, fn runs inline when waited for.
+    """
+    if not hasattr(os, "fork"):
+        return lambda: fn(*args)
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child always ends in os._exit, never in the caller's stack
+        status = 1
+        try:
+            os.close(read_fd)
+            with contextlib.suppress(AttributeError, OSError):  # one thread: bytes independent of the core count
+                set_threads = ctypes.CDLL(np.linalg._umath_linalg.__file__).scipy_openblas_set_num_threads64_
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                set_threads(1)
+            try:
+                payload = (True, fn(*args))
+            except Exception as exc:
+                payload = (False, exc)
+            try:
+                data = pickle.dumps(payload)
+                pickle.loads(data)  # an exception must also rebuild in the parent
+            except Exception:
+                data = pickle.dumps((False, RuntimeError(repr(payload[1]))))
+            with os.fdopen(write_fd, "wb") as fh:
+                fh.write(data)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+
+    def wait():
+        with os.fdopen(read_fd, "rb") as fh:
+            data = fh.read()  # drained before waitpid, so a large result cannot block the child
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if not data:
+            raise RuntimeError(f"worker exited with status {status} and no result")
+        ok, value = pickle.loads(data)
+        if not ok:
+            raise value
+        return value
+
+    return wait
 
 
 def downscale(frame: np.ndarray, limit: int) -> np.ndarray:
@@ -240,28 +291,32 @@ def run_pipeline(session_dir: str, cfg: Config, out_dir: str) -> dict:
 
     report: dict = {"stages": {}, "frames": []}
 
-    rpca_info = None
-    if frames:
-        mat = _stage("rpca", frames_to_matrix, frames, cfg.downscale_limit)
-        rpca_info = _stage("rpca", run_rpca_stage, mat, cfg, out_dir)
+    # run_rpca_stage is looked up when the worker calls it, so a wrapper set on the module applies
+    rpca_wait = in_worker(
+        lambda: run_rpca_stage(frames_to_matrix(frames, cfg.downscale_limit), cfg, out_dir)
+    ) if frames else lambda: None
+    try:
+        seg = _stage("segmentation", run_segmentation_stage, detections, cfg, out_dir)
+        labeling = seg["labelings"][0]
+        report["stages"]["segmentation"] = {
+            "converged": seg["converged"],
+            "objective": seg["objective"],
+            "thresholds": seg["thresholds"],
+            "change_points": labeling.change_points,
+        }
+
+        if frames:
+            flow_info = _stage("flow_groups", run_flow_stage, frames, detections, cfg, out_dir)
+            report["stages"]["flow_groups"] = {
+                "n_groups": len(flow_info["groups"]),
+            }
+    finally:
+        # always reaps the worker; a failed rpca is reported over a later stage's failure
+        rpca_info = _stage("rpca", rpca_wait)
+    if rpca_info:
         report["stages"]["rpca"] = {
             "summary": rpca_info["summary"],
             "warning_frames": rpca_info["warning_frames"],
-        }
-
-    seg = _stage("segmentation", run_segmentation_stage, detections, cfg, out_dir)
-    labeling = seg["labelings"][0]
-    report["stages"]["segmentation"] = {
-        "converged": seg["converged"],
-        "objective": seg["objective"],
-        "thresholds": seg["thresholds"],
-        "change_points": labeling.change_points,
-    }
-
-    if frames:
-        flow_info = _stage("flow_groups", run_flow_stage, frames, detections, cfg, out_dir)
-        report["stages"]["flow_groups"] = {
-            "n_groups": len(flow_info["groups"]),
         }
 
     warning_frames = rpca_info["warning_frames"] if rpca_info else []

@@ -34,11 +34,11 @@ class RpcaConfig:
     for the growing penalty; None means 1e7 times the initial penalty.
     """
 
-    lam: float | None = None
+    lam: float | None = field(default=None, metadata={"number_rule": 1.0})
     tolerance: float = 1e-7
     max_iterations: int = 1000
     penalty_growth: float = 1.5
-    penalty_cap: float | None = None
+    penalty_cap: float | None = field(default=None, metadata={"number_rule": 1.0})
     warn_factor: float = 2.0  # pipeline: flag frames above this times the median outlier energy
 
     def __post_init__(self):

@@ -6,6 +6,8 @@ import filecmp
 import inspect
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -361,6 +363,108 @@ def test_pipeline_bug_in_a_stage_propagates(tmp_path, monkeypatch):
     assert isinstance(info.value.cause, TypeError)
 
 
+def _raising(exc):
+    def broken(*args, **kwargs):
+        raise exc
+
+    return broken
+
+
+def _pipeline(sess, out):
+    return run(["pipeline", "--session", sess, "--config", sess / "session_config.json", "--out", out])
+
+
+def _assert_no_child_process():
+    with pytest.raises(ChildProcessError):  # a running or unreaped child would be returned
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_pipeline_rpca_worker_value_error_exits_3_naming_rpca(tmp_path, monkeypatch, capsys):
+    sess = _tiny_session(tmp_path)
+    monkeypatch.setattr(rpca, "decompose", _raising(ValueError("no low-rank part")))  # the fork inherits it
+    assert _pipeline(sess, tmp_path / "o") == 3
+    err = capsys.readouterr().err
+    assert "'rpca'" in err and "no low-rank part" in err
+    _assert_no_child_process()
+
+
+def test_pipeline_rpca_worker_bug_propagates_as_rpca_stage_error(tmp_path, monkeypatch):
+    sess = _tiny_session(tmp_path)
+    monkeypatch.setattr(rpca, "decompose", _raising(TypeError("a bug in the worker")))
+    with pytest.raises(pipeline.StageError) as info:
+        _pipeline(sess, tmp_path / "o")
+    assert info.value.stage == "rpca"
+    assert isinstance(info.value.cause, TypeError)
+    _assert_no_child_process()
+
+
+def test_pipeline_reports_rpca_when_rpca_and_flow_both_fail(tmp_path, monkeypatch, capsys):
+    sess = _tiny_session(tmp_path)
+    monkeypatch.setattr(rpca, "decompose", _raising(ValueError("rpca broke")))
+    monkeypatch.setattr(optflow, "group_boxes", _raising(fileio.InputFormatError("flow broke")))
+    assert _pipeline(sess, tmp_path / "o") == 3  # flow's error alone would exit 2
+    err = capsys.readouterr().err
+    assert "'rpca'" in err and "rpca broke" in err and "flow broke" not in err
+    _assert_no_child_process()
+
+
+def test_pipeline_leaves_no_child_process(tmp_path):
+    sess = _tiny_session(tmp_path)
+    assert _pipeline(sess, tmp_path / "o") == 0
+    assert fileio.read_json(tmp_path / "o" / "report.json")["stages"]["rpca"]["summary"]["cols"] == 6
+    _assert_no_child_process()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="inline, os._exit would end the test process")
+def test_in_worker_sends_unpicklable_errors_large_results_and_lost_children():
+    class Local(Exception):  # a local class cannot be pickled
+        pass
+
+    with pytest.raises(RuntimeError, match="Local"):
+        pipeline.in_worker(_raising(Local("gone")))()
+    big = pipeline.in_worker(np.arange, 1_000_000)()  # 8 MB: far more than a pipe buffer holds
+    assert np.array_equal(big, np.arange(1_000_000))
+    with pytest.raises(RuntimeError, match="status 7 and no result"):
+        pipeline.in_worker(os._exit, 7)()
+    _assert_no_child_process()
+
+
+RPCA_FILES = {"low_rank.mat", "sparse.mat", "rpca_summary.json", "outlier_energy.csv", "report.json"}
+
+
+def test_pipeline_without_fork_runs_rpca_inline_with_the_same_outputs(tmp_path, monkeypatch):
+    sess = _tiny_session(tmp_path, frames=12)
+    assert _pipeline(sess, tmp_path / "forked") == 0
+    monkeypatch.delattr(os, "fork")
+    assert _pipeline(sess, tmp_path / "inline") == 0
+    names = sorted(os.listdir(tmp_path / "forked"))
+    assert names == sorted(os.listdir(tmp_path / "inline"))
+    if os.environ.get("OPENBLAS_NUM_THREADS") != "1":  # inline, rpca keeps this process's BLAS threads
+        names = [n for n in names if n not in RPCA_FILES]
+    _match, mismatch, errors = filecmp.cmpfiles(tmp_path / "forked", tmp_path / "inline", names, shallow=False)
+    assert mismatch == [] and errors == []
+
+
+def test_pipeline_rpca_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # 400 frames: on a host with two or more cores, a default-threaded BLAS gives rpca other bytes here
+    labels = ["safe_driving", "texting_left", "drinking", "talking_on_phone_left", "operating_radio"]
+    params = {"episode_schedule": [[lbl, 80] for lbl in labels], "side_flip_fraction": 0.1}
+    sess = tmp_path / "sess"
+    assert run(["synth", "--generator", "driver_session", "--seed", "1",
+                "--params", json.dumps(params), "--out", sess]) == 0
+    src = str(Path(pipeline.__file__).resolve().parents[1])
+    for threads in ("1", None):
+        env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        if threads:
+            env["OPENBLAS_NUM_THREADS"] = env["OMP_NUM_THREADS"] = threads
+        subprocess.run([sys.executable, "-m", "epkit.cli", "pipeline", "--session", str(sess),
+                        "--config", str(sess / "session_config.json"), "--out", str(tmp_path / f"t{threads}")],
+                       env=env, check=True, capture_output=True, timeout=300)
+    for name in ("low_rank.mat", "sparse.mat", "rpca_summary.json"):
+        assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "tNone" / name).read_bytes(), name
+
+
 def test_pipeline_evaluates_each_frames_rules_once(tmp_path, monkeypatch):
     sess = _tiny_session(tmp_path)
     calls = []
@@ -507,6 +611,11 @@ def test_pipeline_bad_flow_setting_exits_4_before_any_stage(tmp_path, capsys, se
     ("gfl", {"order": 1.5}, "gfl.order must be an integer"),
     ("flow", {"gap_max": 1.5}, "flow.gap_max must be an integer"),
     ("flow", {"window": 9.0}, "flow.window must be an integer"),
+    ("rpca", {"lambda": "x"}, "rpca.lambda must be a number"),
+    ("rpca", {"lambda": True}, "rpca.lambda must be a number"),
+    ("rpca", {"penalty_cap": "x"}, "rpca.penalty_cap must be a number"),
+    ("flow", {"eigen_floor": False}, "flow.eigen_floor must be a number"),
+    ("fusion", {"consistency_frames": 2.5}, "fusion.consistency_frames must be an integer"),
     ("episode_rules", {"rules": [{"label": "x", "predicate": "phone_at_head",
                                   "params": {"head_raduis": 0.5}}]}, "head_raduis"),
     ("episode_rules", {"rules": [{"label": "x", "predicate": "phone_at_head",
@@ -555,6 +664,7 @@ def test_synth_bad_params_exit_4(tmp_path, capsys, generator, params, message):
     assert run(["synth", "--generator", generator, "--params", json.dumps(params),
                 "--out", tmp_path / "o"]) == 4
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()  # created only once the generator accepts its parameters
 
 
 @pytest.mark.parametrize("argv", [
