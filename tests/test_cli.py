@@ -611,17 +611,17 @@ def test_pipeline_bad_flow_setting_exits_4_before_any_stage(tmp_path, capsys, se
     ("gfl", {"order": 1.5}, "gfl.order must be an integer"),
     ("flow", {"gap_max": 1.5}, "flow.gap_max must be an integer"),
     ("flow", {"window": 9.0}, "flow.window must be an integer"),
-    ("rpca", {"lambda": "x"}, "rpca.lambda must be a number"),
-    ("rpca", {"lambda": True}, "rpca.lambda must be a number"),
-    ("rpca", {"penalty_cap": "x"}, "rpca.penalty_cap must be a number"),
-    ("flow", {"eigen_floor": False}, "flow.eigen_floor must be a number"),
-    ("fusion", {"consistency_frames": 2.5}, "fusion.consistency_frames must be an integer"),
     ("episode_rules", {"rules": [{"label": "x", "predicate": "phone_at_head",
                                   "params": {"head_raduis": 0.5}}]}, "head_raduis"),
     ("episode_rules", {"rules": [{"label": "x", "predicate": "phone_at_head",
                                   "params": {"head_radius": "x"}}]}, "'head_radius' must be a number"),
     ("episode_rules", {"rules": [{"label": "x", "predicate": "offwheel_wrist_in_region",
                                   "params": {"region": [0.1, 0.2]}}]}, "'region' must be [x0, y0, x1, y1]"),
+    ("rpca", {"lambda": "x"}, "rpca.lambda must be a number"),
+    ("rpca", {"lambda": True}, "rpca.lambda must be a number"),
+    ("rpca", {"penalty_cap": "x"}, "rpca.penalty_cap must be a number"),
+    ("flow", {"eigen_floor": False}, "flow.eigen_floor must be a number"),
+    ("fusion", {"consistency_frames": 2.5}, "fusion.consistency_frames must be an integer"),
 ])
 def test_pipeline_bad_setting_exits_4_before_any_stage(tmp_path, capsys, section, setting, message):
     sess = _tiny_session(tmp_path)
