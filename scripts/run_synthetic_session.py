@@ -3,10 +3,17 @@
 
 Example:
     python3 scripts/run_synthetic_session.py --seed 21 --out /tmp/session_demo
+
+Besides the scores, it prints the wall time of the pipeline run, the peak RSS
+of this process and of the rpca worker, and numpy's OpenBLAS thread count
+after the run. The generator writes one frame at a time, so its own peak stays
+below the pipeline's.
 """
 
 import argparse
+import ctypes
 import json
+import resource
 import sys
 import time
 from pathlib import Path
@@ -22,6 +29,18 @@ DEFAULT_SCHEDULE = [
     ["talking_on_phone_left", 300],
     ["operating_radio", 300],
 ]
+
+
+def openblas_threads():
+    """numpy's bundled OpenBLAS thread count, or None where it does not report one."""
+    try:
+        return ctypes.CDLL(np.linalg._umath_linalg.__file__).scipy_openblas_get_num_threads64_()
+    except (AttributeError, OSError):
+        return None
+
+
+def peak_rss_mib(who) -> float:
+    return resource.getrusage(who).ru_maxrss / 1024.0  # ru_maxrss is in KiB on Linux
 
 
 def main() -> int:
@@ -90,6 +109,9 @@ def main() -> int:
     print(f"injected side flips:  {len(flips)}")
     print(f"side-label records:   {side_fixes}")
     print(f"rpca warning frames:  {len(report['stages'].get('rpca', {}).get('warning_frames', []))}")
+    print(f"peak RSS, this process: {peak_rss_mib(resource.RUSAGE_SELF):.1f} MiB")
+    print(f"peak RSS, rpca worker:  {peak_rss_mib(resource.RUSAGE_CHILDREN):.1f} MiB")
+    print(f"numpy BLAS threads:     {openblas_threads()}")
     print(f"episodes: {[ (e['label'], e['start'], e['end']) for e in report['stages']['episodes'] ][:8]}")
     return 0
 

@@ -185,19 +185,20 @@ def _synth_driver_session(out, seed, params):
     )
     defaults.update(params)
     schedule = [tuple(e) for e in defaults.pop("episode_schedule")]
-    bundle = synth.gen_driver_session(schedule, seed=seed, **defaults)
-    write_session(out, bundle)
+    render = defaults.pop("render", True)  # frames are rendered as they are written, not held
+    bundle = synth.gen_driver_session(schedule, seed=seed, render=False, **defaults)
+    write_session(out, bundle, render)
 
 
-def write_session(out: str, bundle) -> None:
-    """Write a driver-session bundle: detections, frames, truth, config."""
+def write_session(out: str, bundle, render: bool) -> None:
+    """Write a driver-session bundle: detections, rendered frames if render, truth, config."""
     os.makedirs(out, exist_ok=True)
     fileio.write_detections(os.path.join(out, "detections.jsonl"), bundle.payload["frames"])
-    images = bundle.payload.get("images")
-    if images:
+    if render:
         frames_dir = os.path.join(out, "frames")
         os.makedirs(frames_dir, exist_ok=True)
-        for i, img in enumerate(images):
+        width, height = bundle.ground_truth["frame_size"]
+        for i, img in enumerate(synth.render_frames(bundle.payload["frames"], width, height)):
             fileio.write_pgm(os.path.join(frames_dir, f"frame_{i:05d}.pgm"), img)
     fileio.write_json(os.path.join(out, "ground_truth.json"), bundle.ground_truth)
     truth = bundle.ground_truth

@@ -90,6 +90,12 @@ def write_pgm(path, frame) -> None:
 
 
 def read_pgm(path) -> np.ndarray:
+    """The frame as floats in [0, 1]."""
+    return _pgm_pixels(path).astype(np.float64) / 255.0
+
+
+def _pgm_pixels(path) -> np.ndarray:
+    """The frame's (h, w) uint8 pixels."""
     with open(path, "rb") as fh:
         blob = fh.read()
 
@@ -133,8 +139,7 @@ def read_pgm(path) -> np.ndarray:
         raise InputFormatError(
             f"{path}: expected {w * h} pixel bytes, found {len(blob) - pos}", byte_offset=pos
         )
-    raw = np.frombuffer(blob, dtype=np.uint8, offset=pos).reshape(h, w)
-    return raw.astype(np.float64) / 255.0
+    return np.frombuffer(blob, dtype=np.uint8, offset=pos).reshape(h, w)
 
 
 def canon_dumps(obj) -> str:
@@ -306,13 +311,16 @@ def list_pgm_frames(directory) -> list[str]:
     return [os.path.join(directory, n) for n in names]
 
 
-def read_frames(directory) -> list[np.ndarray]:
-    """The .pgm frames of a directory, in file-name order, all of the first frame's shape."""
+def read_frames(directory) -> np.ndarray:
+    """The .pgm frames of a directory in file-name order: one (n, h, w) uint8 stack of the first frame's shape."""
     paths = list_pgm_frames(directory)
-    frames = [read_pgm(p) for p in paths]
-    for path, frame in zip(paths, frames):
-        if frame.shape != frames[0].shape:
-            raise SchemaError(f"{path}: shape {frame.shape} differs from the first frame's {frames[0].shape}")
+    first = _pgm_pixels(paths[0])
+    frames = np.empty((len(paths), *first.shape), dtype=np.uint8)
+    for i, path in enumerate(paths):
+        pixels = _pgm_pixels(path) if i else first
+        if pixels.shape != first.shape:
+            raise SchemaError(f"{path}: shape {pixels.shape} differs from the first frame's {first.shape}")
+        frames[i] = pixels
     return frames
 
 

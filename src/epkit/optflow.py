@@ -1,12 +1,12 @@
 """Windowed optical flow, corner selection, and box grouping over time.
 
-Frames are 2-D float arrays in [0, 1], shape (height, width); points are
-(x, y) with x along columns. Flow is the classic windowed least-squares
-solution with Newton refinement inside a single pyramid level, so reliable
-displacement magnitude is limited to roughly half the window. One kernel
-tracks points between images of a stack in two steps: `_lk_windows` samples
-each point's source window and structure tensor, `_lk_refine` solves against
-a target image; `lk_flow` runs it on two frames.
+Frames are 2-D arrays, shape (height, width), of floats in [0, 1] or of uint8
+pixels, divided by 255 where used; points are (x, y) with x along columns. Flow
+is the classic windowed least-squares solution with Newton refinement inside a
+single pyramid level, so reliable displacement magnitude is limited to roughly
+half the window. One kernel tracks points between images of a stack in two
+steps: `_lk_windows` samples each point's source window and structure tensor,
+`_lk_refine` solves against a target image; `lk_flow` runs it on two frames.
 
 Box grouping follows the track-then-merge recipe: consecutive (or nearly
 consecutive) boxes whose resampled contents move coherently are unioned
@@ -100,6 +100,9 @@ class BoxTrackGroup:
 
 
 def as_frame(f, name: str = "frame") -> np.ndarray:
+    """f as a float frame in [0, 1], checked; uint8 input is an 8-bit image, mapped by / 255."""
+    if getattr(f, "dtype", None) == np.uint8 and f.ndim == 2 and f.size:
+        return f / 255.0  # finite and in [0, 1] by its type
     a = np.asarray(f, dtype=np.float64)
     if a.ndim != 2 or a.size == 0:
         raise ValueError(f"{name} must be a non-empty 2-D array")

@@ -36,6 +36,24 @@ def _stage(name: str, fn, *args):
         raise StageError(name, exc) from exc
 
 
+_OPENBLAS = None  # numpy's bundled OpenBLAS (set, get) thread-count calls, where it exports them
+with contextlib.suppress(AttributeError, OSError):
+    _lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    _OPENBLAS = _lib.scipy_openblas_set_num_threads64_, _lib.scipy_openblas_get_num_threads64_
+
+
+@contextlib.contextmanager
+def blas_threads(n: int):
+    """Pin numpy's OpenBLAS to n threads inside the block, then restore its count; a no-op without the calls."""
+    set_threads, get_threads = _OPENBLAS or (lambda n: None, lambda: None)
+    before = get_threads()
+    set_threads(n)
+    try:
+        yield
+    finally:
+        set_threads(before)
+
+
 def in_worker(fn, *args):
     """Start fn(*args) in a forked child with one BLAS thread; return a function that waits for it.
 
@@ -50,12 +68,9 @@ def in_worker(fn, *args):
         status = 1
         try:
             os.close(read_fd)
-            with contextlib.suppress(AttributeError, OSError):  # one thread: bytes independent of the core count
-                set_threads = ctypes.CDLL(np.linalg._umath_linalg.__file__).scipy_openblas_set_num_threads64_
-                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-                set_threads(1)
             try:
-                payload = (True, fn(*args))
+                with blas_threads(1):  # one thread: bytes independent of the core count
+                    payload = (True, fn(*args))
             except Exception as exc:
                 payload = (False, exc)
             try:
@@ -89,15 +104,15 @@ def downscale(frame: np.ndarray, limit: int) -> np.ndarray:
     h, w = frame.shape
     longest = max(h, w)
     if longest <= limit:
-        return frame
+        return optflow.as_frame(frame)
     scale = limit / longest
     out_h, out_w = max(1, round(h * scale)), max(1, round(w * scale))
     return optflow.canonical_rect(frame, (0.0, 0.0, float(w), float(h)), out_h, out_w)
 
 
-def frames_to_matrix(frames: list[np.ndarray], limit: int) -> np.ndarray:
+def frames_to_matrix(frames, limit: int) -> np.ndarray:
     """Stack downscaled frames as columns: one pixel per row, one frame per column."""
-    if not frames:
+    if not len(frames):
         raise fileio.InputFormatError("no frames to stack")
     return np.stack([downscale(f, limit).ravel() for f in frames], axis=1)
 
@@ -184,12 +199,12 @@ def run_segmentation_stage(detections, cfg: Config, out_dir: str) -> dict:
     }
 
 
-def run_flow_stage(frames: list[np.ndarray], detections, cfg: Config, out_dir: str) -> dict:
+def run_flow_stage(frames, detections, cfg: Config, out_dir: str) -> dict:
     boxes_per_frame = [[hb.box for hb in hands] for _pose, hands, _objects in detections]
     return group_flow_boxes(frames, boxes_per_frame, cfg, out_dir)
 
 
-def group_flow_boxes(frames: list[np.ndarray], boxes_per_frame, cfg: Config, out_dir: str) -> dict:
+def group_flow_boxes(frames, boxes_per_frame, cfg: Config, out_dir: str) -> dict:
     """Group and merge boxes by flow; write flow_groups.csv and .json.
 
     Boxes are (x0, y0, x1, y1) normalized to [0, 1] and scaled here to the
@@ -291,28 +306,29 @@ def run_pipeline(session_dir: str, cfg: Config, out_dir: str) -> dict:
 
     report: dict = {"stages": {}, "frames": []}
 
-    # run_rpca_stage is looked up when the worker calls it, so a wrapper set on the module applies
-    rpca_wait = in_worker(
-        lambda: run_rpca_stage(frames_to_matrix(frames, cfg.downscale_limit), cfg, out_dir)
-    ) if frames else lambda: None
-    try:
-        seg = _stage("segmentation", run_segmentation_stage, detections, cfg, out_dir)
-        labeling = seg["labelings"][0]
-        report["stages"]["segmentation"] = {
-            "converged": seg["converged"],
-            "objective": seg["objective"],
-            "thresholds": seg["thresholds"],
-            "change_points": labeling.change_points,
-        }
-
-        if frames:
-            flow_info = _stage("flow_groups", run_flow_stage, frames, detections, cfg, out_dir)
-            report["stages"]["flow_groups"] = {
-                "n_groups": len(flow_info["groups"]),
+    with blas_threads(1):  # the worker holds a CPU: this process keeps one BLAS thread until it is reaped
+        # run_rpca_stage is looked up when the worker calls it, so a wrapper set on the module applies
+        rpca_wait = in_worker(
+            lambda: run_rpca_stage(frames_to_matrix(frames, cfg.downscale_limit), cfg, out_dir)
+        ) if len(frames) else lambda: None
+        try:
+            seg = _stage("segmentation", run_segmentation_stage, detections, cfg, out_dir)
+            labeling = seg["labelings"][0]
+            report["stages"]["segmentation"] = {
+                "converged": seg["converged"],
+                "objective": seg["objective"],
+                "thresholds": seg["thresholds"],
+                "change_points": labeling.change_points,
             }
-    finally:
-        # always reaps the worker; a failed rpca is reported over a later stage's failure
-        rpca_info = _stage("rpca", rpca_wait)
+
+            if len(frames):
+                flow_info = _stage("flow_groups", run_flow_stage, frames, detections, cfg, out_dir)
+                report["stages"]["flow_groups"] = {
+                    "n_groups": len(flow_info["groups"]),
+                }
+        finally:
+            # always reaps the worker; a failed rpca is reported over a later stage's failure
+            rpca_info = _stage("rpca", rpca_wait)
     if rpca_info:
         report["stages"]["rpca"] = {
             "summary": rpca_info["summary"],

@@ -198,11 +198,11 @@ def _hand_box(wrist, elbow):
     return (cx - HAND_HALF, cy - HAND_HALF, cx + HAND_HALF, cy + HAND_HALF)
 
 
-def _render_frame(width, height, pose, hands, objects):
+def _render_frame(width, height, head, hands, objects):
     ys, xs = np.mgrid[0:height, 0:width].astype(np.float64)
     img = 0.25 + 0.10 * ys / height
     # head disc with a radial falloff, anchored to the head joint
-    hx, hy = pose["head"][0] * width, pose["head"][1] * height
+    hx, hy = head[0] * width, head[1] * height
     rr = (xs - hx) ** 2 + (ys - hy) ** 2
     head_r = 0.07 * width
     img = np.where(rr <= head_r * head_r, 0.62 + 0.10 * np.cos(rr / (head_r * head_r) * math.pi), img)
@@ -224,10 +224,16 @@ def _render_frame(width, height, pose, hands, objects):
         img[y0:y1, x0:x1] = np.clip(base + 0.18 * tex, 0.0, 1.0)
 
     for k, hand in enumerate(hands):
-        paint_box(hand["box"], 0.80, 2.6 + 0.8 * k)
+        paint_box(hand.box, 0.80, 2.6 + 0.8 * k)
     for obj in objects:
-        paint_box(obj["box"], 0.55, 2.0)
+        paint_box(obj.box, 0.55, 2.0)
     return np.round(np.clip(img, 0.0, 1.0) * 255.0) / 255.0
+
+
+def render_frames(frames, width: int, height: int):
+    """The images of detection frames (pose, hands, objects), rendered one at a time."""
+    for pose, hands, objects in frames:
+        yield _render_frame(width, height, pose.joints["head"], hands, objects)
 
 
 def gen_driver_session(
@@ -256,7 +262,6 @@ def gen_driver_session(
     g = rng(seed)
 
     frames = []
-    images = []
     flips = []
     truth_schedule = []
     frame_idx = 0
@@ -338,15 +343,12 @@ def gen_driver_session(
                     [ObjectDetection(**o) for o in objects],
                 )
             )
-            if render:
-                images.append(
-                    _render_frame(frame_width, frame_height, {"head": joints["head"]}, hands, objects)
-                )
             frame_idx += 1
 
+    images = list(render_frames(frames, frame_width, frame_height)) if render else None
     return SynthBundle(
         seed=seed,
-        payload={"frames": frames, "images": images if render else None},
+        payload={"frames": frames, "images": images},
         ground_truth={
             "schedule": truth_schedule,
             "flips": flips,

@@ -2,6 +2,7 @@ import bisect
 import builtins
 import copy
 import csv
+import ctypes
 import filecmp
 import inspect
 import json
@@ -429,40 +430,75 @@ def test_in_worker_sends_unpicklable_errors_large_results_and_lost_children():
     _assert_no_child_process()
 
 
-RPCA_FILES = {"low_rank.mat", "sparse.mat", "rpca_summary.json", "outlier_energy.csv", "report.json"}
+@pytest.fixture(scope="module")
+def session_400(tmp_path_factory):
+    """The seed-1 400-frame session: on two or more cores, a default-threaded BLAS gives rpca other bytes."""
+    labels = ["safe_driving", "texting_left", "drinking", "talking_on_phone_left", "operating_radio"]
+    params = {"episode_schedule": [[lbl, 80] for lbl in labels], "side_flip_fraction": 0.1}
+    sess = tmp_path_factory.mktemp("session_400") / "sess"
+    assert run(["synth", "--generator", "driver_session", "--seed", "1",
+                "--params", json.dumps(params), "--out", sess]) == 0
+    return sess
 
 
-def test_pipeline_without_fork_runs_rpca_inline_with_the_same_outputs(tmp_path, monkeypatch):
-    sess = _tiny_session(tmp_path, frames=12)
-    assert _pipeline(sess, tmp_path / "forked") == 0
+def test_pipeline_without_fork_runs_rpca_inline_with_the_same_outputs(tmp_path, monkeypatch, session_400):
+    assert _pipeline(session_400, tmp_path / "forked") == 0
     monkeypatch.delattr(os, "fork")
-    assert _pipeline(sess, tmp_path / "inline") == 0
+    assert _pipeline(session_400, tmp_path / "inline") == 0  # pinned to one BLAS thread, as the worker is
     names = sorted(os.listdir(tmp_path / "forked"))
-    assert names == sorted(os.listdir(tmp_path / "inline"))
-    if os.environ.get("OPENBLAS_NUM_THREADS") != "1":  # inline, rpca keeps this process's BLAS threads
-        names = [n for n in names if n not in RPCA_FILES]
+    assert len(names) == 14 and names == sorted(os.listdir(tmp_path / "inline"))
     _match, mismatch, errors = filecmp.cmpfiles(tmp_path / "forked", tmp_path / "inline", names, shallow=False)
     assert mismatch == [] and errors == []
 
 
-def test_pipeline_rpca_bytes_do_not_depend_on_blas_threads(tmp_path):
-    # 400 frames: on a host with two or more cores, a default-threaded BLAS gives rpca other bytes here
-    labels = ["safe_driving", "texting_left", "drinking", "talking_on_phone_left", "operating_radio"]
-    params = {"episode_schedule": [[lbl, 80] for lbl in labels], "side_flip_fraction": 0.1}
-    sess = tmp_path / "sess"
-    assert run(["synth", "--generator", "driver_session", "--seed", "1",
-                "--params", json.dumps(params), "--out", sess]) == 0
+def test_pipeline_rpca_bytes_do_not_depend_on_blas_threads(tmp_path, session_400):
     src = str(Path(pipeline.__file__).resolve().parents[1])
     for threads in ("1", None):
         env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
         env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
         if threads:
             env["OPENBLAS_NUM_THREADS"] = env["OMP_NUM_THREADS"] = threads
-        subprocess.run([sys.executable, "-m", "epkit.cli", "pipeline", "--session", str(sess),
-                        "--config", str(sess / "session_config.json"), "--out", str(tmp_path / f"t{threads}")],
+        subprocess.run([sys.executable, "-m", "epkit.cli", "pipeline", "--session", str(session_400),
+                        "--config", str(session_400 / "session_config.json"), "--out", str(tmp_path / f"t{threads}")],
                        env=env, check=True, capture_output=True, timeout=300)
     for name in ("low_rank.mat", "sparse.mat", "rpca_summary.json"):
         assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "tNone" / name).read_bytes(), name
+
+
+def _openblas_thread_calls():
+    """numpy's OpenBLAS (set, get) thread-count calls, or None."""
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+        return lib.scipy_openblas_set_num_threads64_, lib.scipy_openblas_get_num_threads64_
+    except (AttributeError, OSError):
+        return None
+
+
+@pytest.mark.skipif(not hasattr(os, "fork") or _openblas_thread_calls() is None,
+                    reason="needs os.fork and numpy's OpenBLAS thread-count calls")
+def test_pipeline_pins_one_blas_thread_and_gives_the_count_back(tmp_path, monkeypatch):
+    set_threads, get_threads = _openblas_thread_calls()
+    before = get_threads()
+    set_threads(2)  # a count other than the pin's
+    seen = []
+
+    def counted(fn):
+        def wrapped(*args):
+            seen.append(get_threads())
+            return fn(*args)
+        return wrapped
+
+    try:
+        sess = _tiny_session(tmp_path)
+        monkeypatch.setattr(pipeline, "run_segmentation_stage", counted(pipeline.run_segmentation_stage))
+        assert _pipeline(sess, tmp_path / "ok") == 0
+        assert get_threads() == 2
+        monkeypatch.setattr(optflow, "group_boxes", counted(_raising(ValueError("flow broke"))))
+        assert _pipeline(sess, tmp_path / "failed") == 3
+        assert get_threads() == 2
+        assert seen == [1, 1, 1]  # segmentation, segmentation, flow
+    finally:
+        set_threads(before)
 
 
 def test_pipeline_evaluates_each_frames_rules_once(tmp_path, monkeypatch):

@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from epkit import fileio
+from epkit import cli, fileio
 from epkit.fileio import InputFormatError, SchemaError
 from epkit.fusion import HandDetection, ObjectDetection, PoseFrame
 from epkit.synth import gen_driver_session, rng
@@ -55,6 +55,31 @@ def test_pgm_rejects_malformed(tmp_path):
     path.write_bytes(b"P5\n2 2\n255\nxx")  # short pixel data
     with pytest.raises(InputFormatError, match="pixel bytes"):
         fileio.read_pgm(path)
+
+
+def test_read_frames_is_one_uint8_stack_of_the_written_bytes(tmp_path):
+    pixels = rng(3).integers(0, 256, size=(4, 5, 7), dtype=np.uint8)
+    for t, p in enumerate(pixels):
+        fileio.write_pgm(tmp_path / f"f{t}.pgm", p / 255.0)
+    frames = fileio.read_frames(tmp_path)
+    assert frames.dtype == np.uint8 and frames.shape == (4, 5, 7)
+    assert np.array_equal(frames, pixels)
+
+
+@pytest.mark.parametrize("odd_shape", [(7, 5), (1, 7)])  # (1, 7) would broadcast into a (5, 7) slot
+def test_frame_of_another_shape_exits_3_with_its_path_before_out(tmp_path, capsys, odd_shape):
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    for t in range(3):
+        fileio.write_pgm(frames / f"f{t}.pgm", np.zeros(odd_shape if t == 1 else (5, 7)))
+    with pytest.raises(SchemaError, match="f1.pgm"):
+        fileio.read_frames(frames)
+    boxes = tmp_path / "boxes.jsonl"
+    fileio.write_jsonl(boxes, [{"frame": t, "boxes": []} for t in range(3)])
+    out = tmp_path / "o"
+    assert cli.main(["flow-group", "--frames", str(frames), "--boxes", str(boxes), "--out", str(out)]) == 3
+    assert "f1.pgm" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_detections_round_trip(tmp_path):

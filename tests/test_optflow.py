@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.ndimage import gaussian_filter, maximum_filter, uniform_filter
 
-from epkit import optflow
+from epkit import fileio, optflow, pipeline
 from epkit.synth import gen_driver_session, gen_shifted_pair, rng
 
 
@@ -665,6 +665,24 @@ def test_group_boxes_scores_fewer_pairs_on_driver_session(monkeypatch):
     frames, boxes, cfg = _driver_session_scene()
     counts, n_candidates = _assert_skips_only_joined_pairs(monkeypatch, frames, boxes, cfg)
     assert all(n < n_candidates for n in counts), (counts, n_candidates)
+
+
+def test_uint8_frames_give_the_same_scores_partitions_and_matrix_as_their_floats(tmp_path):
+    frames, boxes, cfg = _driver_session_scene()
+    for t, f in enumerate(frames):
+        fileio.write_pgm(tmp_path / f"frame_{t:05d}.pgm", f)
+    stack = fileio.read_frames(tmp_path)
+    floats = stack / 255.0
+    assert list(optflow._scored_pairs(stack, boxes, cfg)) == list(optflow._scored_pairs(floats, boxes, cfg))
+    partitions = []
+    for fr in (stack, floats):
+        groups = optflow.group_boxes(fr, boxes, cfg.group_threshold, cfg)
+        merged = optflow.merge_groups(groups, fr, boxes, cfg.merge_threshold, cfg)
+        partitions.append(([g.members for g in groups], [g.members for g in merged]))
+    assert partitions[0] == partitions[1]
+    for limit in (32, 200):  # resampled, and kept at full size
+        a, b = (pipeline.frames_to_matrix(fr, limit) for fr in (stack, floats))
+        assert a.dtype == b.dtype == np.float64 and a.tobytes() == b.tobytes()
 
 
 def test_box_similarity_matches_oracle():
