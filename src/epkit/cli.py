@@ -64,7 +64,8 @@ def cmd_rpca(args) -> int:
     else:
         mat = fileio.read_matrix(args.input)
     os.makedirs(args.out, exist_ok=True)
-    pipeline.in_worker(pipeline.run_rpca_stage, mat, cfg, args.out)()  # one BLAS thread, as in pipeline
+    with pipeline.blas_threads(1):  # one BLAS thread, as in the pipeline's worker: the same bytes
+        pipeline.run_rpca_stage(mat, cfg, args.out)
     return 0
 
 
@@ -80,7 +81,7 @@ def cmd_flow_group(args) -> int:
     frames = fileio.read_frames(args.frames)
     boxes_per_frame = fileio.read_box_records(args.boxes, len(frames))
     os.makedirs(args.out, exist_ok=True)
-    pipeline.group_flow_boxes(frames, boxes_per_frame, cfg, args.out)
+    pipeline.run_flow_stage(frames, boxes_per_frame, cfg, args.out)
     return 0
 
 
@@ -88,9 +89,7 @@ def cmd_fuse(args) -> int:
     cfg = _load_cfg(args)
     detections = fileio.read_detections(args.detections)
     cfg.require_fusion()
-    os.makedirs(args.out, exist_ok=True)
-    verdicts = pipeline.run_fusion_stage(detections, cfg, args.out)["verdicts"]
-    if args.segments:
+    if args.segments:  # read and checked before --out is created
         data = fileio.read_json(args.segments)
         try:
             labeling = gflasso.SegmentLabeling(
@@ -99,7 +98,11 @@ def cmd_fuse(args) -> int:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"bad segments file {args.segments}: {exc}") from None
-    else:
+        if len(labeling.group_ids) != len(detections):
+            raise SchemaError(f"{args.segments}: {len(labeling.group_ids)} group ids for {len(detections)} frames")
+    os.makedirs(args.out, exist_ok=True)
+    verdicts = pipeline.run_fusion_stage(detections, cfg, args.out)["verdicts"]
+    if not args.segments:
         labeling = pipeline.run_segmentation_stage(detections, cfg, args.out)["labelings"][0]
     pipeline.run_episode_stage(detections, verdicts, labeling, cfg, args.out)
     return 0
@@ -186,7 +189,7 @@ def _synth_driver_session(out, seed, params):
     defaults.update(params)
     schedule = [tuple(e) for e in defaults.pop("episode_schedule")]
     render = defaults.pop("render", True)  # frames are rendered as they are written, not held
-    bundle = synth.gen_driver_session(schedule, seed=seed, render=False, **defaults)
+    bundle = synth.gen_driver_session(schedule, seed=seed, **defaults)
     write_session(out, bundle, render)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from typing import Iterable
 
@@ -177,6 +178,14 @@ def write_jsonl(path, records: Iterable[dict]) -> None:
             fh.write("\n")
 
 
+def _finite(literal: str, parse=float):
+    """*parse*(literal) for a JSON number literal; NaN, Infinity and literals beyond the float range raise."""
+    value = parse(literal)
+    if not math.isfinite(value):  # an int beyond the float range raises OverflowError here
+        raise ValueError(f"non-finite number {literal[:30]}")
+    return value
+
+
 def read_jsonl(path) -> list[dict]:
     out = []
     offset = 0
@@ -185,8 +194,9 @@ def read_jsonl(path) -> list[dict]:
             line = raw.strip()
             if line:
                 try:
-                    out.append(json.loads(line.decode("utf-8")))
-                except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+                    out.append(json.loads(line.decode("utf-8"), parse_constant=_finite, parse_float=_finite,
+                                          parse_int=lambda s: _finite(s, int)))
+                except (ValueError, OverflowError) as exc:  # also UnicodeDecodeError and json.JSONDecodeError
                     raise InputFormatError(
                         f"{path}: bad JSON line: {exc}", byte_offset=offset
                     ) from None
@@ -213,9 +223,6 @@ def _csv_cell(c):
 # --------------------------------------------------------------------------
 # detection streams
 
-_SIDES = ("left", "right", "unknown")
-
-
 def detection_frame_to_dict(pose: PoseFrame, hands, objects) -> dict:
     return {
         "frame": pose.frame_index,
@@ -241,31 +248,38 @@ def detection_frame_to_dict(pose: PoseFrame, hands, objects) -> dict:
     }
 
 
+def _is_number(v) -> bool:
+    """A JSON number: an int or a float, not a bool or a string."""
+    return type(v) in (int, float)
+
+
+def _number(v) -> float:
+    if not _is_number(v):
+        raise TypeError(f"expected a number, got {v!r}")
+    return float(v)
+
+
 def detection_frame_from_dict(rec: dict, where: str = "") -> tuple[PoseFrame, list[HandDetection], list[ObjectDetection]]:
     try:
         idx = int(rec["frame"])
         joints = {
-            str(name): (float(v[0]), float(v[1]), float(v[2]))
+            str(name): (_number(v[0]), _number(v[1]), _number(v[2]))
             for name, v in rec.get("pose", {}).get("joints", {}).items()
         }
-        hands = []
-        for h in rec.get("hands", []):
-            side = h.get("side", "unknown")
-            if side not in _SIDES:
-                raise KeyError(f"bad hand side {side!r}")
-            hands.append(
-                HandDetection(
-                    box=tuple(float(c) for c in h["box"]),
-                    score=float(h["score"]),
-                    side=side,
-                    side_score=float(h.get("side_score", 0.0)),
-                )
+        hands = [
+            HandDetection(
+                box=tuple(_number(c) for c in h["box"]),
+                score=_number(h["score"]),
+                side=h.get("side", "unknown"),
+                side_score=_number(h.get("side_score", 0.0)),
             )
+            for h in rec.get("hands", [])
+        ]
         objects = [
             ObjectDetection(
                 label=str(o["label"]),
-                box=tuple(float(c) for c in o["box"]),
-                score=float(o["score"]),
+                box=tuple(_number(c) for c in o["box"]),
+                score=_number(o["score"]),
             )
             for o in rec.get("objects", [])
         ]
@@ -336,7 +350,7 @@ def read_box_records(path, n_frames: int) -> list[list]:
         t = _frame_slot(rec, boxes_per_frame, where)
         boxes = rec.get("boxes", [])
         if not isinstance(boxes, list) or not all(
-            isinstance(b, list) and len(b) == 4 and all(type(c) in (int, float) for c in b)
+            isinstance(b, list) and len(b) == 4 and all(map(_is_number, b))
             for b in boxes
         ):
             raise SchemaError(f"{where}: boxes must be a list of [x0, y0, x1, y1] numbers")

@@ -31,16 +31,6 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
-JOINT_NAMES = (
-    "head",
-    "neck",
-    "r_shoulder",
-    "r_elbow",
-    "r_wrist",
-    "l_shoulder",
-    "l_elbow",
-    "l_wrist",
-)
 ARM_JOINTS = ("r_shoulder", "r_elbow", "r_wrist", "l_shoulder", "l_elbow", "l_wrist")
 _DIAG = math.sqrt(2.0)
 

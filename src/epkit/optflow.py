@@ -600,13 +600,14 @@ def merge_groups(
 
     Descriptor = pixelwise mean of the member crops; groups whose Pearson
     correlation exceeds merge_threshold are joined transitively. The result
-    is a coarsening of the input partition.
+    is a coarsening of the input partition in group_boxes' order, whatever
+    the order of *groups*.
     """
     if cfg is None:
         cfg = FlowConfig()
     owner = {m: gi for gi, g in enumerate(groups) for m in g.members}
-    if len(owner) != sum(len(g.members) for g in groups):
-        raise ValueError("input groups are not a partition (duplicate member)")
+    if len(owner) != sum(len(g.members) for g in groups) or not all(g.members for g in groups):
+        raise ValueError("input groups are not a partition (duplicate member or empty group)")
     size = cfg.canonical_size
     acc = np.zeros((len(groups), size, size))
     _check_frames(frames, boxes_per_frame)
@@ -619,28 +620,22 @@ def merge_groups(
                 found += 1
     if found != len(owner):
         raise ValueError("input groups name boxes that are not in boxes_per_frame")
-    descs = [(a / max(len(g.members), 1)).ravel() for a, g in zip(acc, groups)]
+    descs = [(a / len(g.members)).ravel() for a, g in zip(acc, groups)]
     # each descriptor is centred and normalised once
     centred = [d - d.mean() for d in descs]
     norms = [np.linalg.norm(d) for d in centred]
 
-    ids = list(range(len(groups)))
-    uf = _UnionFind(ids)
+    heads = [g.members[0] for g in groups]  # a group is joined to others through its first member
+    uf = _UnionFind(owner)
+    for m, gi in owner.items():
+        uf.union(heads[gi], m)
     for i in range(len(groups)):
         for j in range(i + 1, len(groups)):
             # a pair already in one merged set cannot change the result
-            if uf.find(i) == uf.find(j):
+            if uf.find(heads[i]) == uf.find(heads[j]):
                 continue
             na, nb = norms[i], norms[j]
             corr = float(np.dot(centred[i], centred[j]) / (na * nb)) if na and nb else 0.0
             if corr > merge_threshold:
-                uf.union(i, j)
-
-    clusters: dict[int, list[int]] = {}
-    for i in ids:
-        clusters.setdefault(uf.find(i), []).append(i)
-    merged = []
-    for root in sorted(clusters, key=lambda r: min(min(groups[i].members) for i in clusters[r])):
-        members = sorted(m for i in clusters[root] for m in groups[i].members)
-        merged.append(BoxTrackGroup(group_id=len(merged), members=members))
-    return merged
+                uf.union(heads[i], heads[j])
+    return _groups_from_union(uf, sorted(owner))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import dataclasses
 import os
 import pickle
 
@@ -112,8 +113,6 @@ def downscale(frame: np.ndarray, limit: int) -> np.ndarray:
 
 def frames_to_matrix(frames, limit: int) -> np.ndarray:
     """Stack downscaled frames as columns: one pixel per row, one frame per column."""
-    if not len(frames):
-        raise fileio.InputFormatError("no frames to stack")
     return np.stack([downscale(f, limit).ravel() for f in frames], axis=1)
 
 
@@ -199,19 +198,12 @@ def run_segmentation_stage(detections, cfg: Config, out_dir: str) -> dict:
     }
 
 
-def run_flow_stage(frames, detections, cfg: Config, out_dir: str) -> dict:
-    boxes_per_frame = [[hb.box for hb in hands] for _pose, hands, _objects in detections]
-    return group_flow_boxes(frames, boxes_per_frame, cfg, out_dir)
-
-
-def group_flow_boxes(frames, boxes_per_frame, cfg: Config, out_dir: str) -> dict:
+def run_flow_stage(frames, boxes_per_frame, cfg: Config, out_dir: str) -> dict:
     """Group and merge boxes by flow; write flow_groups.csv and .json.
 
-    Boxes are (x0, y0, x1, y1) normalized to [0, 1] and scaled here to the
-    pixels of the first frame.
+    Boxes are (x0, y0, x1, y1) normalized to [0, 1], one list per frame, and
+    scaled here to the pixels of the first frame.
     """
-    if len(boxes_per_frame) != len(frames):
-        raise fileio.SchemaError(f"{len(frames)} frames but {len(boxes_per_frame)} box records")
     h, w = frames[0].shape
     boxes_per_frame = [
         [(b[0] * w, b[1] * h, b[2] * w, b[3] * h) for b in boxes] for boxes in boxes_per_frame
@@ -271,20 +263,7 @@ def run_fusion_stage(detections, cfg: Config, out_dir: str, rpca_warnings=None) 
 
 def run_episode_stage(detections, verdicts, labeling, cfg: Config, out_dir: str) -> list[fusion.EpisodeLabel]:
     episodes = fusion.classify_episode(detections, verdicts, labeling, cfg.episode_rules, cfg.fusion)
-    fileio.write_json(
-        os.path.join(out_dir, "episodes.json"),
-        [
-            {
-                "segment": e.segment,
-                "start": e.start,
-                "end": e.end,
-                "label": e.label,
-                "votes": e.votes,
-                "notes": e.notes,
-            }
-            for e in episodes
-        ],
-    )
+    fileio.write_json(os.path.join(out_dir, "episodes.json"), [dataclasses.asdict(e) for e in episodes])
     return episodes
 
 
@@ -301,6 +280,8 @@ def run_pipeline(session_dir: str, cfg: Config, out_dir: str) -> dict:
     detections = _stage("load", fileio.read_detections, os.path.join(session_dir, "detections.jsonl"))
     frames_dir = os.path.join(session_dir, "frames")
     frames = _stage("load", fileio.read_frames, frames_dir) if os.path.isdir(frames_dir) else []
+    if len(frames) and len(frames) != len(detections):
+        raise StageError("load", fileio.SchemaError(f"{len(frames)} frames but {len(detections)} detection records"))
     cfg.require_fusion()
     os.makedirs(out_dir, exist_ok=True)
 
@@ -322,7 +303,8 @@ def run_pipeline(session_dir: str, cfg: Config, out_dir: str) -> dict:
             }
 
             if len(frames):
-                flow_info = _stage("flow_groups", run_flow_stage, frames, detections, cfg, out_dir)
+                boxes_per_frame = [[hb.box for hb in hands] for _p, hands, _o in detections]
+                flow_info = _stage("flow_groups", run_flow_stage, frames, boxes_per_frame, cfg, out_dir)
                 report["stages"]["flow_groups"] = {
                     "n_groups": len(flow_info["groups"]),
                 }
@@ -330,10 +312,7 @@ def run_pipeline(session_dir: str, cfg: Config, out_dir: str) -> dict:
             # always reaps the worker; a failed rpca is reported over a later stage's failure
             rpca_info = _stage("rpca", rpca_wait)
     if rpca_info:
-        report["stages"]["rpca"] = {
-            "summary": rpca_info["summary"],
-            "warning_frames": rpca_info["warning_frames"],
-        }
+        report["stages"]["rpca"] = rpca_info
 
     warning_frames = rpca_info["warning_frames"] if rpca_info else []
     fus = _stage("fusion", run_fusion_stage, detections, cfg, out_dir, warning_frames)

@@ -243,11 +243,10 @@ def gen_driver_session(
     side_flip_fraction: float = 0.0,
     seed: int = 0,
     pos_jitter: float = 0.004,
-    render: bool = True,
     frame_width: int = 96,
     frame_height: int = 72,
 ) -> SynthBundle:
-    """Scripted detector streams (and small rendered frames) per episode.
+    """Scripted detector streams per episode; render_frames draws their frames.
 
     Each schedule entry is (label, duration). One hand always rests on the
     wheel; action labels move the other hand and attach the matching object
@@ -345,10 +344,9 @@ def gen_driver_session(
             )
             frame_idx += 1
 
-    images = list(render_frames(frames, frame_width, frame_height)) if render else None
     return SynthBundle(
         seed=seed,
-        payload={"frames": frames, "images": images},
+        payload={"frames": frames},
         ground_truth={
             "schedule": truth_schedule,
             "flips": flips,

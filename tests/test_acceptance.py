@@ -218,7 +218,6 @@ def test_criterion_8_side_flip_correction():
         ],
         side_flip_fraction=0.10,
         seed=17,
-        render=False,
     )
     cfg = fusion.FusionConfig(
         wheel_region=bundle.ground_truth["wheel_region"],

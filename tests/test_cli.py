@@ -7,6 +7,7 @@ import filecmp
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -204,7 +205,7 @@ def test_segment_cmd_outputs_are_byte_identical(tmp_path):
 
 
 def test_fuse_cmd_requires_wheel_region(tmp_path, capsys):
-    bundle = synth.gen_driver_session([("safe_driving", 5)], seed=1, render=False)
+    bundle = synth.gen_driver_session([("safe_driving", 5)], seed=1)
     det = tmp_path / "d.jsonl"
     fileio.write_detections(det, bundle.payload["frames"])
     assert run(["fuse", "--detections", det, "--out", tmp_path / "o"]) == 4
@@ -213,7 +214,7 @@ def test_fuse_cmd_requires_wheel_region(tmp_path, capsys):
 
 @pytest.mark.parametrize("region", ["0.2,0.5", "0.2,0.5,0.7", "0.2,abc"])
 def test_fuse_cmd_malformed_wheel_region_exits_4(tmp_path, capsys, region):
-    bundle = synth.gen_driver_session([("safe_driving", 5)], seed=1, render=False)
+    bundle = synth.gen_driver_session([("safe_driving", 5)], seed=1)
     det = tmp_path / "d.jsonl"
     fileio.write_detections(det, bundle.payload["frames"])
     assert run(["fuse", "--detections", det, "--wheel-region", region, "--out", tmp_path / "o"]) == 4
@@ -239,7 +240,7 @@ def test_fuse_cmd_no_hands_is_data_not_error(tmp_path):
 
 def test_fuse_cmd_corrects_injected_flips(tmp_path):
     bundle = synth.gen_driver_session(
-        [("drinking", 40), ("texting_left", 40)], side_flip_fraction=0.2, seed=31, render=False
+        [("drinking", 40), ("texting_left", 40)], side_flip_fraction=0.2, seed=31
     )
     session = tmp_path / "sess"
     session.mkdir()
@@ -519,9 +520,42 @@ def test_pipeline_evaluates_each_frames_rules_once(tmp_path, monkeypatch):
 def test_pipeline_frame_count_mismatch_exits_3(tmp_path, capsys):
     sess = _tiny_session(tmp_path)
     os.remove(sorted((sess / "frames").iterdir())[-1])
+    out = tmp_path / "o"
     assert run(["pipeline", "--session", sess, "--config", sess / "session_config.json",
-                "--out", tmp_path / "o"]) == 3
-    assert "flow_groups" in capsys.readouterr().err
+                "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert "'load'" in err and "5 frames but 6 detection records" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("pattern, replacement, code", [
+    (r'"l_wrist":\[[^,]+', '"l_wrist":[NaN', 2),  # not JSON: exits 2 at the line's byte offset
+    (r'"score":[^,}]+', '"score":true', 3),  # JSON, but a bool is not a number: exits 3 at path:line
+])
+def test_pipeline_non_number_in_detections_exits_before_out(tmp_path, capsys, pattern, replacement, code):
+    sess = _tiny_session(tmp_path)
+    det = sess / "detections.jsonl"
+    lines = det.read_bytes().decode("utf-8").splitlines(keepends=True)
+    lines[2] = re.sub(pattern, replacement, lines[2], count=1)
+    det.write_text("".join(lines), encoding="utf-8")
+    out = tmp_path / "o"
+    assert run(["pipeline", "--session", sess, "--config", sess / "session_config.json",
+                "--out", out]) == code
+    err = capsys.readouterr().err
+    where = f"byte offset {len(lines[0]) + len(lines[1])}" if code == 2 else "detections.jsonl:3"
+    assert "'load'" in err and where in err
+    assert not out.exists()
+
+
+def test_fuse_cmd_segments_of_another_length_exit_3_before_out(tmp_path, capsys):
+    sess = _tiny_session(tmp_path)
+    segments = tmp_path / "segments.json"
+    fileio.write_json(segments, {"change_points": [], "group_ids": [0, 0]})
+    out = tmp_path / "o"
+    assert run(["fuse", "--detections", sess / "detections.jsonl", "--segments", segments,
+                "--config", sess / "session_config.json", "--out", out]) == 3
+    assert f"{segments}: 2 group ids for 6 frames" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_pipeline_cmd_missing_session_exits_2(tmp_path, capsys):
@@ -594,7 +628,7 @@ def test_pipeline_safe_only_session_has_no_training_records(tmp_path):
 def test_config_unknown_key_exits_4(tmp_path, capsys):
     cfg = tmp_path / "c.json"
     cfg.write_text('{"rcpa": {}}')
-    bundle = synth.gen_driver_session([("safe_driving", 3)], seed=1, render=False)
+    bundle = synth.gen_driver_session([("safe_driving", 3)], seed=1)
     det = tmp_path / "d.jsonl"
     fileio.write_detections(det, bundle.payload["frames"])
     assert run(["segment", "--detections", det, "--config", cfg, "--out", tmp_path / "o"]) == 4
@@ -854,15 +888,13 @@ def test_pipeline_reports_solver_non_convergence(tmp_path, override, warnings):
     assert fileio.read_json(out / "report.json")["warnings"] == warnings
 
 
-def test_rpca_cmd_summary_matches_pipeline_stage(tmp_path):
-    sess = tmp_path / "sess"
-    assert run(["synth", "--generator", "driver_session", "--seed", "6",
-                "--params", json.dumps({"episode_schedule": [["safe_driving", 10], ["drinking", 10]]}),
-                "--out", sess]) == 0
-    config = sess / "session_config.json"
-    assert run(["pipeline", "--session", sess, "--config", config, "--out", tmp_path / "p"]) == 0
-    assert run(["rpca", "--input", sess / "frames", "--config", config, "--out", tmp_path / "r"]) == 0
-    from_pipeline = fileio.read_json(tmp_path / "p" / "rpca_summary.json")
-    from_cli = fileio.read_json(tmp_path / "r" / "rpca_summary.json")
-    assert "rank" in from_cli
-    assert from_cli == from_pipeline
+def test_rpca_cmd_summary_matches_pipeline_stage(tmp_path, monkeypatch, session_400):
+    config = session_400 / "session_config.json"
+    assert _pipeline(session_400, tmp_path / "p") == 0
+    monkeypatch.setattr(os, "fork", _raising(AssertionError("epkit rpca forked")))  # it runs in-process
+    assert run(["rpca", "--input", session_400 / "frames", "--config", config, "--out", tmp_path / "r"]) == 0
+    names = sorted(os.listdir(tmp_path / "r"))
+    assert names == ["low_rank.mat", "outlier_energy.csv", "rpca_summary.json", "sparse.mat"]
+    _match, mismatch, errors = filecmp.cmpfiles(tmp_path / "p", tmp_path / "r", names, shallow=False)
+    assert mismatch == [] and errors == []
+    _assert_no_child_process()

@@ -84,7 +84,7 @@ def test_frame_of_another_shape_exits_3_with_its_path_before_out(tmp_path, capsy
 
 def test_detections_round_trip(tmp_path):
     bundle = gen_driver_session(
-        [("safe_driving", 5), ("drinking", 5)], side_flip_fraction=0.3, seed=3, render=False
+        [("safe_driving", 5), ("drinking", 5)], side_flip_fraction=0.3, seed=3
     )
     frames = bundle.payload["frames"]
     path = tmp_path / "d.jsonl"
@@ -109,6 +109,22 @@ def test_jsonl_bad_line_names_offset(tmp_path):
     path.write_bytes(b'{"frame": 0}\nnot json\n')
     with pytest.raises(InputFormatError, match="byte offset 13"):
         fileio.read_jsonl(path)
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999", "-1e999", "1" + "0" * 400])
+def test_jsonl_non_finite_number_names_offset(tmp_path, literal):
+    path = tmp_path / "d.jsonl"
+    path.write_bytes(b'{"frame": 0}\n{"frame": 1, "x": ' + literal.encode() + b"}\n")
+    with pytest.raises(InputFormatError, match="byte offset 13"):
+        fileio.read_jsonl(path)
+
+
+@pytest.mark.parametrize("field", ['"score": true', '"score": "0.9"', '"side_score": false'])
+def test_detections_bool_or_string_number_names_record(tmp_path, field):
+    path = tmp_path / "d.jsonl"
+    path.write_text('{"frame": 0, "hands": [{"box": [0.1, 0.1, 0.2, 0.2], "score": 0.9, ' + field + "}]}\n")
+    with pytest.raises(SchemaError, match=r"d\.jsonl:1: expected a number"):
+        fileio.read_detections(path)
 
 
 def test_csv_round_trip(tmp_path):

@@ -474,7 +474,7 @@ def test_coordinate_scale_invariance():
 
 def test_determinism_bitwise_serialization():
     bundle = gen_driver_session(
-        [("safe_driving", 10), ("drinking", 10)], side_flip_fraction=0.3, seed=77, render=False
+        [("safe_driving", 10), ("drinking", 10)], side_flip_fraction=0.3, seed=77
     )
     cfg = _cfg(frame_rate=bundle.ground_truth["frame_rate"])
 

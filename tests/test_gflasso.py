@@ -263,7 +263,6 @@ def test_session_boundaries_recovered_end_to_end():
     bundle = gen_driver_session(
         [("safe_driving", 60), ("drinking", 60), ("texting_left", 60)],
         seed=5,
-        render=False,
     )
     poses = [p for p, _h, _o in bundle.payload["frames"]]
     x, w = gflasso.normalize_and_weight(poses)

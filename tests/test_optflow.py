@@ -3,7 +3,7 @@ import pytest
 from scipy.ndimage import gaussian_filter, maximum_filter, uniform_filter
 
 from epkit import fileio, optflow, pipeline
-from epkit.synth import gen_driver_session, gen_shifted_pair, rng
+from epkit.synth import gen_driver_session, gen_shifted_pair, render_frames, rng
 
 
 def _hand_gradients(frame):
@@ -571,7 +571,7 @@ def _driver_session_scene():
     """Frames, pixel boxes and flow settings of the seed-21 5 x 20-frame session."""
     labels = ["safe_driving", "texting_left", "drinking", "talking_on_phone_left", "operating_radio"]
     bundle = gen_driver_session([(lbl, 20) for lbl in labels], seed=21, side_flip_fraction=0.1)
-    frames = bundle.payload["images"]
+    frames = list(render_frames(bundle.payload["frames"], *bundle.ground_truth["frame_size"]))
     h, w = frames[0].shape
     boxes = [
         [(hb.box[0] * w, hb.box[1] * h, hb.box[2] * w, hb.box[3] * h) for hb in hands]
@@ -818,6 +818,15 @@ def test_merge_groups_matches_per_pair_reference_on_many_singletons():
             merged = optflow.merge_groups(singletons, frames, boxes, thr, cfg)
             expected = _merge_reference(singletons, frames, boxes, thr, cfg, corr=_pearson)
             assert [g.members for g in merged] == expected, thr
+
+
+def test_merge_groups_result_does_not_depend_on_the_order_of_its_groups():
+    scenes = [_driver_session_scene()] + [(*_criterion7_scene(seed), optflow.FlowConfig()) for seed in range(5)]
+    for frames, boxes, cfg in scenes:
+        groups = optflow.group_boxes(frames, boxes, 0.5, cfg)
+        for thr in (0.0, 0.5, 0.9):
+            forward = optflow.merge_groups(groups, frames, boxes, thr, cfg)
+            assert optflow.merge_groups(groups[::-1], frames, boxes, thr, cfg) == forward, thr
 
 
 @pytest.mark.parametrize("bad", ["nan", "range", "box", "shape"])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from epkit import numkit, pipeline, rpca
-from epkit.synth import gen_driver_session, gen_lowrank_sparse, rng
+from epkit.synth import gen_driver_session, gen_lowrank_sparse, render_frames, rng
 
 
 def test_default_lambda():
@@ -139,7 +139,8 @@ def _session_matrix(seed=21, episode_frames=80):
     bundle = gen_driver_session(
         [(label, episode_frames) for label in labels], seed=seed, side_flip_fraction=0.1
     )
-    return pipeline.frames_to_matrix(bundle.payload["images"], 32)
+    frames = list(render_frames(bundle.payload["frames"], *bundle.ground_truth["frame_size"]))
+    return pipeline.frames_to_matrix(frames, 32)
 
 
 def _planted(rows, cols, rank, seed):

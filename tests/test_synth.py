@@ -68,7 +68,7 @@ def test_shifted_pair_quantized_to_pgm_grid():
 
 def test_driver_session_safe_schedule_all_rules_pass():
     bundle = synth.gen_driver_session(
-        [("safe_driving", 20)], score_noise=0.0, pos_jitter=0.0, seed=0, render=False
+        [("safe_driving", 20)], score_noise=0.0, pos_jitter=0.0, seed=0
     )
     cfg = fusion.FusionConfig(
         wheel_region=bundle.ground_truth["wheel_region"],
@@ -81,7 +81,7 @@ def test_driver_session_safe_schedule_all_rules_pass():
 
 
 def test_driver_session_empty_schedule():
-    bundle = synth.gen_driver_session([], seed=0, render=False)
+    bundle = synth.gen_driver_session([], seed=0)
     assert bundle.payload["frames"] == []
     assert bundle.ground_truth["schedule"] == []
 
@@ -92,7 +92,7 @@ def test_driver_session_unknown_label_raises():
 
 
 def test_driver_session_determinism_and_flips():
-    kw = dict(side_flip_fraction=0.2, seed=123, render=False)
+    kw = dict(side_flip_fraction=0.2, seed=123)
     a = synth.gen_driver_session([("safe_driving", 30), ("drinking", 30)], **kw)
     b = synth.gen_driver_session([("safe_driving", 30), ("drinking", 30)], **kw)
     assert a.ground_truth["flips"] == b.ground_truth["flips"]
@@ -108,8 +108,10 @@ def test_driver_session_determinism_and_flips():
 def test_driver_session_rendering_is_deterministic_and_quantized():
     a = synth.gen_driver_session([("drinking", 3)], seed=5)
     b = synth.gen_driver_session([("drinking", 3)], seed=5)
-    assert len(a.payload["images"]) == 3
-    for fa, fb in zip(a.payload["images"], b.payload["images"]):
+    images_a = list(synth.render_frames(a.payload["frames"], *a.ground_truth["frame_size"]))
+    images_b = list(synth.render_frames(b.payload["frames"], *b.ground_truth["frame_size"]))
+    assert len(images_a) == 3
+    for fa, fb in zip(images_a, images_b):
         assert np.array_equal(fa, fb)
         assert np.array_equal(fa, np.round(fa * 255) / 255)
 
