@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import os
+import sys
 from typing import Iterable
 
 import numpy as np
@@ -178,12 +178,8 @@ def write_jsonl(path, records: Iterable[dict]) -> None:
             fh.write("\n")
 
 
-def _finite(literal: str, parse=float):
-    """*parse*(literal) for a JSON number literal; NaN, Infinity and literals beyond the float range raise."""
-    value = parse(literal)
-    if not math.isfinite(value):  # an int beyond the float range raises OverflowError here
-        raise ValueError(f"non-finite number {literal[:30]}")
-    return value
+def _reject_constant(literal: str):
+    raise ValueError(f"{literal} is not a JSON number")
 
 
 def read_jsonl(path) -> list[dict]:
@@ -194,9 +190,8 @@ def read_jsonl(path) -> list[dict]:
             line = raw.strip()
             if line:
                 try:
-                    out.append(json.loads(line.decode("utf-8"), parse_constant=_finite, parse_float=_finite,
-                                          parse_int=lambda s: _finite(s, int)))
-                except (ValueError, OverflowError) as exc:  # also UnicodeDecodeError and json.JSONDecodeError
+                    out.append(json.loads(line.decode("utf-8"), parse_constant=_reject_constant))
+                except ValueError as exc:  # also UnicodeDecodeError and json.JSONDecodeError
                     raise InputFormatError(
                         f"{path}: bad JSON line: {exc}", byte_offset=offset
                     ) from None
@@ -248,14 +243,17 @@ def detection_frame_to_dict(pose: PoseFrame, hands, objects) -> dict:
     }
 
 
+_FLOAT_MAX = sys.float_info.max
+
+
 def _is_number(v) -> bool:
-    """A JSON number: an int or a float, not a bool or a string."""
-    return type(v) in (int, float)
+    """A JSON number in the float range: an int or a float, not a bool, a string or an overflowed ``1e999``."""
+    return type(v) in (int, float) and -_FLOAT_MAX <= v <= _FLOAT_MAX
 
 
 def _number(v) -> float:
     if not _is_number(v):
-        raise TypeError(f"expected a number, got {v!r}")
+        raise TypeError(f"expected a number, got {v!r:.30}")
     return float(v)
 
 

@@ -897,4 +897,5 @@ def test_rpca_cmd_summary_matches_pipeline_stage(tmp_path, monkeypatch, session_
     assert names == ["low_rank.mat", "outlier_energy.csv", "rpca_summary.json", "sparse.mat"]
     _match, mismatch, errors = filecmp.cmpfiles(tmp_path / "p", tmp_path / "r", names, shallow=False)
     assert mismatch == [] and errors == []
+    assert "rank" in fileio.read_json(tmp_path / "r" / "rpca_summary.json")
     _assert_no_child_process()
