@@ -163,15 +163,17 @@ class TrainingRecord:
 def check_number(name: str, value, default, error=ValueError) -> None:
     """Raise *error* if *value* breaks the number rule of a setting whose default is *default*.
 
-    An int default takes integers, a float default any number, and bool is
-    neither; other defaults carry no number rule. config applies it to every
-    setting, EpisodeRule to every predicate parameter.
+    An int default takes integers, a float default any finite number, and
+    bool is neither; other defaults carry no number rule. config applies it to
+    every setting, EpisodeRule to every predicate parameter.
     """
     if isinstance(default, bool) or not isinstance(default, (int, float)):
         return
     integer = isinstance(default, int)
     if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
         raise error(f"{name} must be {'an integer' if integer else 'a number'}, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise error(f"{name} must be finite, got {value!r}")
 
 
 def region_contains(region: Sequence, point: tuple[float, float]) -> bool:

@@ -82,8 +82,56 @@ def soft_threshold(m, tau: float) -> np.ndarray:
 # Ma, arXiv:1009.5055), subspace iteration (Halko, Martinsson & Tropp, arXiv:0909.4061).
 SVT_OVERSAMPLING = 10  # block columns beyond the warm-start basis
 SVT_RTOL = 1e-10  # Ritz values above tau are settled once they move less than this, relatively
-SVT_MAX_STEPS = 25  # subspace-iteration steps per block before the full SVD takes over
+SVT_MAX_STEPS = 25  # subspace-iteration steps per block before the full step takes over
 SVT_MAX_FRACTION = 0.25  # largest block, as a share of min(rows, cols), worth a partial SVD
+
+# Shrinkage through the Gram matrix. For a matrix A with m rows and n columns,
+# the smaller Gram matrix G (A^T A or A A^T, min(m, n) square) is made of
+# inner products of length max(m, n), which err by at most about
+# max(m, n) * eps * ||A||_F^2 in norm, and a backward-stable eigh of G adds at
+# most about min(m, n) * eps * ||G||_2 <= min(m, n) * eps * ||A||_F^2. By Weyl's
+# theorem every computed eigenvalue lam then lies within
+# err = (m + n) * eps * ||A||_F^2 of the true sigma^2, so sigma = sqrt(lam) errs
+# by at most err / (2 * (lam - err)), relatively. The eigenpairs stand in for the
+# LAPACK SVD only when that bound is at most SVT_RTOL for every kept value, as
+# far as a settled Ritz value may still have moved, and no eigenvalue lies
+# within err of tau^2, so that the count above tau is exact.
+# ||A||_F^2 is the sum of G's diagonal, which is non-finite exactly when A holds
+# a NaN or an infinity (or its squares overflow); the LAPACK path then runs and
+# reports it.
+
+
+def gram_svd(m, tau: float, count: int | None = None) -> SvdFactors | None:
+    """Leading singular triplets of *m* from the eigendecomposition of its
+    smaller Gram matrix, or None when the error bound above cannot certify them.
+
+    Returns the triplets above tau, or the leading *count* triplets (those at or
+    below tau, too, provided each is certifiably nonzero). The eigenvectors give
+    one side; the other is m v / sigma (or m^T u / sigma).
+    """
+    a = np.asarray(m, dtype=np.float64)
+    b = a if a.shape[0] < a.shape[1] else a.T  # G = b b^T is the smaller Gram
+    g = b @ b.T
+    err = sum(a.shape) * np.finfo(np.float64).eps * np.trace(g)
+    if not np.isfinite(err):
+        return None
+    try:
+        lam, w = np.linalg.eigh(g)
+    except np.linalg.LinAlgError:
+        return None
+    lam, w = lam[::-1], w[:, ::-1]
+    rank = int(np.count_nonzero(lam > tau * tau))
+    n = rank if count is None else count
+    if (
+        np.any(np.abs(lam[max(rank - 1, 0) : rank + 1] - tau * tau) <= err)
+        or (rank and err > 2 * SVT_RTOL * (lam[rank - 1] - err))
+        or (n and lam[n - 1] <= err)
+    ):
+        return None
+    s = np.sqrt(lam[:n])
+    w = w[:, :n]
+    other = (b.T @ w) / s
+    return SvdFactors(w, s, other) if b is a else SvdFactors(other, s, w)
 
 
 def singular_value_threshold(m, tau: float, basis=None) -> tuple[SvdFactors, int]:
@@ -93,20 +141,29 @@ def singular_value_threshold(m, tau: float, basis=None) -> tuple[SvdFactors, int
     thin factors of the singular values strictly above tau (np.asarray
     reconstructs it), and their count. A *basis* approximately spanning the
     leading right singular vectors (say, the last call's `right`) starts a
-    block subspace iteration instead of the full SVD; the block is accepted
+    block subspace iteration instead of the full step; the block is accepted
     once its values above tau settle and it reaches one at or below tau. It
     doubles after one miss; a second miss, the step cap or a block wider than
-    SVT_MAX_FRACTION of min(rows, cols) fall back to the full SVD, which alone
-    checks *m* for non-finite entries.
+    SVT_MAX_FRACTION of min(rows, cols) fall back to the full step. That step
+    takes the triplets from the Gram matrix (gram_svd) when its error bound
+    certifies them, else from the full LAPACK SVD. Only the full step checks
+    *m* for non-finite entries: the Gram matrix refuses them, and the LAPACK
+    SVD raises ValueError.
     """
     if tau < 0:
         raise ValueError(f"tau must be non-negative, got {tau}")
     a = np.asarray(m, dtype=np.float64)
     f = None if basis is None else _leading_svd(a, tau, np.asarray(basis, dtype=np.float64))
     if f is None:
-        f = svd(a)
+        f = _full_svd(a, tau)
     rank = int(np.count_nonzero(f.singular_values > tau))
     return SvdFactors(f.left[:, :rank], f.singular_values[:rank] - tau, f.right[:, :rank]), rank
+
+
+def _full_svd(a: np.ndarray, tau: float) -> SvdFactors:
+    """The Gram matrix's triplets of *a* above tau, or else every triplet of the full SVD."""
+    f = gram_svd(a, tau)
+    return svd(a) if f is None else f
 
 
 def _leading_svd(a: np.ndarray, tau: float, basis: np.ndarray) -> SvdFactors | None:
@@ -124,15 +181,24 @@ def _leading_svd(a: np.ndarray, tau: float, basis: np.ndarray) -> SvdFactors | N
 
 
 def _subspace_iteration(a: np.ndarray, tau: float, v: np.ndarray) -> SvdFactors | None:
-    """Block subspace iteration from the columns of *v*; None past the step cap."""
-    previous = None
+    """Block subspace iteration from the columns of *v*; None past the step cap.
+
+    Each Rayleigh-Ritz step tries the Gram matrix of the k x n block first;
+    after one step it cannot certify, the remaining steps use the LAPACK SVD.
+    """
+    previous, gram = None, True
     for _ in range(SVT_MAX_STEPS):
         q, _r = np.linalg.qr(a @ v)
-        ub, s, vt = np.linalg.svd(q.T @ a, full_matrices=False)
-        above = s[s > tau]
+        b = q.T @ a
+        f = gram_svd(b, tau, b.shape[0]) if gram else None
+        if f is None:
+            gram = False
+            ub, s, vt = np.linalg.svd(b, full_matrices=False)
+            f = SvdFactors(left=ub, singular_values=s, right=vt.T)
+        above = f.singular_values[f.singular_values > tau]
         if previous is not None and np.all(np.abs(above - previous[: above.size]) <= SVT_RTOL * above):
-            return SvdFactors(left=q @ ub, singular_values=s, right=vt.T)
-        previous, v = s, vt.T
+            return SvdFactors(left=q @ f.left, singular_values=f.singular_values, right=f.right)
+        previous, v = f.singular_values, f.right
     return None
 
 

@@ -9,8 +9,11 @@ typical structure lands in U.
 Each iteration computes only the singular values above 1/rho that the
 shrinkage keeps (numkit.singular_value_threshold): the previous iteration's
 right singular vectors warm-start a block subspace iteration, accepted only
-when it reaches a value at or below 1/rho; the full SVD remains as fallback
-and for the first iteration. The input is validated once, on entry.
+when it reaches a value at or below 1/rho; the full step remains as fallback
+and for the first iteration. Both take their singular triplets from the
+eigendecomposition of the smaller Gram matrix when its error bound certifies
+them (numkit.gram_svd), else from the LAPACK SVD. The input is validated
+once, on entry.
 """
 
 from __future__ import annotations

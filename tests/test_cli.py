@@ -751,6 +751,34 @@ def test_bad_flag_exits_4_before_any_output(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("section, key, literal", [
+    ("gfl", "lambda", "NaN"),
+    ("fusion", "frame_rate", "NaN"),
+    ("rpca", "lambda", "Infinity"),
+    ("flow", "merge_threshold", "-Infinity"),
+    ("rpca", "tolerance", "1e999"),
+])
+def test_pipeline_non_finite_setting_exits_4_before_any_stage(tmp_path, capsys, section, key, literal):
+    sess = _tiny_session(tmp_path)
+    cfg = fileio.read_json(sess / "session_config.json")
+    cfg.setdefault(section, {})[key] = "@"  # a placeholder for a literal json reads as a float
+    (tmp_path / "c.json").write_text(json.dumps(cfg).replace('"@"', literal))
+    out = tmp_path / "o"
+    assert run(["pipeline", "--session", sess, "--config", tmp_path / "c.json", "--out", out]) == 4
+    assert f"{section}.{key} must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_rpca_non_finite_lambda_flag_exits_4_before_out(tmp_path, capsys, value):
+    xpath = tmp_path / "x.mat"
+    fileio.write_matrix(xpath, synth.gen_lowrank_sparse(40, 30, 3, 0.05, 5.0, seed=11).payload["x"])
+    out = tmp_path / "out"
+    assert run(["rpca", "--input", xpath, f"--lambda={value}", "--out", out]) == 4
+    assert "rpca.lambda must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["fuse", "pipeline"])
 def test_missing_wheel_region_exits_4_before_any_output(tmp_path, capsys, command):
     sess = _tiny_session(tmp_path)

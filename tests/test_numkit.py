@@ -131,10 +131,10 @@ def test_svt_warm_start_matches_full_svd(monkeypatch, basis_rank):
     # warm start from a perturbed subspace, as from the previous solver iteration
     basis = numkit.svd(m + 0.1 * g.standard_normal(m.shape)).right[:, :basis_rank]
 
-    def no_full_svd(_m):
+    def no_full_svd(_m, _tau):
         raise AssertionError("the warm-started step fell back to the full SVD")
 
-    monkeypatch.setattr(numkit, "svd", no_full_svd)
+    monkeypatch.setattr(numkit, "_full_svd", no_full_svd)
     warm, warm_rank = numkit.singular_value_threshold(m, 1.0, basis)
     assert warm_rank == rank == 5
     assert np.allclose(warm.singular_values, full.singular_values, rtol=1e-9, atol=0.0)
@@ -144,18 +144,85 @@ def test_svt_warm_start_matches_full_svd(monkeypatch, basis_rank):
 def test_svt_wide_warm_start_uses_full_svd(monkeypatch):
     m = rng(29).standard_normal((40, 30))
     calls = []
-    svd = numkit.svd
+    full_svd = numkit._full_svd
 
-    def spy_full(a):
+    def spy_full(a, tau):
         calls.append(1)
-        return svd(a)
+        return full_svd(a, tau)
 
-    monkeypatch.setattr(numkit, "svd", spy_full)
+    monkeypatch.setattr(numkit, "_full_svd", spy_full)
     # a 1-column basis plus the margin exceeds a quarter of 30 columns
     out, rank = numkit.singular_value_threshold(m, 0.5, np.eye(30)[:, :1])
     assert calls == [1]
     ref, ref_rank = numkit.singular_value_threshold(m, 0.5)
     assert rank == ref_rank and np.array_equal(np.asarray(out), np.asarray(ref))
+
+
+@pytest.mark.parametrize("shape", [(50, 30), (30, 50)])
+def test_gram_svd_matches_lapack_when_certified(shape):
+    m = rng(41).standard_normal(shape) + 3.0  # one dominant value, the rest within a factor ~15
+    lapack = np.linalg.svd(m, compute_uv=False)
+    tau = 0.5 * (lapack[3] + lapack[4])
+    f = numkit.gram_svd(m, tau)
+    assert f is not None
+    assert np.allclose(f.singular_values, lapack[:4], rtol=1e-12, atol=0.0)
+    assert np.max(np.abs(f.left.T @ f.left - np.eye(4))) <= 1e-10
+    assert np.max(np.abs(f.right.T @ f.right - np.eye(4))) <= 1e-10
+    out, rank = numkit.singular_value_threshold(m, tau)
+    ref = numkit.svd(m)
+    want = (ref.left[:, :4] * (ref.singular_values[:4] - tau)) @ ref.right[:, :4].T
+    assert rank == 4 and np.allclose(out, want, rtol=0.0, atol=1e-10)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # no NaN or infinity enters the iteration
+def test_svt_warm_start_on_exact_low_rank_matches_full_svd():
+    g = rng(3)
+    m = g.standard_normal((80, 3)) @ g.standard_normal((3, 60))  # the 10-column block holds 7 zero values
+    full, rank = numkit.singular_value_threshold(m, 0.5)
+    warm, warm_rank = numkit.singular_value_threshold(m, 0.5, np.zeros((60, 0)))
+    assert warm_rank == rank == 3
+    assert np.allclose(warm, full, rtol=0.0, atol=1e-9 * np.abs(m).max())
+
+
+def _geometric():
+    g = rng(37)
+    left, _ = np.linalg.qr(g.standard_normal((60, 20)))
+    right, _ = np.linalg.qr(g.standard_normal((40, 20)))
+    return (left * 10.0 ** -np.arange(0.0, 10.0, 0.5)) @ right.T  # sigma = 1 down to 10^-9.5
+
+
+def test_gram_certificate_refuses_small_kept_values_and_ambiguous_rank(monkeypatch):
+    m = _geometric()
+    assert numkit.gram_svd(m, 0.05) is not None  # keeps 1, 10^-0.5, 10^-1
+    assert numkit.gram_svd(m, 0.1) is None  # tau on a singular value: the count is uncertain
+    tau = 0.5e-8  # keeps values down to 1e-8 sigma_1
+    assert numkit.gram_svd(m, tau) is None
+    basis = np.zeros((m.shape[1], 0))
+    got = [numkit.singular_value_threshold(m, tau, b) for b in (None, basis)]
+    calls = []
+    gram_svd = numkit.gram_svd
+
+    def spy(a, tau, count=None):
+        calls.append(count)
+        return gram_svd(a, tau, count)
+
+    monkeypatch.setattr(numkit, "gram_svd", spy)
+    numkit.singular_value_threshold(m, tau, basis)
+    # the block's first Rayleigh-Ritz step is refused, the later ones skip the Gram matrix
+    assert calls == [10, None]
+    monkeypatch.setattr(numkit, "gram_svd", lambda *args: None)
+    for b, (out, rank) in zip((None, basis), got):
+        want, want_rank = numkit.singular_value_threshold(m, tau, b)
+        assert rank == want_rank == 17
+        assert np.array_equal(np.asarray(out), np.asarray(want))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_svt_non_finite_input_raises(bad):
+    m = rng(43).standard_normal((12, 9))
+    m[4, 2] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        numkit.singular_value_threshold(m, 0.1)
 
 
 def test_spectral_norm_diagonal():

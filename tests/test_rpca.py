@@ -123,9 +123,10 @@ def _decompose_reference(x, cfg=None):
     )
 
 
-def _assert_matches_reference(x, cfg=None):
+def _assert_matches_reference(x, cfg=None, got=None):
     ref = _decompose_reference(x, cfg)
-    got = rpca.decompose(x, cfg)
+    if got is None:
+        got = rpca.decompose(x, cfg)
     assert got.iterations == ref.iterations
     assert got.rank_history == ref.rank_history
     assert got.converged == ref.converged
@@ -159,6 +160,23 @@ def test_decompose_matches_full_svd_reference(case):
     _assert_matches_reference(REFERENCE_CASES[case]())
 
 
+def test_decompose_frame_shaped_instance_makes_no_full_size_lapack_svd(monkeypatch):
+    # iterations 1 and 2 shrink the whole matrix; the Gram matrix certifies both
+    x = REFERENCE_CASES["768x600-rank24"]()
+    shapes = []
+    lapack_svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return lapack_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    got = rpca.decompose(x)
+    monkeypatch.undo()
+    assert x.shape not in shapes, shapes
+    _assert_matches_reference(x, got=got)
+
+
 def test_decompose_rank_jump_grows_block_then_falls_back(monkeypatch):
     # geometric spectrum and a fast-growing penalty: several singular values
     # cross 1/rho in one iteration, more than a one-column margin can hold
@@ -168,19 +186,19 @@ def test_decompose_rank_jump_grows_block_then_falls_back(monkeypatch):
     x = (left * (100.0 * 0.3 ** np.arange(12))) @ right.T
     cfg = rpca.RpcaConfig(penalty_growth=30.0)
     calls = []
-    subspace_iteration, svd = numkit._subspace_iteration, numkit.svd
+    subspace_iteration, full_svd = numkit._subspace_iteration, numkit._full_svd
 
     def spy_partial(a, tau, v):
         calls.append(v.shape[1])
         return subspace_iteration(a, tau, v)
 
-    def spy_full(m):
+    def spy_full(m, tau):
         calls.append("full")
-        return svd(m)
+        return full_svd(m, tau)
 
     monkeypatch.setattr(numkit, "SVT_OVERSAMPLING", 1)
     monkeypatch.setattr(numkit, "_subspace_iteration", spy_partial)
-    monkeypatch.setattr(numkit, "svd", spy_full)
+    monkeypatch.setattr(numkit, "_full_svd", spy_full)
     _assert_matches_reference(x, cfg)
     grown = [
         i for i in range(len(calls) - 2)
