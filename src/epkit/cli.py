@@ -64,8 +64,7 @@ def cmd_rpca(args) -> int:
     else:
         mat = fileio.read_matrix(args.input)
     os.makedirs(args.out, exist_ok=True)
-    with pipeline.blas_threads(1):  # one BLAS thread, as in the pipeline's worker: the same bytes
-        pipeline.run_rpca_stage(mat, cfg, args.out)
+    pipeline.run_rpca_stage(mat, cfg, args.out)
     return 0
 
 

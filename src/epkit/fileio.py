@@ -3,7 +3,9 @@
 Readers never let a malformed file crash the process with a bare
 exception: structural problems raise InputFormatError carrying the byte
 offset of the failure, and schema-level problems raise SchemaError naming
-the offending record. Writers are deterministic byte for byte.
+the offending record. Writers are deterministic byte for byte and take
+Python values, as the stages pass them: in the JSON writers a numpy
+integer, bool or array raises TypeError.
 """
 
 from __future__ import annotations
@@ -148,21 +150,9 @@ def canon_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
-def _to_jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_to_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return [_to_jsonable(v) for v in obj.tolist()]
-    return obj
-
-
 def write_json(path, obj) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(_to_jsonable(obj), sort_keys=True, indent=1, allow_nan=False))
+        fh.write(json.dumps(obj, sort_keys=True, indent=1, allow_nan=False))
         fh.write("\n")
 
 
@@ -174,7 +164,7 @@ def read_json(path):
 def write_jsonl(path, records: Iterable[dict]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for rec in records:
-            fh.write(canon_dumps(_to_jsonable(rec)))
+            fh.write(canon_dumps(rec))
             fh.write("\n")
 
 
@@ -203,16 +193,7 @@ def write_csv(path, header: list[str], rows: Iterable[Iterable]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_csv_cell(c) for c in row])
-
-
-def _csv_cell(c):
-    if isinstance(c, (np.floating, np.integer)):
-        c = c.item()
-    if isinstance(c, float):
-        return repr(c)
-    return c
+        writer.writerows(rows)
 
 
 # --------------------------------------------------------------------------

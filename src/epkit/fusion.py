@@ -129,6 +129,7 @@ class RuleVerdict:
     safe_driving: bool
     strict_safe_driving: bool
     associations: dict[str, int]  # wrist name -> hand index
+    on_wheel: list[int] = field(default_factory=list)  # scored hands whose center is in the wheel region
     relabels: list[dict] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
     stabilized_safe_driving: bool | None = None
@@ -198,11 +199,14 @@ def region_contains(region: Sequence, point: tuple[float, float]) -> bool:
 
 
 def check_region(name: str, region) -> None:
-    """Raise ValueError naming *name* unless region_contains can read *region*."""
+    """Raise ValueError naming *name* unless region_contains reads *region* and its coordinates are finite numbers."""
     try:
         region_contains(region, (0.0, 0.0))
+        for p in region:
+            for c in p if isinstance(p, (list, tuple)) else [p]:
+                check_number(name, c, 0.0)  # a finite int or float, not a bool or a string
     except (TypeError, ValueError):
-        raise ValueError(f"{name} must be [x0, y0, x1, y1] or [[x, y], ...], got {region!r}") from None
+        raise ValueError(f"{name} must be [x0, y0, x1, y1] or [[x, y], ...] of finite numbers, got {region!r}") from None
 
 
 def edge_distance(point: tuple[float, float], box: Sequence) -> float:
@@ -311,18 +315,13 @@ def evaluate_safe_driving(pose: PoseFrame, hands, cfg: FusionConfig) -> RuleVerd
         RuleResult(4, both_full, max(angles) if both_full and angles else None, "max arm-to-box angle")
     )
 
-    on_wheel = both_full and all(
-        region_contains(cfg.wheel_region, hands[a.hand_index].center) for a in full_assoc
-    )
+    in_wheel = [region_contains(cfg.wheel_region, h.center) for h in hands]
+    both_in = both_full and all(in_wheel[a.hand_index] for a in full_assoc)
     results.append(
-        RuleResult(5, on_wheel, float(on_wheel) if both_full else None, "both hands in wheel region")
+        RuleResult(5, both_in, float(both_in) if both_full else None, "both hands in wheel region")
     )
-    if both_full and not on_wheel:
-        off = [
-            a.wrist
-            for a in full_assoc
-            if not region_contains(cfg.wheel_region, hands[a.hand_index].center)
-        ]
+    if both_full and not both_in:
+        off = [a.wrist for a in full_assoc if not in_wheel[a.hand_index]]
         notes.append(f"rule 5: hand for {', '.join(off)} outside wheel region")
 
     scores_ok = both_full and all(
@@ -345,6 +344,7 @@ def evaluate_safe_driving(pose: PoseFrame, hands, cfg: FusionConfig) -> RuleVerd
         safe_driving=safe,
         strict_safe_driving=strict,
         associations={a.wrist: a.hand_index for a in full_assoc},
+        on_wheel=[i for i, h in enumerate(hands) if in_wheel[i] and h.score >= cfg.hand_score_min],
         notes=notes,
     )
 
@@ -360,24 +360,22 @@ def _wrist_side(wrist: str) -> str:
 def relabel_hands(
     pose: PoseFrame,
     hands,
-    cfg: FusionConfig,
     verdict: RuleVerdict,
 ) -> tuple[list[HandDetection], list[TrainingRecord]]:
     """Correct left/right hand labels using the pose as the side authority.
 
-    Applies only when exactly one scored hand sits in the wheel region and
-    is associated to a confident wrist with rules 1, 3 and 4 holding for
-    that wrist: the on-wheel hand takes the wrist's side, and any other
-    associated hand sharing that side flips to the opposite one. Each change
-    yields a hand_side_label training record. Idempotent. *verdict* is the
-    frame's evaluate_safe_driving result; relabels and skip reasons are
-    appended to it.
+    Applies only when exactly one scored hand sits in the wheel region
+    (verdict.on_wheel) and is associated to a confident wrist with rules 1,
+    3 and 4 holding for that wrist: the on-wheel hand takes the wrist's
+    side, and any other associated hand sharing that side flips to the
+    opposite one. Each change yields a hand_side_label training record.
+    Idempotent. *verdict* is the frame's evaluate_safe_driving result;
+    relabels and skip reasons are appended to it.
     """
     corrected = list(hands)
     records: list[TrainingRecord] = []
 
-    scored = [i for i, h in enumerate(hands) if h.score >= cfg.hand_score_min]
-    on_wheel = [i for i in scored if region_contains(cfg.wheel_region, hands[i].center)]
+    on_wheel = verdict.on_wheel
     if len(on_wheel) != 1:
         verdict.notes.append(f"relabel skipped: {len(on_wheel)} scored hand(s) in wheel region")
         return corrected, records
@@ -536,11 +534,10 @@ class _FrameContext:
     hands: Sequence[HandDetection]
     objects: Sequence[ObjectDetection]
     verdict: RuleVerdict
-    on_wheel: set[int]
 
     def off_wheel_assoc(self):
         return [
-            (w, i) for w, i in sorted(self.verdict.associations.items()) if i not in self.on_wheel
+            (w, i) for w, i in sorted(self.verdict.associations.items()) if i not in self.verdict.on_wheel
         ]
 
 
@@ -647,15 +644,14 @@ def classify_episode(
     verdicts: Sequence[RuleVerdict],
     segments,
     rule_table: EpisodeRuleTable,
-    cfg: FusionConfig,
 ) -> list[EpisodeLabel]:
     """Majority-vote a label per temporal segment from the predicate table.
 
     verdicts[i] is the evaluate_safe_driving result of frames[i]; the
-    predicates read its safe_driving flag and wrist associations. Every
-    firing predicate contributes one vote per frame; a segment whose top
-    two labels tie is reported unknown with the candidates noted, and a
-    segment with no votes is unknown.
+    predicates read its safe_driving flag, wrist associations and on-wheel
+    hands (verdict.on_wheel). Every firing predicate contributes one vote
+    per frame; a segment whose top two labels tie is reported unknown with
+    the candidates noted, and a segment with no votes is unknown.
     """
     group_ids = list(segments.group_ids)
     if not len(group_ids) == len(verdicts) == len(frames):
@@ -668,12 +664,7 @@ def classify_episode(
     for i, (gid, (pose, hands, objects), verdict) in enumerate(zip(group_ids, frames, verdicts)):
         lo, hi = bounds.get(gid, (i, i))
         bounds[gid] = (min(lo, i), max(hi, i))
-        on_wheel = {
-            j
-            for j, h in enumerate(hands)
-            if h.score >= cfg.hand_score_min and region_contains(cfg.wheel_region, h.center)
-        }
-        ctx = _FrameContext(pose, hands, objects, verdict, on_wheel)
+        ctx = _FrameContext(pose, hands, objects, verdict)
         tally = votes_per_segment.setdefault(gid, {})
         for rule in rule_table.rules:
             side = PREDICATES[rule.predicate](ctx, **rule.params)

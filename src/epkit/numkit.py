@@ -140,44 +140,27 @@ def singular_value_threshold(m, tau: float, basis=None) -> tuple[SvdFactors, int
     Proximal operator of tau * (nuclear norm). Returns the shrunk matrix as
     thin factors of the singular values strictly above tau (np.asarray
     reconstructs it), and their count. A *basis* approximately spanning the
-    leading right singular vectors (say, the last call's `right`) starts a
-    block subspace iteration instead of the full step; the block is accepted
-    once its values above tau settle and it reaches one at or below tau. It
-    doubles after one miss; a second miss, the step cap or a block wider than
-    SVT_MAX_FRACTION of min(rows, cols) fall back to the full step. That step
-    takes the triplets from the Gram matrix (gram_svd) when its error bound
-    certifies them, else from the full LAPACK SVD. Only the full step checks
-    *m* for non-finite entries: the Gram matrix refuses them, and the LAPACK
-    SVD raises ValueError.
+    leading right singular vectors (say, the last call's `right`), plus
+    SVT_OVERSAMPLING columns, starts one block subspace iteration when that
+    block fits SVT_MAX_FRACTION of min(rows, cols); its triplets are kept
+    once their values above tau settle and the block reaches one at or below
+    tau. Otherwise (no basis, a block too wide, the step cap or a block with
+    no value at or below tau) the full step runs: the Gram matrix's triplets
+    (gram_svd) when its error bound certifies them, else the full LAPACK SVD.
+    Only the full step checks *m* for non-finite entries: the Gram matrix
+    refuses them, and the LAPACK SVD raises ValueError.
     """
     if tau < 0:
         raise ValueError(f"tau must be non-negative, got {tau}")
     a = np.asarray(m, dtype=np.float64)
-    f = None if basis is None else _leading_svd(a, tau, np.asarray(basis, dtype=np.float64))
-    if f is None:
-        f = _full_svd(a, tau)
+    f = None
+    if basis is not None and np.shape(basis)[1] + SVT_OVERSAMPLING <= SVT_MAX_FRACTION * min(a.shape):
+        pad = np.random.default_rng(0).standard_normal((a.shape[1], SVT_OVERSAMPLING))
+        f = _subspace_iteration(a, tau, np.hstack([np.asarray(basis, dtype=np.float64), pad]))
+    if f is None or f.singular_values[-1] > tau:
+        f = gram_svd(a, tau) or svd(a)
     rank = int(np.count_nonzero(f.singular_values > tau))
     return SvdFactors(f.left[:, :rank], f.singular_values[:rank] - tau, f.right[:, :rank]), rank
-
-
-def _full_svd(a: np.ndarray, tau: float) -> SvdFactors:
-    """The Gram matrix's triplets of *a* above tau, or else every triplet of the full SVD."""
-    f = gram_svd(a, tau)
-    return svd(a) if f is None else f
-
-
-def _leading_svd(a: np.ndarray, tau: float, basis: np.ndarray) -> SvdFactors | None:
-    """Singular triplets of *a* down to one at or below tau, or None."""
-    k = basis.shape[1] + SVT_OVERSAMPLING
-    for _attempt in range(2):
-        if k > SVT_MAX_FRACTION * min(a.shape):
-            return None
-        pad = np.random.default_rng(0).standard_normal((a.shape[1], k - basis.shape[1]))
-        f = _subspace_iteration(a, tau, np.hstack([basis, pad]))
-        if f is None or f.singular_values[-1] <= tau:
-            return f
-        basis, k = f.right, 2 * k
-    return None
 
 
 def _subspace_iteration(a: np.ndarray, tau: float, v: np.ndarray) -> SvdFactors | None:

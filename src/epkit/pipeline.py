@@ -56,7 +56,7 @@ def blas_threads(n: int):
 
 
 def in_worker(fn, *args):
-    """Start fn(*args) in a forked child with one BLAS thread; return a function that waits for it.
+    """Start fn(*args) in a forked child; return a function that waits for it.
 
     The waiting function reaps the child and returns fn's result or raises
     its exception. Without os.fork, fn runs inline when waited for.
@@ -70,8 +70,7 @@ def in_worker(fn, *args):
         try:
             os.close(read_fd)
             try:
-                with blas_threads(1):  # one thread: bytes independent of the core count
-                    payload = (True, fn(*args))
+                payload = (True, fn(*args))
             except Exception as exc:
                 payload = (False, exc)
             try:
@@ -127,27 +126,28 @@ def warning_frames(energy: np.ndarray, warn_factor: float) -> list[int]:
 
 
 def run_rpca_stage(mat: np.ndarray, cfg: Config, out_dir: str) -> dict:
-    """Decompose a frame matrix (one frame per column) and write its outputs."""
-    result = rpca.decompose(mat, cfg.rpca)
-    energy = np.linalg.norm(result.sparse, axis=0)  # per-frame outlier energy
-    warns = warning_frames(energy, cfg.rpca.warn_factor)
-    fileio.write_matrix(os.path.join(out_dir, "low_rank.mat"), result.low_rank)
-    fileio.write_matrix(os.path.join(out_dir, "sparse.mat"), result.sparse)
-    summary = {
-        "rows": int(mat.shape[0]),
-        "cols": int(mat.shape[1]),
-        "iterations": result.iterations,
-        "converged": result.converged,
-        "final_residual": result.final_residual,
-        "singular_values": [float(v) for v in result.singular_values if v > 0],
-        "rank": int(np.count_nonzero(result.singular_values > 1e-6)),
-    }
-    fileio.write_json(os.path.join(out_dir, "rpca_summary.json"), summary)
-    fileio.write_csv(
-        os.path.join(out_dir, "outlier_energy.csv"),
-        ["frame", "energy"],
-        [(i, float(e)) for i, e in enumerate(energy)],
-    )
+    """Decompose a frame matrix (one frame per column) and write its outputs, on one BLAS thread."""
+    with blas_threads(1):  # the same bytes whatever the core count: in a worker, inline or from `epkit rpca`
+        result = rpca.decompose(mat, cfg.rpca)
+        energy = np.linalg.norm(result.sparse, axis=0)  # per-frame outlier energy
+        warns = warning_frames(energy, cfg.rpca.warn_factor)
+        fileio.write_matrix(os.path.join(out_dir, "low_rank.mat"), result.low_rank)
+        fileio.write_matrix(os.path.join(out_dir, "sparse.mat"), result.sparse)
+        summary = {
+            "rows": int(mat.shape[0]),
+            "cols": int(mat.shape[1]),
+            "iterations": result.iterations,
+            "converged": result.converged,
+            "final_residual": result.final_residual,
+            "singular_values": [float(v) for v in result.singular_values if v > 0],
+            "rank": int(np.count_nonzero(result.singular_values > 1e-6)),
+        }
+        fileio.write_json(os.path.join(out_dir, "rpca_summary.json"), summary)
+        fileio.write_csv(
+            os.path.join(out_dir, "outlier_energy.csv"),
+            ["frame", "energy"],
+            [(i, float(e)) for i, e in enumerate(energy)],
+        )
     return {"summary": summary, "warning_frames": warns}
 
 
@@ -240,7 +240,7 @@ def run_fusion_stage(detections, cfg: Config, out_dir: str, rpca_warnings=None) 
     records = []
     for pose, hands, _objects in detections:
         verdict = fusion.evaluate_safe_driving(pose, hands, fcfg)
-        corrected, side_records = fusion.relabel_hands(pose, hands, fcfg, verdict)
+        corrected, side_records = fusion.relabel_hands(pose, hands, verdict)
         pose_records = fusion.emit_pose_corrections(pose, corrected, side_records)
         records.extend(side_records)
         records.extend(pose_records)
@@ -262,7 +262,7 @@ def run_fusion_stage(detections, cfg: Config, out_dir: str, rpca_warnings=None) 
 
 
 def run_episode_stage(detections, verdicts, labeling, cfg: Config, out_dir: str) -> list[fusion.EpisodeLabel]:
-    episodes = fusion.classify_episode(detections, verdicts, labeling, cfg.episode_rules, cfg.fusion)
+    episodes = fusion.classify_episode(detections, verdicts, labeling, cfg.episode_rules)
     fileio.write_json(os.path.join(out_dir, "episodes.json"), [dataclasses.asdict(e) for e in episodes])
     return episodes
 

@@ -8,12 +8,12 @@ typical structure lands in U.
 
 Each iteration computes only the singular values above 1/rho that the
 shrinkage keeps (numkit.singular_value_threshold): the previous iteration's
-right singular vectors warm-start a block subspace iteration, accepted only
-when it reaches a value at or below 1/rho; the full step remains as fallback
-and for the first iteration. Both take their singular triplets from the
-eigendecomposition of the smaller Gram matrix when its error bound certifies
-them (numkit.gram_svd), else from the LAPACK SVD. The input is validated
-once, on entry.
+right singular vectors warm-start one block subspace iteration, accepted only
+when it reaches a value at or below 1/rho; the first iteration, a block too
+wide and a block that misses take the full step. Both take their singular
+triplets from the eigendecomposition of the smaller Gram matrix when its
+error bound certifies them (numkit.gram_svd), else from the LAPACK SVD. The
+input is validated once, on entry.
 """
 
 from __future__ import annotations

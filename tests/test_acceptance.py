@@ -234,10 +234,10 @@ def test_criterion_8_side_flip_correction():
             and fusion.region_contains(cfg.wheel_region, h.center)
         ]
         fixed, _records = fusion.relabel_hands(
-            pose, hands, cfg, fusion.evaluate_safe_driving(pose, hands, cfg)
+            pose, hands, fusion.evaluate_safe_driving(pose, hands, cfg)
         )
         again, more = fusion.relabel_hands(
-            pose, fixed, cfg, fusion.evaluate_safe_driving(pose, fixed, cfg)
+            pose, fixed, fusion.evaluate_safe_driving(pose, fixed, cfg)
         )
         assert more == [], pose.frame_index  # idempotent on every frame
         if len(on_wheel) != 1:
@@ -300,7 +300,12 @@ def test_criterion_9_rule_soundness():
         rules = {r.rule: r.passed for r in v.rule_results}
         assert v.safe_driving == all(rules[k] for k in (1, 2, 3, 4, 5)), i
         assert not (v.strict_safe_driving and not v.safe_driving), i
-        fixed, records = fusion.relabel_hands(pose, hands, cfg, v)
+        assert v.on_wheel == [
+            j
+            for j, h in enumerate(hands)
+            if h.score >= cfg.hand_score_min and fusion.region_contains(cfg.wheel_region, h.center)
+        ], i
+        fixed, records = fusion.relabel_hands(pose, hands, v)
         records += fusion.emit_pose_corrections(pose, fixed, records)
         passed = set(v.passed_rules())
         for rec in records:

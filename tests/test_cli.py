@@ -212,13 +212,31 @@ def test_fuse_cmd_requires_wheel_region(tmp_path, capsys):
     assert "wheel_region" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("region", ["0.2,0.5", "0.2,0.5,0.7", "0.2,abc"])
+@pytest.mark.parametrize("region", ["0.2,0.5", "0.2,0.5,0.7", "0.2,abc", "0.2,nan,0.7,0.9", "0.2,0.3,inf,0.9"])
 def test_fuse_cmd_malformed_wheel_region_exits_4(tmp_path, capsys, region):
     bundle = synth.gen_driver_session([("safe_driving", 5)], seed=1)
     det = tmp_path / "d.jsonl"
     fileio.write_detections(det, bundle.payload["frames"])
     assert run(["fuse", "--detections", det, "--wheel-region", region, "--out", tmp_path / "o"]) == 4
     assert "wheel_region" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("cfg, name", [
+    ({"fusion": {"wheel_region": [[0.2, 0.5], [0.7, float("nan")], [0.4, 0.9]]}}, "wheel_region"),
+    ({"fusion": {"wheel_region": [0.2, 0.5, 0.7, 0.9]},
+      "episode_rules": {"rules": [{"label": "x", "predicate": "offwheel_wrist_in_region",
+                                   "params": {"region": [0.66, float("nan"), 0.86, 0.68]}}]}}, "'region'"),
+])
+def test_fuse_cmd_non_finite_region_in_config_exits_4_before_out(tmp_path, capsys, cfg, name):
+    bundle = synth.gen_driver_session([("safe_driving", 5)], seed=1)
+    det = tmp_path / "d.jsonl"
+    fileio.write_detections(det, bundle.payload["frames"])
+    (tmp_path / "c.json").write_text(json.dumps(cfg))  # json.dumps writes a NaN float as the literal NaN
+    out = tmp_path / "o"
+    assert run(["fuse", "--detections", det, "--config", tmp_path / "c.json", "--out", out]) == 4
+    assert f"{name} must be [x0, y0, x1, y1]" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_fuse_cmd_no_hands_is_data_not_error(tmp_path):
@@ -498,6 +516,34 @@ def test_pipeline_pins_one_blas_thread_and_gives_the_count_back(tmp_path, monkey
         assert _pipeline(sess, tmp_path / "failed") == 3
         assert get_threads() == 2
         assert seen == [1, 1, 1]  # segmentation, segmentation, flow
+    finally:
+        set_threads(before)
+
+
+@pytest.mark.skipif(_openblas_thread_calls() is None, reason="needs numpy's OpenBLAS thread-count calls")
+def test_rpca_stage_pins_one_blas_thread_and_gives_the_count_back(tmp_path, monkeypatch):
+    set_threads, get_threads = _openblas_thread_calls()
+    before = get_threads()
+    set_threads(2)  # a count other than the pin's
+    seen = []
+
+    def counted(fn):
+        def wrapped(*args):
+            seen.append(get_threads())
+            return fn(*args)
+        return wrapped
+
+    try:
+        cfg = config.load_config()
+        x = synth.gen_lowrank_sparse(40, 30, 3, 0.05, 5.0, seed=11).payload["x"]
+        monkeypatch.setattr(rpca, "decompose", counted(rpca.decompose))
+        pipeline.run_rpca_stage(x, cfg, str(tmp_path))  # called directly: no worker, no command
+        assert get_threads() == 2
+        monkeypatch.setattr(rpca, "decompose", counted(_raising(ValueError("rpca broke"))))
+        with pytest.raises(ValueError, match="rpca broke"):
+            pipeline.run_rpca_stage(x, cfg, str(tmp_path))
+        assert get_threads() == 2
+        assert seen == [1, 1]
     finally:
         set_threads(before)
 

@@ -195,7 +195,7 @@ def test_relabel_corrects_onwheel_hand_side():
     pose, hands = _safe_frame(l_side="right", r_side="right")
     # keep only the left-wrist hand so exactly one scored hand is on the wheel
     hands = [hands[0], replace(hands[1], score=0.1)]
-    corrected, records = relabel_hands(pose, hands, _cfg(), evaluate_safe_driving(pose, hands, _cfg()))
+    corrected, records = relabel_hands(pose, hands, evaluate_safe_driving(pose, hands, _cfg()))
     assert corrected[0].side == "left"
     assert len(records) == 1
     assert records[0].kind == "hand_side_label"
@@ -218,7 +218,7 @@ def test_relabel_flips_offwheel_duplicate_side():
     on_wheel = _hand_at(0.4211, 0.7599, side="right")
     raised = _hand_at(0.6637, 0.3102, side="right")
     hands = [on_wheel, raised]
-    corrected, records = relabel_hands(pose, hands, _cfg(), evaluate_safe_driving(pose, hands, _cfg()))
+    corrected, records = relabel_hands(pose, hands, evaluate_safe_driving(pose, hands, _cfg()))
     assert corrected[0].side == "right"  # matches its wrist already
     assert corrected[1].side == "left"  # flipped away from the on-wheel side
     assert len(records) == 1
@@ -234,17 +234,17 @@ def test_relabel_flips_offwheel_duplicate_side():
 def test_relabel_consistent_labels_is_noop_and_idempotent():
     pose, hands = _safe_frame()
     hands = [hands[0], replace(hands[1], score=0.1)]
-    corrected, records = relabel_hands(pose, hands, _cfg(), evaluate_safe_driving(pose, hands, _cfg()))
+    corrected, records = relabel_hands(pose, hands, evaluate_safe_driving(pose, hands, _cfg()))
     assert records == []
     assert [h.side for h in corrected] == [h.side for h in hands]
-    twice, records2 = relabel_hands(pose, corrected, _cfg(), evaluate_safe_driving(pose, corrected, _cfg()))
+    twice, records2 = relabel_hands(pose, corrected, evaluate_safe_driving(pose, corrected, _cfg()))
     assert records2 == []
 
 
 def test_relabel_skips_when_both_hands_on_wheel():
     pose, hands = _safe_frame(l_side="right", r_side="right")
     v = evaluate_safe_driving(pose, hands, _cfg())
-    corrected, records = relabel_hands(pose, hands, _cfg(), v)
+    corrected, records = relabel_hands(pose, hands, v)
     assert records == []
     assert any("relabel skipped" in n for n in v.notes)
 
@@ -252,7 +252,7 @@ def test_relabel_skips_when_both_hands_on_wheel():
 def test_pose_corrections_one_per_relabel():
     pose, hands = _safe_frame(l_side="right", r_side="right")
     hands = [hands[0], replace(hands[1], score=0.1)]
-    corrected, records = relabel_hands(pose, hands, _cfg(), evaluate_safe_driving(pose, hands, _cfg()))
+    corrected, records = relabel_hands(pose, hands, evaluate_safe_driving(pose, hands, _cfg()))
     out = emit_pose_corrections(pose, corrected, records)
     assert len(out) == 1
     rec = out[0]
@@ -334,7 +334,7 @@ def test_classify_episode_drinking_and_safe():
     frames = _segment_frames("drinking", 5) + _segment_frames("safe", 5)
     seg = SegmentLabeling(change_points=[4], group_ids=[0] * 5 + [1] * 5)
     table = fusion.DEFAULT_EPISODE_RULES
-    out = classify_episode(frames, _verdicts(frames), seg, table, _cfg())
+    out = classify_episode(frames, _verdicts(frames), seg, table)
     assert [e.label for e in out] == ["drinking", "safe_driving"]
     assert out[0].votes["drinking"] == 5
 
@@ -363,7 +363,7 @@ def test_classify_episode_tie_is_unknown_with_note():
             phone = ObjectDetection("cell phone", (0.56, 0.15, 0.62, 0.23), 0.9)
         frames.append((pose, [_hand_at(0.4211, 0.7599, side="right"), hand], [phone]))
     seg = SegmentLabeling(change_points=[], group_ids=[0] * 6)
-    out = classify_episode(frames, _verdicts(frames), seg, fusion.DEFAULT_EPISODE_RULES, _cfg())
+    out = classify_episode(frames, _verdicts(frames), seg, fusion.DEFAULT_EPISODE_RULES)
     assert out[0].label == "unknown"
     assert out[0].notes and "ambiguous" in out[0].notes[0]
     assert out[0].votes["texting_left"] == out[0].votes["talking_on_phone_left"] == 3
@@ -372,7 +372,7 @@ def test_classify_episode_tie_is_unknown_with_note():
 def test_classify_episode_empty_segment_unknown():
     frames = [( PoseFrame(0, {}), [], [] )]
     seg = SegmentLabeling(change_points=[], group_ids=[0])
-    out = classify_episode(frames, _verdicts(frames), seg, fusion.DEFAULT_EPISODE_RULES, _cfg())
+    out = classify_episode(frames, _verdicts(frames), seg, fusion.DEFAULT_EPISODE_RULES)
     assert out[0].label == "unknown"
 
 
@@ -380,14 +380,14 @@ def test_classify_episode_validates_coverage():
     frames = _segment_frames("safe", 3)
     seg = SegmentLabeling(change_points=[], group_ids=[0, 0])
     with pytest.raises(ValueError):
-        classify_episode(frames, _verdicts(frames), seg, fusion.DEFAULT_EPISODE_RULES, _cfg())
+        classify_episode(frames, _verdicts(frames), seg, fusion.DEFAULT_EPISODE_RULES)
 
 
 def test_classify_episode_validates_verdict_count():
     frames = _segment_frames("safe", 3)
     seg = SegmentLabeling(change_points=[], group_ids=[0, 0, 0])
     with pytest.raises(ValueError, match="2 verdicts"):
-        classify_episode(frames, _verdicts(frames)[:2], seg, fusion.DEFAULT_EPISODE_RULES, _cfg())
+        classify_episode(frames, _verdicts(frames)[:2], seg, fusion.DEFAULT_EPISODE_RULES)
 
 
 def test_rule_table_rejects_unknown_predicate():
@@ -441,7 +441,7 @@ def test_rule_soundness_randomized():
         assert v.strict_safe_driving == (v.safe_driving and rules[6] and rules[7])
         if v.strict_safe_driving:
             assert v.safe_driving
-        corrected, records = relabel_hands(pose, hands, cfg, v)
+        corrected, records = relabel_hands(pose, hands, v)
         passed = set(v.passed_rules())
         for rec in records + emit_pose_corrections(pose, corrected, records):
             assert rec.provenance["rules"], rec
@@ -482,7 +482,7 @@ def test_determinism_bitwise_serialization():
         blobs = []
         for pose, hands, _objects in bundle.payload["frames"]:
             v = evaluate_safe_driving(pose, hands, cfg)
-            corrected, recs = relabel_hands(pose, hands, cfg, v)
+            corrected, recs = relabel_hands(pose, hands, v)
             recs += emit_pose_corrections(pose, corrected, recs)
             blobs.append(canon_dumps(fusion.verdict_to_dict(v)))
             blobs.extend(canon_dumps(fusion.record_to_dict(r)) for r in recs)

@@ -130,11 +130,17 @@ def test_svt_warm_start_matches_full_svd(monkeypatch, basis_rank):
     full, rank = numkit.singular_value_threshold(m, 1.0)
     # warm start from a perturbed subspace, as from the previous solver iteration
     basis = numkit.svd(m + 0.1 * g.standard_normal(m.shape)).right[:, :basis_rank]
+    gram_svd = numkit.gram_svd
 
-    def no_full_svd(_m, _tau):
+    def no_full_gram(a, tau, count=None):
+        assert count is not None, "the warm-started step fell back to the full step"  # a block passes its count
+        return gram_svd(a, tau, count)
+
+    def no_full_svd(_m):
         raise AssertionError("the warm-started step fell back to the full SVD")
 
-    monkeypatch.setattr(numkit, "_full_svd", no_full_svd)
+    monkeypatch.setattr(numkit, "gram_svd", no_full_gram)
+    monkeypatch.setattr(numkit, "svd", no_full_svd)
     warm, warm_rank = numkit.singular_value_threshold(m, 1.0, basis)
     assert warm_rank == rank == 5
     assert np.allclose(warm.singular_values, full.singular_values, rtol=1e-9, atol=0.0)
@@ -144,16 +150,21 @@ def test_svt_warm_start_matches_full_svd(monkeypatch, basis_rank):
 def test_svt_wide_warm_start_uses_full_svd(monkeypatch):
     m = rng(29).standard_normal((40, 30))
     calls = []
-    full_svd = numkit._full_svd
+    gram_svd, svd = numkit.gram_svd, numkit.svd
 
-    def spy_full(a, tau):
-        calls.append(1)
-        return full_svd(a, tau)
+    def spy_gram(a, tau, count=None):
+        calls.append(("gram", count))
+        return gram_svd(a, tau, count)
 
-    monkeypatch.setattr(numkit, "_full_svd", spy_full)
+    def spy_svd(a):
+        calls.append(("svd",))
+        return svd(a)
+
+    monkeypatch.setattr(numkit, "gram_svd", spy_gram)
+    monkeypatch.setattr(numkit, "svd", spy_svd)
     # a 1-column basis plus the margin exceeds a quarter of 30 columns
     out, rank = numkit.singular_value_threshold(m, 0.5, np.eye(30)[:, :1])
-    assert calls == [1]
+    assert calls == [("gram", None)]  # one full step, which the Gram matrix certifies; no block
     ref, ref_rank = numkit.singular_value_threshold(m, 0.5)
     assert rank == ref_rank and np.array_equal(np.asarray(out), np.asarray(ref))
 

@@ -170,14 +170,35 @@ def test_decompose_frame_shaped_instance_makes_no_full_size_lapack_svd(monkeypat
         shapes.append(np.shape(a))
         return lapack_svd(a, *args, **kwargs)
 
+    steps = []  # per shrinkage step: "full" once it runs the full step, else "warm"
+    svt, gram_svd, svd = numkit.singular_value_threshold, numkit.gram_svd, numkit.svd
+
+    def spy_svt(m, tau, basis=None):
+        steps.append("warm")
+        return svt(m, tau, basis)
+
+    def spy_gram(a, tau, count=None):
+        if count is None:
+            steps[-1] = "full"
+        return gram_svd(a, tau, count)
+
+    def spy_svd(a):
+        steps[-1] = "full"
+        return svd(a)
+
     monkeypatch.setattr(np.linalg, "svd", spy)
+    monkeypatch.setattr(numkit, "singular_value_threshold", spy_svt)
+    monkeypatch.setattr(numkit, "gram_svd", spy_gram)
+    monkeypatch.setattr(numkit, "svd", spy_svd)
     got = rpca.decompose(x)
     monkeypatch.undo()
     assert x.shape not in shapes, shapes
+    assert len(steps) == got.iterations
+    assert [i for i, step in enumerate(steps, 1) if step == "full"] == [1, 2], steps
     _assert_matches_reference(x, got=got)
 
 
-def test_decompose_rank_jump_grows_block_then_falls_back(monkeypatch):
+def test_decompose_rank_jump_misses_block_then_takes_full_step(monkeypatch):
     # geometric spectrum and a fast-growing penalty: several singular values
     # cross 1/rho in one iteration, more than a one-column margin can hold
     g = rng(0)
@@ -186,25 +207,24 @@ def test_decompose_rank_jump_grows_block_then_falls_back(monkeypatch):
     x = (left * (100.0 * 0.3 ** np.arange(12))) @ right.T
     cfg = rpca.RpcaConfig(penalty_growth=30.0)
     calls = []
-    subspace_iteration, full_svd = numkit._subspace_iteration, numkit._full_svd
+    subspace_iteration, gram_svd = numkit._subspace_iteration, numkit.gram_svd
 
     def spy_partial(a, tau, v):
-        calls.append(v.shape[1])
-        return subspace_iteration(a, tau, v)
+        f = subspace_iteration(a, tau, v)
+        calls.append("miss" if f is not None and f.singular_values[-1] > tau else "block")
+        return f
 
-    def spy_full(m, tau):
-        calls.append("full")
-        return full_svd(m, tau)
+    def spy_gram(m, tau, count=None):
+        if count is None:  # the full step; a block step passes its count
+            calls.append("full")
+        return gram_svd(m, tau, count)
 
     monkeypatch.setattr(numkit, "SVT_OVERSAMPLING", 1)
     monkeypatch.setattr(numkit, "_subspace_iteration", spy_partial)
-    monkeypatch.setattr(numkit, "_full_svd", spy_full)
+    monkeypatch.setattr(numkit, "gram_svd", spy_gram)
     _assert_matches_reference(x, cfg)
-    grown = [
-        i for i in range(len(calls) - 2)
-        if calls[i] != "full" and calls[i + 1] == 2 * calls[i] and calls[i + 2] == "full"
-    ]
-    assert grown, calls
+    missed = [i for i, c in enumerate(calls) if c == "miss"]
+    assert missed and all(calls[i + 1] == "full" for i in missed), calls
 
 
 def test_decompose_is_byte_identical_across_runs():
