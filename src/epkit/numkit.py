@@ -80,6 +80,7 @@ def soft_threshold(m, tau: float) -> np.ndarray:
 
 # Partial SVD for the shrinkage: rank predicted from the last call (Lin, Chen &
 # Ma, arXiv:1009.5055), subspace iteration (Halko, Martinsson & Tropp, arXiv:0909.4061).
+# One warm block per call: a block that misses goes straight to the full step.
 SVT_OVERSAMPLING = 10  # block columns beyond the warm-start basis
 SVT_RTOL = 1e-10  # Ritz values above tau are settled once they move less than this, relatively
 SVT_MAX_STEPS = 25  # subspace-iteration steps per block before the full step takes over
