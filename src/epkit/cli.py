@@ -5,10 +5,10 @@ Subcommands: rpca, segment, flow-group, fuse, synth, pipeline. Exit codes:
 (see EXIT_CODES); an error of any other type is a bug and surfaces as a
 traceback. Subcommands call the pipeline stages directly and main maps
 their errors to exit codes in one place.
-Flags mirror the config keys; --config points at a JSON file with
-per-subcommand sections (see config.Config and its section dataclasses).
-Flags are merged over the file and checked together with it, so a bad
-setting exits 4 before any stage runs.
+--config points at a JSON file with per-subcommand sections (config.Config);
+each setting flag's dest is the one config key it sets, e.g. "rpca.lambda" for
+rpca --lambda. Flags are merged over the file and checked together with it,
+so a bad setting exits 4 before any stage runs.
 """
 
 from __future__ import annotations
@@ -24,37 +24,19 @@ from . import fileio, fusion, gflasso, pipeline, synth
 from .fileio import ConfigError, InputFormatError, SchemaError
 
 
-# Flag -> the config keys it sets, "section.key" or a top-level key.
-FLAG_KEYS = {
-    "downscale": ("downscale_limit",),
-    "lam": ("rpca.lambda", "gfl.lambda"),
-    "threshold": ("gfl.threshold",),
-    "min_gap": ("gfl.min_gap",),
-    "order": ("gfl.order",),
-    "group_threshold": ("flow.group_threshold",),
-    "merge_threshold": ("flow.merge_threshold",),
-    "gap_max": ("flow.gap_max",),
-    "wheel_region": ("fusion.wheel_region",),
-}
-
-
 def _load_cfg(args) -> cfgmod.Config:
     overrides: dict = {}
-    for flag, keys in FLAG_KEYS.items():
-        value = getattr(args, flag, None)
-        if value is None:
-            continue
-        if flag == "wheel_region":
+    for key, value in vars(args).items():
+        section, _, name = key.rpartition(".")
+        if value is None or not (section in cfgmod.SECTIONS or key == "downscale_limit"):
+            continue  # not given, or not a setting flag
+        if key == "fusion.wheel_region":
             try:
                 value = [float(c) for c in value.split(",")]
             except ValueError:
-                raise ConfigError(
-                    f"fusion.wheel_region must be x0,y0,x1,y1 numbers, got {value!r}"
-                ) from None
-        for key in keys:
-            section, _, name = key.rpartition(".")
-            (overrides.setdefault(section, {}) if section else overrides)[name] = value
-    return cfgmod.load_config(getattr(args, "config", None), overrides)
+                raise ConfigError(f"{key} must be x0,y0,x1,y1 numbers, got {value!r}") from None
+        (overrides.setdefault(section, {}) if section else overrides)[name] = value
+    return cfgmod.load_config(args.config, overrides)
 
 
 def cmd_rpca(args) -> int:
@@ -91,10 +73,10 @@ def cmd_fuse(args) -> int:
     if args.segments:  # read and checked before --out is created
         data = fileio.read_json(args.segments)
         try:
-            labeling = gflasso.SegmentLabeling(
-                change_points=[int(c) for c in data["change_points"]],
-                group_ids=[int(g) for g in data["group_ids"]],
-            )
+            for key in ("change_points", "group_ids"):
+                for v in data[key]:
+                    fusion.check_number(key, v, 0)  # integers only: no bool, string or 1.9
+            labeling = gflasso.SegmentLabeling(data["change_points"], data["group_ids"])
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"bad segments file {args.segments}: {exc}") from None
         if len(labeling.group_ids) != len(detections):
@@ -245,33 +227,34 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rpca", help="low-rank plus sparse decomposition of frames or a matrix")
     p.add_argument("--input", required=True, help="EPKMAT1 matrix file or directory of PGM frames")
-    p.add_argument("--lambda", dest="lam", type=float, help="sparsity weight")
-    p.add_argument("--downscale", type=int, help="longest-side pixel limit for frame input")
+    p.add_argument("--lambda", dest="rpca.lambda", type=float, help="sparsity weight")
+    p.add_argument("--downscale", dest="downscale_limit", type=int, help="longest-side pixel limit for frame input")
     common(p)
     p.set_defaults(func=cmd_rpca)
 
     p = sub.add_parser("segment", help="change-point segmentation of a pose stream")
     p.add_argument("--detections", required=True, help="JSON-lines detection stream")
-    p.add_argument("--lambda", dest="lam", type=float, help="regularization weight")
-    p.add_argument("--order", type=int, help="difference order p")
-    p.add_argument("--threshold", type=float, action="append", help="change-point threshold (repeatable)")
-    p.add_argument("--min-gap", dest="min_gap", type=int, help="minimum frames between change points")
+    p.add_argument("--lambda", dest="gfl.lambda", type=float, help="regularization weight")
+    p.add_argument("--order", dest="gfl.order", type=int, help="difference order p")
+    p.add_argument("--threshold", dest="gfl.threshold", type=float, action="append",
+                   help="change-point threshold (repeatable)")
+    p.add_argument("--min-gap", dest="gfl.min_gap", type=int, help="minimum frames between change points")
     common(p)
     p.set_defaults(func=cmd_segment)
 
     p = sub.add_parser("flow-group", help="group boxes across frames by flow similarity")
     p.add_argument("--frames", required=True, help="directory of PGM frames")
     p.add_argument("--boxes", required=True, help="JSON-lines file: {frame, boxes:[[x0,y0,x1,y1],...]}")
-    p.add_argument("--group-threshold", dest="group_threshold", type=float)
-    p.add_argument("--merge-threshold", dest="merge_threshold", type=float)
-    p.add_argument("--gap-max", dest="gap_max", type=int)
+    p.add_argument("--group-threshold", dest="flow.group_threshold", type=float)
+    p.add_argument("--merge-threshold", dest="flow.merge_threshold", type=float)
+    p.add_argument("--gap-max", dest="flow.gap_max", type=int)
     common(p)
     p.set_defaults(func=cmd_flow_group)
 
     p = sub.add_parser("fuse", help="rule verdicts, relabels, training records, episode labels")
     p.add_argument("--detections", required=True)
     p.add_argument("--segments", help="segments JSON (change_points + group_ids); default: run segmentation")
-    p.add_argument("--wheel-region", dest="wheel_region", help="x0,y0,x1,y1 (overrides config)")
+    p.add_argument("--wheel-region", dest="fusion.wheel_region", help="x0,y0,x1,y1 (overrides config)")
     common(p)
     p.set_defaults(func=cmd_fuse)
 
@@ -284,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pipeline", help="run all stages over a session directory")
     p.add_argument("--session", required=True, help="directory with detections.jsonl and optional frames/")
-    p.add_argument("--downscale", type=int, help="longest-side pixel limit for the rpca stage")
+    p.add_argument("--downscale", dest="downscale_limit", type=int, help="longest-side pixel limit for the rpca stage")
     common(p)
     p.set_defaults(func=cmd_pipeline)
     return parser

@@ -6,9 +6,10 @@ RpcaConfig, "gfl" onto GflConfig, "flow" onto FlowConfig, "fusion" onto
 FusionConfig. "episode_rules" is null (the built-in table), a path to a
 rule-table file or an inline table, and "downscale_limit" the longest-side
 pixel limit for frames. The JSON key "lambda" maps to the attribute `lam`.
-`load_config` builds and checks every section once, so a bad setting fails
-before any stage runs; a setting's default, or for a None default its
-field's metadata["number_rule"], also fixes its type (fusion.check_number).
+`load_config` builds and range-checks every section once, fusion too without
+a wheel region, so a bad setting fails before any stage runs; a setting's
+default, or for a None default its field's metadata["number_rule"], also
+fixes its type (fusion.check_number).
 """
 
 from __future__ import annotations
@@ -30,25 +31,24 @@ SECTIONS = {"rpca": RpcaConfig, "gfl": GflConfig, "flow": FlowConfig, "fusion": 
 class Config:
     """Every setting of one run, each section built and checked once.
 
-    fusion is None when no wheel region is set; fuse and pipeline refuse to
-    run without one, the other subcommands do not read it.
+    fuse and pipeline refuse to run without fusion.wheel_region
+    (require_fusion); the other subcommands do not read it.
     """
 
     downscale_limit: int = 80
     rpca: RpcaConfig = field(default_factory=RpcaConfig)
     gfl: GflConfig = field(default_factory=GflConfig)
     flow: FlowConfig = field(default_factory=FlowConfig)
-    fusion: FusionConfig | None = None
+    fusion: FusionConfig = field(default_factory=FusionConfig)
     episode_rules: EpisodeRuleTable = DEFAULT_EPISODE_RULES
 
     def __post_init__(self):
         if self.downscale_limit < 1:
             raise ConfigError(f"downscale_limit must be at least 1, got {self.downscale_limit!r}")
 
-    def require_fusion(self) -> FusionConfig:
-        if self.fusion is None:
+    def require_fusion(self) -> None:
+        if self.fusion.wheel_region is None:
             raise ConfigError("fusion.wheel_region is required (box [x0,y0,x1,y1] or polygon)")
-        return self.fusion
 
 
 def load_config(path: str | None = None, overrides: dict | None = None) -> Config:
@@ -106,8 +106,6 @@ def _build(cls, key: str, section: dict):
         default = fields[name].default
         rule = default if value is None else fields[name].metadata.get("number_rule", default)
         check_number(f"{key}.{name}", value, rule, ConfigError)
-    if cls is FusionConfig and section.get("wheel_region") is None:
-        return None  # fuse and pipeline refuse to run without a wheel region
     try:
         return cls(**{fields[name].name: value for name, value in section.items()})
     except (TypeError, ValueError) as exc:

@@ -3,9 +3,10 @@
 Readers never let a malformed file crash the process with a bare
 exception: structural problems raise InputFormatError carrying the byte
 offset of the failure, and schema-level problems raise SchemaError naming
-the offending record. Writers are deterministic byte for byte and take
-Python values, as the stages pass them: in the JSON writers a numpy
-integer, bool or array raises TypeError.
+the offending record; a number read passes the settings' number rule
+(fusion.is_number) and a detection box the box rule (fusion.check_box).
+Writers are deterministic byte for byte and take Python values, as the stages
+pass them: in the JSON writers a numpy integer, bool or array raises TypeError.
 """
 
 from __future__ import annotations
@@ -13,12 +14,11 @@ from __future__ import annotations
 import csv
 import json
 import os
-import sys
 from typing import Iterable
 
 import numpy as np
 
-from .fusion import HandDetection, ObjectDetection, PoseFrame
+from .fusion import HandDetection, ObjectDetection, PoseFrame, is_number
 
 
 class InputFormatError(Exception):
@@ -224,23 +224,17 @@ def detection_frame_to_dict(pose: PoseFrame, hands, objects) -> dict:
     }
 
 
-_FLOAT_MAX = sys.float_info.max
-
-
-def _is_number(v) -> bool:
-    """A JSON number in the float range: an int or a float, not a bool, a string or an overflowed ``1e999``."""
-    return type(v) in (int, float) and -_FLOAT_MAX <= v <= _FLOAT_MAX
-
-
 def _number(v) -> float:
-    if not _is_number(v):
+    if not is_number(v):
         raise TypeError(f"expected a number, got {v!r:.30}")
     return float(v)
 
 
-def detection_frame_from_dict(rec: dict, where: str = "") -> tuple[PoseFrame, list[HandDetection], list[ObjectDetection]]:
+def detection_frame_from_dict(
+    rec: dict, frame: int, where: str = ""
+) -> tuple[PoseFrame, list[HandDetection], list[ObjectDetection]]:
+    """The record's pose, hands and objects; *frame* is its already checked "frame" number."""
     try:
-        idx = int(rec["frame"])
         joints = {
             str(name): (_number(v[0]), _number(v[1]), _number(v[2]))
             for name, v in rec.get("pose", {}).get("joints", {}).items()
@@ -265,7 +259,7 @@ def detection_frame_from_dict(rec: dict, where: str = "") -> tuple[PoseFrame, li
     except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:
         # AttributeError: a non-object where an object is expected ("pose": [])
         raise SchemaError(f"bad detection record {where}: {exc}") from None
-    return PoseFrame(frame_index=idx, joints=joints), hands, objects
+    return PoseFrame(frame_index=frame, joints=joints), hands, objects
 
 
 def write_detections(path, frames) -> None:
@@ -291,7 +285,7 @@ def read_detections(path) -> list[tuple[PoseFrame, list[HandDetection], list[Obj
     for i, rec in enumerate(records):
         where = f"{path}:{i + 1}"
         t = _frame_slot(rec, out, f"bad detection record {where}")
-        out[t] = detection_frame_from_dict(rec, where)
+        out[t] = detection_frame_from_dict(rec, t, where)
     return out
 
 
@@ -329,7 +323,7 @@ def read_box_records(path, n_frames: int) -> list[list]:
         t = _frame_slot(rec, boxes_per_frame, where)
         boxes = rec.get("boxes", [])
         if not isinstance(boxes, list) or not all(
-            isinstance(b, list) and len(b) == 4 and all(map(_is_number, b))
+            isinstance(b, list) and len(b) == 4 and all(map(is_number, b))
             for b in boxes
         ):
             raise SchemaError(f"{where}: boxes must be a list of [x0, y0, x1, y1] numbers")

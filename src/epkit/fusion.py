@@ -28,11 +28,13 @@ from __future__ import annotations
 
 import inspect
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 ARM_JOINTS = ("r_shoulder", "r_elbow", "r_wrist", "l_shoulder", "l_elbow", "l_wrist")
 _DIAG = math.sqrt(2.0)
+_FLOAT_MAX = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -41,52 +43,45 @@ class PoseFrame:
     joints: dict[str, tuple[float, float, float]]  # name -> (x, y, score)
 
 
+class _Boxed:
+    @property
+    def center(self) -> tuple[float, float]:  # of the detection's box (x0, y0, x1, y1)
+        x0, y0, x1, y1 = self.box
+        return (0.5 * (x0 + x1), 0.5 * (y0 + y1))
+
+
 @dataclass(frozen=True)
-class HandDetection:
+class HandDetection(_Boxed):
     box: tuple[float, float, float, float]  # x0, y0, x1, y1
     score: float
     side: str = "unknown"  # left | right | unknown
     side_score: float = 0.0
 
     def __post_init__(self):
-        x0, y0, x1, y1 = self.box
-        if not (x1 > x0 and y1 > y0):
-            raise ValueError(f"hand box has no area: {self.box}")
+        check_box("hand box", self.box)
         if self.side not in ("left", "right", "unknown"):
             raise ValueError(f"bad side {self.side!r}")
 
-    @property
-    def center(self) -> tuple[float, float]:
-        x0, y0, x1, y1 = self.box
-        return (0.5 * (x0 + x1), 0.5 * (y0 + y1))
-
 
 @dataclass(frozen=True)
-class ObjectDetection:
+class ObjectDetection(_Boxed):
     label: str
     box: tuple[float, float, float, float]
     score: float
 
     def __post_init__(self):
-        x0, y0, x1, y1 = self.box
-        if not (x1 > x0 and y1 > y0):
-            raise ValueError(f"object box has no area: {self.box}")
-
-    @property
-    def center(self) -> tuple[float, float]:
-        x0, y0, x1, y1 = self.box
-        return (0.5 * (x0 + x1), 0.5 * (y0 + y1))
+        check_box("object box", self.box)
 
 
 @dataclass
 class FusionConfig:
     """Thresholds for the rule engine; all geometric values are normalized.
 
-    wheel_region is an axis-aligned box [x0, y0, x1, y1] or a polygon
-    [[x, y], ...]. consistency_frames=None derives ceil(frame_rate / 2).
+    wheel_region is a box [x0, y0, x1, y1], a polygon [[x, y], ...] or None, which
+    fuse and pipeline refuse. consistency_frames=None derives ceil(frame_rate / 2).
     """
 
-    wheel_region: Sequence
+    wheel_region: Sequence | None = None
     pose_score_min: float = 0.5
     hand_score_min: float = 0.5
     hand_score_strict: float = 0.8
@@ -106,7 +101,8 @@ class FusionConfig:
         k = self.consistency_frames
         if k is not None and k < 1:
             raise ValueError(f"consistency_frames must be at least 1, got {k!r}")
-        check_region("wheel_region", self.wheel_region)
+        if self.wheel_region is not None:
+            check_region("wheel_region", self.wheel_region)
 
     def resolved_consistency_frames(self) -> int:
         if self.consistency_frames is not None:
@@ -161,20 +157,29 @@ class TrainingRecord:
             raise ValueError("training record requires a justifying rule trace")
 
 
+def is_number(v) -> bool:
+    """The number rule of readers and settings: an int or a float, not a bool, NaN or beyond +-float max."""
+    return type(v) in (int, float) and -_FLOAT_MAX <= v <= _FLOAT_MAX
+
+
 def check_number(name: str, value, default, error=ValueError) -> None:
     """Raise *error* if *value* breaks the number rule of a setting whose default is *default*.
 
-    An int default takes integers, a float default any finite number, and
-    bool is neither; other defaults carry no number rule. config applies it to
-    every setting, EpisodeRule to every predicate parameter.
+    An int default takes integers, a float default what is_number accepts,
+    and bool is neither; other defaults carry no number rule. config applies
+    it to every setting, EpisodeRule to every predicate parameter.
     """
-    if isinstance(default, bool) or not isinstance(default, (int, float)):
-        return
-    integer = isinstance(default, int)
-    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
-        raise error(f"{name} must be {'an integer' if integer else 'a number'}, got {value!r}")
-    if isinstance(value, float) and not math.isfinite(value):
-        raise error(f"{name} must be finite, got {value!r}")
+    if type(default) is int and type(value) is not int:
+        raise error(f"{name} must be an integer, got {value!r}")
+    if type(default) is float and not is_number(value):
+        raise error(f"{name} must be {'finite' if type(value) in (int, float) else 'a number'}, got {value!r:.30}")
+
+
+def check_box(name: str, box) -> None:
+    """Raise ValueError naming *name* unless the box (x0, y0, x1, y1) has x0 < x1 and y0 < y1."""
+    x0, y0, x1, y1 = box
+    if not (x1 > x0 and y1 > y0):
+        raise ValueError(f"{name} needs x0 < x1 and y0 < y1, got {box!r}")
 
 
 def region_contains(region: Sequence, point: tuple[float, float]) -> bool:
@@ -199,14 +204,17 @@ def region_contains(region: Sequence, point: tuple[float, float]) -> bool:
 
 
 def check_region(name: str, region) -> None:
-    """Raise ValueError naming *name* unless region_contains reads *region* and its coordinates are finite numbers."""
+    """Raise ValueError naming *name* unless *region* is a box that check_box takes or a polygon, of numbers."""
     try:
         region_contains(region, (0.0, 0.0))
         for p in region:
             for c in p if isinstance(p, (list, tuple)) else [p]:
-                check_number(name, c, 0.0)  # a finite int or float, not a bool or a string
+                check_number(name, c, 0.0)
+        if not isinstance(region[0], (list, tuple)):  # the 4-number box form
+            check_box(name, region)
     except (TypeError, ValueError):
-        raise ValueError(f"{name} must be [x0, y0, x1, y1] or [[x, y], ...] of finite numbers, got {region!r}") from None
+        raise ValueError(f"{name} must be [x0, y0, x1, y1] with x0 < x1 and y0 < y1, or [[x, y], ...], "
+                         f"of finite numbers, got {region!r}") from None
 
 
 def edge_distance(point: tuple[float, float], box: Sequence) -> float:

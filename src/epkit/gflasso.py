@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solveh_banded
 
+from .fusion import check_number
 from .numkit import as_matrix
 
 
@@ -55,19 +56,15 @@ class GflConfig:
             raise ValueError("max_iterations must be at least 1")
         if self.threshold is not None:
             levels = self.threshold if isinstance(self.threshold, (list, tuple)) else [self.threshold]
-            if not (levels and all(_non_negative(t) for t in levels)):
-                raise ValueError(
-                    f"threshold must be a non-negative number or a non-empty list of them, got {self.threshold!r}"
-                )
+            for t in levels:
+                check_number("threshold", t, 0.0)
+            if not levels or min(levels) < 0:
+                raise ValueError(f"threshold must be one or more non-negative numbers, got {self.threshold!r}")
             self.threshold = [float(t) for t in levels]
         if self.threshold_fraction < 0:
             raise ValueError(f"threshold_fraction must be non-negative, got {self.threshold_fraction!r}")
         if self.min_gap < 1:
             raise ValueError(f"min_gap must be at least 1, got {self.min_gap!r}")
-
-
-def _non_negative(x) -> bool:
-    return not isinstance(x, bool) and isinstance(x, (int, float)) and x >= 0
 
 
 @dataclass
@@ -132,18 +129,12 @@ def _apply_q_adjoint(y: np.ndarray, p: int, t: int) -> np.ndarray:
 
 def _qqt_band_upper(t: int, p: int) -> np.ndarray:
     """Upper banded storage (p + 1 rows) of Q Q^T, main diagonal last."""
+    # column tau of Q holds the stencil at rows tau..tau + p: entry (tau + k, tau + m), k <= m, gains c[k] * c[m]
     c = _stencil(p)
     band = np.zeros((p + 1, t))
-    n_cols = t - p
-    for off in range(p + 1):
-        for i in range(t - off):
-            j = i + off
-            lo = max(0, j - p)
-            hi = min(i, n_cols - 1)
-            if hi < lo:
-                continue
-            taus = np.arange(lo, hi + 1)
-            band[p - off, j] = float(np.dot(c[i - taus], c[j - taus]))
+    for m in range(p + 1):
+        for k in range(m + 1):
+            band[p - (m - k), m : m + t - p] += c[k] * c[m]
     return band
 
 

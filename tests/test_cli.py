@@ -212,7 +212,8 @@ def test_fuse_cmd_requires_wheel_region(tmp_path, capsys):
     assert "wheel_region" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("region", ["0.2,0.5", "0.2,0.5,0.7", "0.2,abc", "0.2,nan,0.7,0.9", "0.2,0.3,inf,0.9"])
+@pytest.mark.parametrize("region", ["0.2,0.5", "0.2,0.5,0.7", "0.2,abc", "0.2,nan,0.7,0.9", "0.2,0.3,inf,0.9",
+                                    "0.7,0.5,0.2,0.9"])
 def test_fuse_cmd_malformed_wheel_region_exits_4(tmp_path, capsys, region):
     bundle = synth.gen_driver_session([("safe_driving", 5)], seed=1)
     det = tmp_path / "d.jsonl"
@@ -227,6 +228,10 @@ def test_fuse_cmd_malformed_wheel_region_exits_4(tmp_path, capsys, region):
     ({"fusion": {"wheel_region": [0.2, 0.5, 0.7, 0.9]},
       "episode_rules": {"rules": [{"label": "x", "predicate": "offwheel_wrist_in_region",
                                    "params": {"region": [0.66, float("nan"), 0.86, 0.68]}}]}}, "'region'"),
+    ({"fusion": {"wheel_region": [0.2, 0.9, 0.7, 0.5]}}, "wheel_region"),  # y0 > y1: contains nothing
+    ({"fusion": {"wheel_region": [0.2, 0.5, 0.7, 0.9]},
+      "episode_rules": {"rules": [{"label": "x", "predicate": "offwheel_wrist_in_region",
+                                   "params": {"region": [0.86, 0.5, 0.66, 0.68]}}]}}, "'region'"),
 ])
 def test_fuse_cmd_non_finite_region_in_config_exits_4_before_out(tmp_path, capsys, cfg, name):
     bundle = synth.gen_driver_session([("safe_driving", 5)], seed=1)
@@ -236,6 +241,22 @@ def test_fuse_cmd_non_finite_region_in_config_exits_4_before_out(tmp_path, capsy
     out = tmp_path / "o"
     assert run(["fuse", "--detections", det, "--config", tmp_path / "c.json", "--out", out]) == 4
     assert f"{name} must be [x0, y0, x1, y1]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("segments, message", [
+    ({"change_points": [True], "group_ids": [0] * 6}, "change_points must be an integer, got True"),
+    ({"change_points": [], "group_ids": ["1"] + [0] * 5}, "group_ids must be an integer, got '1'"),
+    ({"change_points": [], "group_ids": [1.9] + [0] * 5}, "group_ids must be an integer, got 1.9"),
+])
+def test_fuse_cmd_non_integer_segments_exit_3_before_out(tmp_path, capsys, segments, message):
+    sess = _tiny_session(tmp_path)
+    path = tmp_path / "segments.json"
+    fileio.write_json(path, segments)
+    out = tmp_path / "o"
+    assert run(["fuse", "--detections", sess / "detections.jsonl", "--segments", path,
+                "--config", sess / "session_config.json", "--out", out]) == 3
+    assert f"bad segments file {path}: {message}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -787,6 +808,7 @@ def test_synth_bad_params_exit_4(tmp_path, capsys, generator, params, message):
     ["segment", "--min-gap", "-3"],
     ["segment", "--threshold", "-1"],
     ["pipeline", "--downscale", "0"],
+    ["segment", "--threshold", "inf"],
 ])
 def test_bad_flag_exits_4_before_any_output(tmp_path, capsys, argv):
     sess = _tiny_session(tmp_path)
@@ -803,6 +825,7 @@ def test_bad_flag_exits_4_before_any_output(tmp_path, capsys, argv):
     ("rpca", "lambda", "Infinity"),
     ("flow", "merge_threshold", "-Infinity"),
     ("rpca", "tolerance", "1e999"),
+    pytest.param("fusion", "frame_rate", "1" + "0" * 400, id="fusion-frame_rate-10**400"),  # beyond the float range
 ])
 def test_pipeline_non_finite_setting_exits_4_before_any_stage(tmp_path, capsys, section, key, literal):
     sess = _tiny_session(tmp_path)
@@ -823,6 +846,40 @@ def test_rpca_non_finite_lambda_flag_exits_4_before_out(tmp_path, capsys, value)
     assert run(["rpca", "--input", xpath, f"--lambda={value}", "--out", out]) == 4
     assert "rpca.lambda must be finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("threshold", ["1e999", "[0.5, 1e999]"])
+def test_infinite_threshold_in_config_exits_4_before_out(tmp_path, capsys, threshold):
+    sess = _tiny_session(tmp_path)
+    (tmp_path / "c.json").write_text('{"gfl": {"threshold": %s}}' % threshold)
+    out = tmp_path / "o"
+    assert run(["segment", "--detections", sess / "detections.jsonl", "--config", tmp_path / "c.json",
+                "--out", out]) == 4
+    assert "threshold must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fusion_section_is_checked_without_a_wheel_region(tmp_path, capsys):
+    sess = _tiny_session(tmp_path)
+    fileio.write_json(tmp_path / "c.json", {"fusion": {"frame_rate": -1}})
+    out = tmp_path / "o"
+    assert run(["segment", "--detections", sess / "detections.jsonl", "--config", tmp_path / "c.json",
+                "--out", out]) == 4
+    assert "frame_rate must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_lambda_flag_sets_only_its_own_subcommands_key(tmp_path):
+    def loaded(argv):
+        return cli._load_cfg(cli.build_parser().parse_args(argv + ["--out", str(tmp_path / "unused")]))
+
+    rpca_cfg = loaded(["rpca", "--input", "x.mat", "--lambda", "0.5"])
+    assert rpca_cfg.rpca.lam == 0.5 and rpca_cfg.gfl.lam == gflasso.GflConfig().lam
+    segment_cfg = loaded(["segment", "--detections", "d.jsonl", "--lambda", "0"])
+    assert segment_cfg.gfl.lam == 0 and segment_cfg.rpca.lam is None
+    sess = _tiny_session(tmp_path)
+    assert run(["segment", "--detections", sess / "detections.jsonl", "--lambda", "0",
+                "--out", tmp_path / "o"]) == 0  # gfl.lambda = 0 is valid; rpca.lambda = 0 is not
 
 
 @pytest.mark.parametrize("command", ["fuse", "pipeline"])

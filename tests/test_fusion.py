@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -498,3 +499,31 @@ def test_config_validation():
         _cfg(wrist_edge_dist_strict=0.2)
     assert _cfg(frame_rate=30).resolved_consistency_frames() == 15
     assert _cfg(consistency_frames=7).resolved_consistency_frames() == 7
+
+
+@pytest.mark.parametrize("box", [(0.5, 0.2, 0.4, 0.6), (0.2, 0.6, 0.4, 0.2), (0.2, 0.2, 0.2, 0.6)])
+def test_one_box_rule_for_detections_and_box_regions(box):
+    with pytest.raises(ValueError, match="hand box needs x0 < x1 and y0 < y1"):
+        HandDetection(box=box, score=0.9)
+    with pytest.raises(ValueError, match="object box needs x0 < x1 and y0 < y1"):
+        ObjectDetection(label="cup", box=box, score=0.9)
+    with pytest.raises(ValueError, match=r"wheel_region must be \[x0, y0, x1, y1\] with x0 < x1"):
+        FusionConfig(wheel_region=list(box))
+    with pytest.raises(ValueError, match="'region' must be"):
+        fusion.EpisodeRule("x", "offwheel_wrist_in_region", {"region": list(box)})
+    x0, y0, x1, y1 = box  # four vertices are a polygon, whose corners have no order to check
+    FusionConfig(wheel_region=[[x1, y1], [x0, y1], [x0, y0], [x1, y0]])
+
+
+def test_number_rule_is_one_predicate_for_settings_and_readers():
+    limit = sys.float_info.max
+    for value in (0, -3, 1.5, limit, -limit, int(limit)):
+        assert fusion.is_number(value)
+        fusion.check_number("x", value, 0.0)
+    for value in (True, "1", None, [1.0], math.nan, math.inf, -math.inf, 10**400, -(10**400)):
+        assert not fusion.is_number(value)
+        with pytest.raises(ValueError, match="x must be (a number|finite)"):
+            fusion.check_number("x", value, 0.0)
+    with pytest.raises(ValueError, match="x must be finite, got 1000"):
+        fusion.check_number("x", 10**400, 0.0)
+    assert FusionConfig().wheel_region is None  # built, and range-checked, without a region

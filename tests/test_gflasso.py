@@ -275,3 +275,14 @@ def test_session_boundaries_recovered_end_to_end():
             boundary,
             lab.change_points,
         )
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_qqt_band_is_the_banded_gram_of_the_differencing_matrix(p):
+    for t in (p + 1, p + 2, p + 7, 40):
+        q = gflasso.differencing_matrix(t, p)
+        gram = q @ q.T
+        expected = np.zeros((p + 1, t))
+        for off in range(p + 1):  # upper banded storage: row p - off holds the off-th superdiagonal
+            expected[p - off, off:] = np.diagonal(gram, off)
+        assert np.array_equal(gflasso._qqt_band_upper(t, p), expected)  # integer stencils: exact
