@@ -1,10 +1,12 @@
 """Command-line surface.
 
 Subcommands: rpca, segment, flow-group, fuse, synth, pipeline. Exit codes:
-0 success, 2 malformed input, 3 schema/consistency error, 4 config error
-(see EXIT_CODES); an error of any other type is a bug and surfaces as a
-traceback. Subcommands call the pipeline stages directly and main maps
-their errors to exit codes in one place.
+0 success, 2 a missing, unreadable or malformed file or an --out that cannot
+be created, 3 schema/consistency error, 4 config error, by the error's type
+alone (EXIT_CODES). Inputs are checked before --out is created (in `pipeline`,
+all but the rpca worker's frame matrix); any other error, also a failing
+write into a created --out, is a bug and surfaces as a traceback.
+Subcommands call the pipeline stages directly.
 --config points at a JSON file with per-subcommand sections (config.Config);
 each setting flag's dest is the one config key it sets, e.g. "rpca.lambda" for
 rpca --lambda. Flags are merged over the file and checked together with it,
@@ -45,23 +47,23 @@ def cmd_rpca(args) -> int:
         mat = pipeline.frames_to_matrix(fileio.read_frames(args.input), cfg.downscale_limit)
     else:
         mat = fileio.read_matrix(args.input)
-    os.makedirs(args.out, exist_ok=True)
-    pipeline.run_rpca_stage(mat, cfg, args.out)
+    pipeline.run_rpca_stage(mat, cfg, args.out)  # checks the matrix, then creates --out
     return 0
 
 
 def cmd_segment(args) -> int:
     cfg = _load_cfg(args)
-    os.makedirs(args.out, exist_ok=True)
-    pipeline.run_segmentation_stage(fileio.read_detections(args.detections), cfg, args.out)
+    signal = pipeline.pose_signal(fileio.read_detections(args.detections), cfg)
+    fileio.make_dir(args.out)
+    pipeline.run_segmentation_stage(signal, cfg, args.out)
     return 0
 
 
 def cmd_flow_group(args) -> int:
     cfg = _load_cfg(args)
     frames = fileio.read_frames(args.frames)
-    boxes_per_frame = fileio.read_box_records(args.boxes, len(frames))
-    os.makedirs(args.out, exist_ok=True)
+    boxes_per_frame = pipeline.pixel_boxes(frames, fileio.read_box_records(args.boxes, len(frames)))
+    fileio.make_dir(args.out)
     pipeline.run_flow_stage(frames, boxes_per_frame, cfg, args.out)
     return 0
 
@@ -70,7 +72,7 @@ def cmd_fuse(args) -> int:
     cfg = _load_cfg(args)
     detections = fileio.read_detections(args.detections)
     cfg.require_fusion()
-    if args.segments:  # read and checked before --out is created
+    if args.segments:  # each input is read and checked before --out is created
         data = fileio.read_json(args.segments)
         try:
             for key in ("change_points", "group_ids"):
@@ -81,10 +83,12 @@ def cmd_fuse(args) -> int:
             raise SchemaError(f"bad segments file {args.segments}: {exc}") from None
         if len(labeling.group_ids) != len(detections):
             raise SchemaError(f"{args.segments}: {len(labeling.group_ids)} group ids for {len(detections)} frames")
-    os.makedirs(args.out, exist_ok=True)
+    else:
+        signal = pipeline.pose_signal(detections, cfg)
+    fileio.make_dir(args.out)
     verdicts = pipeline.run_fusion_stage(detections, cfg, args.out)["verdicts"]
     if not args.segments:
-        labeling = pipeline.run_segmentation_stage(detections, cfg, args.out)["labelings"][0]
+        labeling = pipeline.run_segmentation_stage(signal, cfg, args.out)["labelings"][0]
     pipeline.run_episode_stage(detections, verdicts, labeling, cfg, args.out)
     return 0
 
@@ -117,7 +121,7 @@ def _synth_lowrank_sparse(out, seed, params):
     defaults = dict(d=200, t=200, rank=10, sparse_fraction=0.05, magnitude=5.0)
     defaults.update(params)
     bundle = synth.gen_lowrank_sparse(seed=seed, **defaults)
-    os.makedirs(out, exist_ok=True)
+    fileio.make_dir(out)
     fileio.write_matrix(os.path.join(out, "x.mat"), bundle.payload["x"])
     fileio.write_matrix(os.path.join(out, "truth_low_rank.mat"), bundle.ground_truth["low_rank"])
     fileio.write_matrix(os.path.join(out, "truth_sparse.mat"), bundle.ground_truth["sparse"])
@@ -131,7 +135,7 @@ def _synth_piecewise(out, seed, params):
     defaults = dict(d=8, t=240, change_points=[40, 90, 150, 200], jump_scale=2.0, noise_sigma=0.3)
     defaults.update(params)
     bundle = synth.gen_piecewise(seed=seed, **defaults)
-    os.makedirs(out, exist_ok=True)
+    fileio.make_dir(out)
     fileio.write_matrix(os.path.join(out, "x.mat"), bundle.payload["x"])
     fileio.write_matrix(os.path.join(out, "w.mat"), bundle.payload["w"])
     fileio.write_json(
@@ -148,7 +152,7 @@ def _synth_shifted_pair(out, seed, params):
     defaults = dict(size=64, dx=1.0, dy=0.0, texture_scale=2.0)
     defaults.update(params)
     bundle = synth.gen_shifted_pair(seed=seed, **defaults)
-    os.makedirs(out, exist_ok=True)
+    fileio.make_dir(out)
     fileio.write_pgm(os.path.join(out, "frame1.pgm"), bundle.payload["frame1"])
     fileio.write_pgm(os.path.join(out, "frame2.pgm"), bundle.payload["frame2"])
     fileio.write_json(
@@ -176,7 +180,7 @@ def _synth_driver_session(out, seed, params):
 
 def write_session(out: str, bundle, render: bool) -> None:
     """Write a driver-session bundle: detections, rendered frames if render, truth, config."""
-    os.makedirs(out, exist_ok=True)
+    fileio.make_dir(out)
     fileio.write_detections(os.path.join(out, "detections.jsonl"), bundle.payload["frames"])
     if render:
         frames_dir = os.path.join(out, "frames")
@@ -273,14 +277,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Exit code of each error type, first match wins; a pipeline StageError is
-# looked up by its cause. Any other error is a bug and propagates.
+# Exit code of each error type; a pipeline StageError is looked up by its
+# cause. Any other error is a bug and propagates.
 EXIT_CODES = (
     (ConfigError, 4),
     (InputFormatError, 2),
     (SchemaError, 3),
-    (OSError, 2),
-    (ValueError, 3),
 )
 
 

@@ -15,10 +15,9 @@ fixes its type (fusion.check_number).
 from __future__ import annotations
 
 import dataclasses
-import os
 from dataclasses import dataclass, field
 
-from .fileio import ConfigError, read_json
+from .fileio import ConfigError, InputFormatError, read_json
 from .fusion import DEFAULT_EPISODE_RULES, EpisodeRuleTable, FusionConfig, check_number
 from .gflasso import GflConfig
 from .optflow import FlowConfig
@@ -80,12 +79,10 @@ def rpca_config(cfg: Config) -> RpcaConfig:
 
 
 def _read(path: str) -> dict:
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
     try:
         data = read_json(path)
-    except Exception as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
+    except InputFormatError as exc:  # missing, unreadable or not JSON
+        raise ConfigError(f"bad config file {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
     return data
@@ -121,5 +118,5 @@ def _episode_rules(rules) -> EpisodeRuleTable:
             where = f"episode rule table {rules}"
             rules = read_json(rules)
         return EpisodeRuleTable.from_dict(rules)
-    except (OSError, KeyError, TypeError, ValueError) as exc:
+    except (InputFormatError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad {where}: {exc}") from None

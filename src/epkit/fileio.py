@@ -1,9 +1,8 @@
 """File formats: EPKMAT1 matrices, binary PGM frames, JSON-lines streams.
 
-Readers never let a malformed file crash the process with a bare
-exception: structural problems raise InputFormatError carrying the byte
-offset of the failure, and schema-level problems raise SchemaError naming
-the offending record; a number read passes the settings' number rule
+Readers raise only two errors: InputFormatError for a missing, unreadable or
+structurally malformed file (with the byte offset of the failure), SchemaError
+naming the offending record; a number read passes the settings' number rule
 (fusion.is_number) and a detection box the box rule (fusion.check_box).
 Writers are deterministic byte for byte and take Python values, as the stages
 pass them: in the JSON writers a numpy integer, bool or array raises TypeError.
@@ -11,6 +10,7 @@ pass them: in the JSON writers a numpy integer, bool or array raises TypeError.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import os
@@ -39,6 +39,21 @@ class ConfigError(Exception):
     """Bad or missing configuration (exit code 4)."""
 
 
+@contextlib.contextmanager
+def _os_errors(path, action: str):
+    """Turn an OSError raised inside the block into InputFormatError "<path>: cannot <action>: ..."."""
+    try:
+        yield
+    except OSError as exc:
+        raise InputFormatError(f"{path}: cannot {action}: {exc.strerror or exc}") from None
+
+
+def make_dir(path) -> None:
+    """Create the directory *path* and its parents unless it exists; InputFormatError if it cannot."""
+    with _os_errors(path, "create directory"):
+        os.makedirs(path, exist_ok=True)
+
+
 MAT_MAGIC = b"EPKMAT1\n"
 
 
@@ -53,7 +68,7 @@ def write_matrix(path, m) -> None:
 
 
 def read_matrix(path) -> np.ndarray:
-    with open(path, "rb") as fh:
+    with _os_errors(path, "read"), open(path, "rb") as fh:
         blob = fh.read()
     if not blob.startswith(MAT_MAGIC):
         raise InputFormatError(f"{path}: bad magic, expected EPKMAT1", byte_offset=0)
@@ -99,7 +114,7 @@ def read_pgm(path) -> np.ndarray:
 
 def _pgm_pixels(path) -> np.ndarray:
     """The frame's (h, w) uint8 pixels."""
-    with open(path, "rb") as fh:
+    with _os_errors(path, "read"), open(path, "rb") as fh:
         blob = fh.read()
 
     pos = 0
@@ -157,8 +172,13 @@ def write_json(path, obj) -> None:
 
 
 def read_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    with _os_errors(path, "read"), open(path, "rb") as fh:
+        blob = fh.read()
+    try:
+        return json.loads(text := blob.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # a JSONDecodeError's pos counts characters, not bytes
+        at = exc.start if isinstance(exc, UnicodeDecodeError) else len(text[: getattr(exc, "pos", 0)].encode())
+        raise InputFormatError(f"{path}: bad JSON: {exc}", byte_offset=at) from None
 
 
 def write_jsonl(path, records: Iterable[dict]) -> None:
@@ -175,13 +195,13 @@ def _reject_constant(literal: str):
 def read_jsonl(path) -> list[dict]:
     out = []
     offset = 0
-    with open(path, "rb") as fh:
+    with _os_errors(path, "read"), open(path, "rb") as fh:
         for raw in fh:
             line = raw.strip()
             if line:
                 try:
                     out.append(json.loads(line.decode("utf-8"), parse_constant=_reject_constant))
-                except ValueError as exc:  # also UnicodeDecodeError and json.JSONDecodeError
+                except (ValueError, RecursionError) as exc:  # also UnicodeDecodeError, JSONDecodeError, deep nesting
                     raise InputFormatError(
                         f"{path}: bad JSON line: {exc}", byte_offset=offset
                     ) from None
@@ -290,9 +310,8 @@ def read_detections(path) -> list[tuple[PoseFrame, list[HandDetection], list[Obj
 
 
 def list_pgm_frames(directory) -> list[str]:
-    if not os.path.isdir(directory):
-        raise InputFormatError(f"{directory}: not a directory")
-    names = sorted(n for n in os.listdir(directory) if n.lower().endswith(".pgm"))
+    with _os_errors(directory, "read"):
+        names = sorted(n for n in os.listdir(directory) if n.lower().endswith(".pgm"))
     if not names:
         raise InputFormatError(f"{directory}: no .pgm frames found")
     return [os.path.join(directory, n) for n in names]

@@ -513,7 +513,7 @@ class EpisodeRule:
             labels = isinstance(value, list) and all(isinstance(v, str) for v in value)
             if name == "object_labels" and not labels:  # a bare string would match by substring
                 raise ValueError(f"{where} must be a list of strings, got {value!r}")
-            if name == "region":
+            if name == "region" and value is not None:  # null: the rule never fires
                 check_region(where, value)
 
 

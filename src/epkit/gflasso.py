@@ -143,7 +143,8 @@ def _objective(x, w, v, lam, p) -> float:
     return fit + lam * float(np.sum(np.linalg.norm(_apply_q(v, p), axis=0)))
 
 
-def _validate_inputs(x, w, cfg):
+def validate_inputs(x, w, cfg: GflConfig) -> tuple[np.ndarray, np.ndarray]:
+    """x and w as matrices; ValueError unless both solvers can take them."""
     xa = as_matrix(x, "x")
     wa = as_matrix(w, "w")
     if xa.shape != wa.shape:
@@ -170,7 +171,7 @@ def solve(x, w, cfg: GflConfig) -> GflResult:
     factorisation gives each row exactly what it would give that row alone.
     The band is rebuilt only when rho changes.
     """
-    xa, wa = _validate_inputs(x, w, cfg)
+    xa, wa = validate_inputs(x, w, cfg)
     d, t = xa.shape
     p = cfg.order
     lam = cfg.lam
@@ -241,7 +242,7 @@ def oracle_solve(
     optimum. Deliberately restricted to tiny instances (D*T <= 200) and to
     strictly positive weights.
     """
-    xa, wa = _validate_inputs(x, w, cfg)
+    xa, wa = validate_inputs(x, w, cfg)
     if xa.size > 200:
         raise ValueError(f"oracle_solve is restricted to D*T <= 200, got {xa.size}")
     if np.any(wa <= 0):

@@ -126,7 +126,10 @@ def warning_frames(energy: np.ndarray, warn_factor: float) -> list[int]:
 
 
 def run_rpca_stage(mat: np.ndarray, cfg: Config, out_dir: str) -> dict:
-    """Decompose a frame matrix (one frame per column) and write its outputs, on one BLAS thread."""
+    """Check, then decompose a frame matrix (one frame per column) and write its outputs, on one BLAS thread."""
+    if not (np.isfinite(mat).all() and mat.any()):
+        raise fileio.SchemaError(f"rpca input {mat.shape[0]}x{mat.shape[1]} must be finite and not all zero")
+    fileio.make_dir(out_dir)
     with blas_threads(1):  # the same bytes whatever the core count: in a worker, inline or from `epkit rpca`
         result = rpca.decompose(mat, cfg.rpca)
         energy = np.linalg.norm(result.sparse, axis=0)  # per-frame outlier energy
@@ -151,16 +154,26 @@ def run_rpca_stage(mat: np.ndarray, cfg: Config, out_dir: str) -> dict:
     return {"summary": summary, "warning_frames": warns}
 
 
-def run_segmentation_stage(detections, cfg: Config, out_dir: str) -> dict:
-    poses = [p for p, _h, _o in detections]
-    x, w = gflasso.normalize_and_weight(poses)
+def pose_signal(detections, cfg: Config) -> tuple[np.ndarray, np.ndarray]:
+    """The segmentation input (x, w) of the poses; SchemaError where gflasso's solver would refuse it."""
+    try:
+        x, w = gflasso.normalize_and_weight([p for p, _h, _o in detections])
+        return gflasso.validate_inputs(x, w, cfg.gfl)
+    except ValueError as exc:
+        raise fileio.SchemaError(f"segmentation input: {exc}") from None
+
+
+def run_segmentation_stage(signal, cfg: Config, out_dir: str) -> dict:
+    """Segment pose_signal's (x, w) and write the jump strengths, change points and groups."""
+    x, w = signal
+    n_frames = x.shape[1]
     result = gflasso.solve(x, w, cfg.gfl)
     strengths = result.jump_strengths
     top = float(strengths.max()) if strengths.size else 0.0
     thresholds = cfg.gfl.threshold or [cfg.gfl.threshold_fraction * top]
     min_gap = cfg.gfl.min_gap
     labelings = [
-        gflasso.extract_change_points(strengths, t, min_gap, n_frames=len(poses))
+        gflasso.extract_change_points(strengths, t, min_gap, n_frames=n_frames)
         for t in thresholds
     ]
     fileio.write_csv(
@@ -184,7 +197,7 @@ def run_segmentation_stage(detections, cfg: Config, out_dir: str) -> dict:
         ["frame"] + [f"group_t{i}" for i in range(len(thresholds))],
         [
             tuple([f] + [lab.group_ids[f] for lab in labelings])
-            for f in range(len(poses))
+            for f in range(n_frames)
         ],
     )
     with open(os.path.join(out_dir, "strengths.svg"), "w", encoding="utf-8", newline="\n") as fh:
@@ -198,16 +211,21 @@ def run_segmentation_stage(detections, cfg: Config, out_dir: str) -> dict:
     }
 
 
-def run_flow_stage(frames, boxes_per_frame, cfg: Config, out_dir: str) -> dict:
-    """Group and merge boxes by flow; write flow_groups.csv and .json.
-
-    Boxes are (x0, y0, x1, y1) normalized to [0, 1], one list per frame, and
-    scaled here to the pixels of the first frame.
-    """
+def pixel_boxes(frames, boxes_per_frame) -> list[list[tuple]]:
+    """Normalized boxes in the first frame's pixels; SchemaError for a box that optflow._check_box refuses."""
     h, w = frames[0].shape
-    boxes_per_frame = [
-        [(b[0] * w, b[1] * h, b[2] * w, b[3] * h) for b in boxes] for boxes in boxes_per_frame
-    ]
+    scaled = [[(b[0] * w, b[1] * h, b[2] * w, b[3] * h) for b in boxes] for boxes in boxes_per_frame]
+    for t, boxes in enumerate(scaled):
+        for i, box in enumerate(boxes):
+            try:
+                optflow._check_box(box, (h, w), f"box {i} of frame {t}")
+            except ValueError as exc:
+                raise fileio.SchemaError(str(exc)) from None
+    return scaled
+
+
+def run_flow_stage(frames, boxes_per_frame, cfg: Config, out_dir: str) -> dict:
+    """Group and merge pixel_boxes' boxes (x0, y0, x1, y1) by flow; write flow_groups.csv and .json."""
     groups = optflow.group_boxes(frames, boxes_per_frame, cfg.flow.group_threshold, cfg.flow)
     merged = optflow.merge_groups(groups, frames, boxes_per_frame, cfg.flow.merge_threshold, cfg.flow)
     fileio.write_csv(
@@ -274,8 +292,9 @@ def run_pipeline(session_dir: str, cfg: Config, out_dir: str) -> dict:
     frame-based stages are skipped when no frames are present; "warnings"
     names each stage whose solver stopped at its iteration limit. Raises
     StageError naming the failing stage; outputs of completed stages stay.
-    The session is read and the wheel region required before *out_dir* is
-    created.
+    Before *out_dir* is created, the session is read, the wheel region required
+    and the pose stream and hand boxes checked; the rpca stage checks its own
+    input, since the frame matrix exists only in its worker.
     """
     detections = _stage("load", fileio.read_detections, os.path.join(session_dir, "detections.jsonl"))
     frames_dir = os.path.join(session_dir, "frames")
@@ -283,7 +302,10 @@ def run_pipeline(session_dir: str, cfg: Config, out_dir: str) -> dict:
     if len(frames) and len(frames) != len(detections):
         raise StageError("load", fileio.SchemaError(f"{len(frames)} frames but {len(detections)} detection records"))
     cfg.require_fusion()
-    os.makedirs(out_dir, exist_ok=True)
+    signal = _stage("load", pose_signal, detections, cfg)
+    hand_boxes = [[hb.box for hb in hands] for _p, hands, _o in detections]
+    boxes_per_frame = _stage("load", pixel_boxes, frames, hand_boxes) if len(frames) else []
+    fileio.make_dir(out_dir)
 
     report: dict = {"stages": {}, "frames": []}
 
@@ -293,7 +315,7 @@ def run_pipeline(session_dir: str, cfg: Config, out_dir: str) -> dict:
             lambda: run_rpca_stage(frames_to_matrix(frames, cfg.downscale_limit), cfg, out_dir)
         ) if len(frames) else lambda: None
         try:
-            seg = _stage("segmentation", run_segmentation_stage, detections, cfg, out_dir)
+            seg = _stage("segmentation", run_segmentation_stage, signal, cfg, out_dir)
             labeling = seg["labelings"][0]
             report["stages"]["segmentation"] = {
                 "converged": seg["converged"],
@@ -303,7 +325,6 @@ def run_pipeline(session_dir: str, cfg: Config, out_dir: str) -> dict:
             }
 
             if len(frames):
-                boxes_per_frame = [[hb.box for hb in hands] for _p, hands, _o in detections]
                 flow_info = _stage("flow_groups", run_flow_stage, frames, boxes_per_frame, cfg, out_dir)
                 report["stages"]["flow_groups"] = {
                     "n_groups": len(flow_info["groups"]),

@@ -420,9 +420,9 @@ def _assert_no_child_process():
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_pipeline_rpca_worker_value_error_exits_3_naming_rpca(tmp_path, monkeypatch, capsys):
+def test_pipeline_rpca_worker_schema_error_exits_3_naming_rpca(tmp_path, monkeypatch, capsys):
     sess = _tiny_session(tmp_path)
-    monkeypatch.setattr(rpca, "decompose", _raising(ValueError("no low-rank part")))  # the fork inherits it
+    monkeypatch.setattr(rpca, "decompose", _raising(fileio.SchemaError("no low-rank part")))  # the fork inherits it
     assert _pipeline(sess, tmp_path / "o") == 3
     err = capsys.readouterr().err
     assert "'rpca'" in err and "no low-rank part" in err
@@ -431,17 +431,18 @@ def test_pipeline_rpca_worker_value_error_exits_3_naming_rpca(tmp_path, monkeypa
 
 def test_pipeline_rpca_worker_bug_propagates_as_rpca_stage_error(tmp_path, monkeypatch):
     sess = _tiny_session(tmp_path)
-    monkeypatch.setattr(rpca, "decompose", _raising(TypeError("a bug in the worker")))
-    with pytest.raises(pipeline.StageError) as info:
-        _pipeline(sess, tmp_path / "o")
-    assert info.value.stage == "rpca"
-    assert isinstance(info.value.cause, TypeError)
-    _assert_no_child_process()
+    for kind in (TypeError, ValueError):  # a ValueError from a stage is a bug too, not a schema error
+        monkeypatch.setattr(rpca, "decompose", _raising(kind("a bug in the worker")))
+        with pytest.raises(pipeline.StageError) as info:
+            _pipeline(sess, tmp_path / kind.__name__)
+        assert info.value.stage == "rpca"
+        assert isinstance(info.value.cause, kind)
+        _assert_no_child_process()
 
 
 def test_pipeline_reports_rpca_when_rpca_and_flow_both_fail(tmp_path, monkeypatch, capsys):
     sess = _tiny_session(tmp_path)
-    monkeypatch.setattr(rpca, "decompose", _raising(ValueError("rpca broke")))
+    monkeypatch.setattr(rpca, "decompose", _raising(fileio.SchemaError("rpca broke")))
     monkeypatch.setattr(optflow, "group_boxes", _raising(fileio.InputFormatError("flow broke")))
     assert _pipeline(sess, tmp_path / "o") == 3  # flow's error alone would exit 2
     err = capsys.readouterr().err
@@ -533,7 +534,7 @@ def test_pipeline_pins_one_blas_thread_and_gives_the_count_back(tmp_path, monkey
         monkeypatch.setattr(pipeline, "run_segmentation_stage", counted(pipeline.run_segmentation_stage))
         assert _pipeline(sess, tmp_path / "ok") == 0
         assert get_threads() == 2
-        monkeypatch.setattr(optflow, "group_boxes", counted(_raising(ValueError("flow broke"))))
+        monkeypatch.setattr(optflow, "group_boxes", counted(_raising(fileio.SchemaError("flow broke"))))
         assert _pipeline(sess, tmp_path / "failed") == 3
         assert get_threads() == 2
         assert seen == [1, 1, 1]  # segmentation, segmentation, flow
@@ -1030,3 +1031,197 @@ def test_rpca_cmd_summary_matches_pipeline_stage(tmp_path, monkeypatch, session_
     assert mismatch == [] and errors == []
     assert "rank" in fileio.read_json(tmp_path / "r" / "rpca_summary.json")
     _assert_no_child_process()
+
+
+def test_exit_codes_map_only_the_typed_errors():
+    assert cli.EXIT_CODES == ((fileio.ConfigError, 4), (fileio.InputFormatError, 2), (fileio.SchemaError, 3))
+
+
+@pytest.mark.parametrize("stage, module, name", [
+    ("rpca", rpca, "decompose"),
+    ("segmentation", gflasso, "solve"),
+    ("flow_groups", optflow, "group_boxes"),
+    ("fusion", fusion, "evaluate_safe_driving"),
+    ("episodes", fusion, "classify_episode"),
+])
+def test_value_error_in_any_stage_propagates_as_its_stage_error(tmp_path, monkeypatch, stage, module, name):
+    sess = _tiny_session(tmp_path)
+    monkeypatch.setattr(module, name, _raising(ValueError("a bug, not bad input")))
+    with pytest.raises(pipeline.StageError) as info:
+        _pipeline(sess, tmp_path / "o")
+    assert info.value.stage == stage
+    assert isinstance(info.value.cause, ValueError)
+    _assert_no_child_process()
+
+
+@pytest.mark.parametrize("which", ["segment --detections", "rpca --input", "fuse --segments", "pipeline --session"])
+def test_missing_input_file_exits_2_before_out(tmp_path, capsys, which):
+    sess = _tiny_session(tmp_path)
+    det, cfg, missing = sess / "detections.jsonl", sess / "session_config.json", tmp_path / "missing"
+    if which == "pipeline --session":
+        os.remove(det)
+    argv = {
+        "segment --detections": ["segment", "--detections", missing],
+        "rpca --input": ["rpca", "--input", missing],
+        "fuse --segments": ["fuse", "--detections", det, "--segments", missing, "--config", cfg],
+        "pipeline --session": ["pipeline", "--session", sess, "--config", cfg],
+    }[which]
+    out = tmp_path / "o"
+    assert run(argv + ["--out", out]) == 2
+    assert ": cannot read: No such file or directory" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_missing_rule_table_file_exits_4_naming_it(tmp_path, capsys):
+    sess = _tiny_session(tmp_path)
+    cfg = fileio.read_json(sess / "session_config.json")
+    cfg["episode_rules"] = str(tmp_path / "rules.json")
+    fileio.write_json(tmp_path / "c.json", cfg)
+    out = tmp_path / "o"
+    assert run(["pipeline", "--session", sess, "--config", tmp_path / "c.json", "--out", out]) == 4
+    assert f"{tmp_path / 'rules.json'}: cannot read" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["rpca", "segment", "flow-group", "fuse", "pipeline",
+                                     "lowrank_sparse", "piecewise", "shifted_pair", "driver_session"])
+def test_out_that_cannot_be_created_exits_2(tmp_path, capsys, command):
+    sess = _tiny_session(tmp_path)
+    det, cfg = sess / "detections.jsonl", sess / "session_config.json"
+    boxes = tmp_path / "boxes.jsonl"
+    fileio.write_jsonl(boxes, [{"frame": t, "boxes": []} for t in range(6)])
+    out = tmp_path / "a_file"
+    out.write_text("")
+    argv = {
+        "rpca": ["rpca", "--input", sess / "frames"],
+        "segment": ["segment", "--detections", det],
+        "flow-group": ["flow-group", "--frames", sess / "frames", "--boxes", boxes],
+        "fuse": ["fuse", "--detections", det, "--config", cfg],
+        "pipeline": ["pipeline", "--session", sess, "--config", cfg],
+        "driver_session": ["synth", "--generator", command, "--params", '{"episode_schedule": [["safe_driving", 3]]}'],
+    }.get(command, ["synth", "--generator", command])
+    assert run(argv + ["--out", out]) == 2
+    assert f"{out}: cannot create directory: File exists" in capsys.readouterr().err
+
+
+def test_fuse_cmd_segments_not_json_exits_2_with_offset(tmp_path, capsys):
+    sess = _tiny_session(tmp_path)
+    segments = tmp_path / "segments.json"
+    segments.write_text('{"change_points": [1,')
+    out = tmp_path / "o"
+    assert run(["fuse", "--detections", sess / "detections.jsonl", "--segments", segments,
+                "--config", sess / "session_config.json", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert f"{segments}: bad JSON" in err and "byte offset 21" in err
+    assert not out.exists()
+
+
+def _edit_records(sess, edit):
+    det = sess / "detections.jsonl"
+    records = fileio.read_jsonl(det)
+    edit(records)
+    fileio.write_jsonl(det, records)
+
+
+def _drop_r_wrist(records):
+    for rec in records:
+        del rec["pose"]["joints"]["r_wrist"]
+
+
+def _negative_score(records):
+    records[2]["pose"]["joints"]["l_wrist"][2] = -0.5
+
+
+@pytest.mark.parametrize("command, edit, gfl, message", [
+    ("segment", list.clear, {}, "pose stream is empty"),
+    ("segment", _drop_r_wrist, {}, "joint 'r_wrist' is missing from every frame"),
+    ("fuse", _drop_r_wrist, {}, "joint 'r_wrist' is missing from every frame"),
+    ("pipeline", _drop_r_wrist, {}, "joint 'r_wrist' is missing from every frame"),
+    ("segment", _negative_score, {}, "weights must be non-negative"),
+    ("pipeline", None, {"order": 6}, "order 6 must be smaller than T=6"),
+    ("fuse", None, {"order": 7}, "order 7 must be smaller than T=6"),
+])
+def test_pose_stream_the_solver_refuses_exits_3_before_out(tmp_path, capsys, command, edit, gfl, message):
+    sess = _tiny_session(tmp_path)
+    if edit:
+        _edit_records(sess, edit)
+    cfg = fileio.read_json(sess / "session_config.json")
+    cfg["gfl"] = gfl
+    fileio.write_json(tmp_path / "c.json", cfg)
+    det = sess / "detections.jsonl"
+    argv = {
+        "segment": ["segment", "--detections", det],
+        "fuse": ["fuse", "--detections", det],
+        "pipeline": ["pipeline", "--session", sess],
+    }[command]
+    out = tmp_path / "o"
+    assert run(argv + ["--config", tmp_path / "c.json", "--out", out]) == 3
+    assert f"segmentation input: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_hand_box_beyond_the_frame_exits_3_before_out(tmp_path, capsys):
+    sess = _tiny_session(tmp_path)
+
+    def widen(records):
+        next(r for r in records if r["hands"])["hands"][0]["box"][2] = 1.2
+
+    _edit_records(sess, widen)
+    out = tmp_path / "o"
+    assert _pipeline(sess, out) == 3
+    err = capsys.readouterr().err
+    assert "'load'" in err and "exceeds frame bounds" in err
+    assert not out.exists()
+
+
+def test_flow_group_box_beyond_the_frame_exits_3_before_out(tmp_path, capsys):
+    sess = _tiny_session(tmp_path)
+    boxes = tmp_path / "boxes.jsonl"
+    # x1 = 1 lies on the frame's edge and is taken; 1.3 lies beyond it
+    fileio.write_jsonl(boxes, [{"frame": t, "boxes": [[0.2, 0.2, 1.0 if t else 1.3, 0.7]]} for t in range(6)])
+    out = tmp_path / "o"
+    assert run(["flow-group", "--frames", sess / "frames", "--boxes", boxes, "--out", out]) == 3
+    assert "box 0 of frame 0 " in capsys.readouterr().err
+    assert not out.exists()
+    fileio.write_jsonl(boxes, [{"frame": t, "boxes": [[0.2, 0.2, 1.0, 1.0]]} for t in range(6)])
+    assert run(["flow-group", "--frames", sess / "frames", "--boxes", boxes, "--out", out]) == 0
+
+
+@pytest.mark.parametrize("entry", [0.0, float("nan"), float("inf")])
+def test_rpca_input_zero_or_non_finite_exits_3_before_out(tmp_path, capsys, entry):
+    m = np.zeros((4, 5)) if entry == 0.0 else np.ones((4, 5))
+    m[1, 2] = entry
+    fileio.write_matrix(tmp_path / "x.mat", m)
+    out = tmp_path / "o"
+    assert run(["rpca", "--input", tmp_path / "x.mat", "--out", out]) == 3
+    assert "rpca input 4x5 must be finite and not all zero" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_pipeline_all_black_frames_exit_3_naming_rpca(tmp_path, capsys):
+    sess = _tiny_session(tmp_path)
+    for path in (sess / "frames").iterdir():
+        fileio.write_pgm(path, np.zeros((72, 96)))
+    assert _pipeline(sess, tmp_path / "o") == 3
+    err = capsys.readouterr().err
+    assert "'rpca'" in err and "must be finite and not all zero" in err
+    _assert_no_child_process()
+
+
+def test_rule_region_null_loads_and_never_fires(tmp_path):
+    sess = tmp_path / "sess"
+    assert run(["synth", "--generator", "driver_session", "--seed", "5", "--params",
+                json.dumps({"episode_schedule": [["safe_driving", 10], ["operating_radio", 30]]}),
+                "--out", sess]) == 0
+    cfg = fileio.read_json(sess / "session_config.json")
+    radio_votes = []
+    for region in ([0.0, 0.0, 1.0, 1.0], None):
+        for rule in cfg["episode_rules"]["rules"]:
+            if rule["label"] == "operating_radio":
+                rule["params"]["region"] = region
+        fileio.write_json(tmp_path / "c.json", cfg)
+        out = tmp_path / f"o_{region is None}"
+        assert run(["fuse", "--detections", sess / "detections.jsonl", "--config", tmp_path / "c.json",
+                    "--out", out]) == 0
+        radio_votes.append(sum(e["votes"].get("operating_radio", 0) for e in fileio.read_json(out / "episodes.json")))
+    assert radio_votes[0] > 0 and radio_votes[1] == 0

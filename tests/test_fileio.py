@@ -2,6 +2,8 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epkit import cli, fileio
 from epkit.fileio import InputFormatError, SchemaError
@@ -159,3 +161,99 @@ def test_list_pgm_frames_errors(tmp_path):
     empty.mkdir()
     with pytest.raises(InputFormatError, match="no .pgm frames"):
         fileio.list_pgm_frames(empty)
+
+
+@pytest.mark.parametrize("read", [
+    fileio.read_matrix, fileio.read_pgm, fileio.read_jsonl, fileio.read_json, fileio.read_detections,
+    lambda path: fileio.read_box_records(path, 1),
+])
+def test_readers_name_a_path_they_cannot_read(tmp_path, read):
+    with pytest.raises(InputFormatError, match=f"{tmp_path / 'missing'}: cannot read: No such file"):
+        read(tmp_path / "missing")
+    with pytest.raises(InputFormatError, match=f"{tmp_path}: cannot read: Is a directory"):
+        read(tmp_path)
+
+
+def test_deep_nesting_is_bad_json_at_the_line_offset(tmp_path, capsys):
+    first = b"[1,\r2]\n"  # one line: a JSON-lines file splits on \n only
+    path = tmp_path / "d.jsonl"
+    path.write_bytes(first + b"[" * 100_000 + b"\n")
+    with pytest.raises(InputFormatError, match=f"byte offset {len(first)}"):
+        fileio.read_jsonl(path)
+    path.write_bytes(b"[" * 100_000)
+    with pytest.raises(InputFormatError, match="bad JSON.*recursion"):
+        fileio.read_json(path)
+    path.write_bytes(b'{"frame": 0}\n' + b"[" * 100_000 + b"\n")
+    assert cli.main(["segment", "--detections", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "byte offset 13" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_read_json_names_the_byte_offset_of_the_failure(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_bytes('{"é": [1, }'.encode())  # the offset counts bytes, not characters
+    with pytest.raises(InputFormatError, match="byte offset 11"):
+        fileio.read_json(path)
+    path.write_bytes(b'{"a": "\xff"}')
+    with pytest.raises(InputFormatError, match="byte offset 7"):
+        fileio.read_json(path)
+
+
+# Fuzzing: each reader gets a valid file of its kind, damaged by truncation,
+# flipped bits or inserted (often oversized) bytes; only the two typed errors
+# may escape, an InputFormatError at a byte offset, a SchemaError at path:line.
+_OVERSIZED = [b"[" * 100_000, b'{"a":' * 3000, b"9" * 5000, b"1e999", b"-" * 4000, b" " * 70_000,
+              b"\n" * 5000, b"\xff\xfe", b"\x00" * 64, b"99999999999999999999 "]
+
+
+@pytest.fixture(scope="module")
+def reader_inputs(tmp_path_factory):
+    """For each file a reader reads: its path, its valid bytes and the reader call."""
+    root = tmp_path_factory.mktemp("readers")
+    bundle = gen_driver_session([("safe_driving", 2), ("drinking", 2)], side_flip_fraction=0.5, seed=3)
+    fileio.write_detections(root / "d.jsonl", bundle.payload["frames"])
+    fileio.write_jsonl(root / "b.jsonl", [{"frame": t, "boxes": [[0.1, 0.2, 0.5, 0.6]] * t} for t in range(3)])
+    fileio.write_json(root / "c.json", {"gfl": {"lambda": 2.5, "threshold": [0.5, 1]}, "episode_rules": None})
+    fileio.write_matrix(root / "m.mat", rng(5).standard_normal((3, 4)))
+    (root / "frames").mkdir()
+    for t in range(2):
+        fileio.write_pgm(root / "frames" / f"f{t}.pgm", rng(t).uniform(0, 1, (5, 7)))
+    calls = {
+        "m.mat": fileio.read_matrix,
+        "frames/f0.pgm": lambda _path: fileio.read_frames(root / "frames"),
+        "frames/f1.pgm": lambda _path: fileio.read_frames(root / "frames"),
+        "d.jsonl": fileio.read_detections,
+        "b.jsonl": lambda path: fileio.read_box_records(path, 3),
+        "c.json": fileio.read_json,
+    }
+    return {name: (root / name, (root / name).read_bytes(), call) for name, call in calls.items()}
+
+
+@st.composite
+def _damaged(draw, blob: bytes) -> bytes:
+    kind = draw(st.sampled_from(["truncate", "flip", "insert"]))
+    if kind == "truncate":
+        return blob[: draw(st.integers(0, len(blob) - 1))]
+    out = bytearray(blob)
+    if kind == "flip":
+        for _ in range(draw(st.integers(1, 3))):
+            out[draw(st.integers(0, len(out) - 1))] ^= 1 << draw(st.integers(0, 7))
+        return bytes(out)
+    at = draw(st.integers(0, len(out)))
+    return bytes(out[:at] + draw(st.sampled_from(_OVERSIZED) | st.binary(min_size=1, max_size=40)) + out[at:])
+
+
+@settings(max_examples=500)
+@given(data=st.data())
+def test_damaged_input_raises_only_the_typed_errors(reader_inputs, data):
+    name = data.draw(st.sampled_from(sorted(reader_inputs)))
+    path, blob, read = reader_inputs[name]
+    try:
+        path.write_bytes(data.draw(_damaged(blob)))
+        read(path)
+    except InputFormatError as exc:
+        assert "byte offset" in str(exc)
+    except SchemaError as exc:
+        assert f"{path}:" in str(exc)
+    finally:
+        path.write_bytes(blob)
