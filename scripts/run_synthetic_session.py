@@ -5,7 +5,8 @@ Example:
     python3 scripts/run_synthetic_session.py --seed 21 --out /tmp/session_demo
 
 Besides the scores, it prints the wall time of the pipeline run, the peak RSS
-of this process and of the rpca worker, and numpy's OpenBLAS thread count
+of this process and of the worker (rpca, then flow chunks), and numpy's
+OpenBLAS thread count
 after the run. The generator writes one frame at a time, so its own peak stays
 below the pipeline's.
 """
@@ -110,7 +111,7 @@ def main() -> int:
     print(f"side-label records:   {side_fixes}")
     print(f"rpca warning frames:  {len(report['stages'].get('rpca', {}).get('warning_frames', []))}")
     print(f"peak RSS, this process: {peak_rss_mib(resource.RUSAGE_SELF):.1f} MiB")
-    print(f"peak RSS, rpca worker:  {peak_rss_mib(resource.RUSAGE_CHILDREN):.1f} MiB")
+    print(f"peak RSS, rpca + flow worker: {peak_rss_mib(resource.RUSAGE_CHILDREN):.1f} MiB")
     print(f"numpy BLAS threads:     {openblas_threads()}")
     print(f"episodes: {[ (e['label'], e['start'], e['end']) for e in report['stages']['episodes'] ][:8]}")
     return 0

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import json
 import os
 import sys
@@ -110,17 +111,25 @@ def cmd_synth(args) -> int:
         raise ConfigError(f"--params is not valid JSON: {exc}") from None
     if not isinstance(params, dict):
         raise ConfigError("--params must hold a JSON object")
-    try:  # each generator creates --out once it has accepted its parameters
-        generators[args.generator](args.out, args.seed, params)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad parameters for {args.generator}: {exc}") from None
+    generators[args.generator](args.out, args.seed, params)  # creates --out once its generator has run
     return 0
+
+
+def _generate(gen, defaults: dict, params: dict, seed: int):
+    """gen(seed=seed, **defaults updated in place by params), each param first held to its default's number rule."""
+    declared = {p.name: p.default for p in inspect.signature(gen).parameters.values()}
+    for name, value in params.items():
+        fusion.check_number(name, value, defaults.get(name, declared.get(name)), ConfigError)
+    defaults.update(params)
+    try:
+        return gen(seed=seed, **defaults)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"bad parameters for {gen.__name__.removeprefix('gen_')}: {exc}") from None
 
 
 def _synth_lowrank_sparse(out, seed, params):
     defaults = dict(d=200, t=200, rank=10, sparse_fraction=0.05, magnitude=5.0)
-    defaults.update(params)
-    bundle = synth.gen_lowrank_sparse(seed=seed, **defaults)
+    bundle = _generate(synth.gen_lowrank_sparse, defaults, params, seed)
     fileio.make_dir(out)
     fileio.write_matrix(os.path.join(out, "x.mat"), bundle.payload["x"])
     fileio.write_matrix(os.path.join(out, "truth_low_rank.mat"), bundle.ground_truth["low_rank"])
@@ -133,8 +142,7 @@ def _synth_lowrank_sparse(out, seed, params):
 
 def _synth_piecewise(out, seed, params):
     defaults = dict(d=8, t=240, change_points=[40, 90, 150, 200], jump_scale=2.0, noise_sigma=0.3)
-    defaults.update(params)
-    bundle = synth.gen_piecewise(seed=seed, **defaults)
+    bundle = _generate(synth.gen_piecewise, defaults, params, seed)
     fileio.make_dir(out)
     fileio.write_matrix(os.path.join(out, "x.mat"), bundle.payload["x"])
     fileio.write_matrix(os.path.join(out, "w.mat"), bundle.payload["w"])
@@ -150,8 +158,7 @@ def _synth_piecewise(out, seed, params):
 
 def _synth_shifted_pair(out, seed, params):
     defaults = dict(size=64, dx=1.0, dy=0.0, texture_scale=2.0)
-    defaults.update(params)
-    bundle = synth.gen_shifted_pair(seed=seed, **defaults)
+    bundle = _generate(synth.gen_shifted_pair, defaults, params, seed)
     fileio.make_dir(out)
     fileio.write_pgm(os.path.join(out, "frame1.pgm"), bundle.payload["frame1"])
     fileio.write_pgm(os.path.join(out, "frame2.pgm"), bundle.payload["frame2"])
@@ -171,11 +178,9 @@ def _synth_driver_session(out, seed, params):
             ["operating_radio", 120],
         ],
     )
-    defaults.update(params)
-    schedule = [tuple(e) for e in defaults.pop("episode_schedule")]
-    render = defaults.pop("render", True)  # frames are rendered as they are written, not held
-    bundle = synth.gen_driver_session(schedule, seed=seed, **defaults)
-    write_session(out, bundle, render)
+    params = dict(params)
+    render = params.pop("render", True)  # frames are rendered as they are written, not held
+    write_session(out, _generate(synth.gen_driver_session, defaults, params, seed), render)
 
 
 def write_session(out: str, bundle, render: bool) -> None:

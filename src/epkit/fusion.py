@@ -523,6 +523,8 @@ class EpisodeRuleTable:
 
     @classmethod
     def from_dict(cls, data: dict) -> "EpisodeRuleTable":
+        if set(data) != {"rules"}:
+            raise ValueError(f"a rule table holds one key, 'rules'; got {sorted(data)}")
         return cls(rules=[EpisodeRule(**r) for r in data["rules"]])
 
 

@@ -16,13 +16,14 @@ about BATCH_POINTS feature points. A chunk's pairs are solved in lag waves,
 lag 1 first, and `group_boxes` unions as pairs are scored: a pair whose two
 boxes are already in one set when its wave starts is not scored, since it
 cannot change the connected components (about 2,000 of 3,188 pairs are
-scored on a 400-frame session of 5 x 80 frames). `merge_groups` likewise
-compares no two groups already merged. Each box's state is built once, in a
-few batched calls per chunk: its canonical crop (`_frame_crops`, one gather
-over the chunk's frames), gradient planes (`_planes`), corners (`_corners`)
-and the source windows of those corners (`_lk_windows`), which every pair
-the box starts shares. Frames are validated once each, when their boxes are
-first cropped, and all frames with boxes must share one shape.
+scored on a 400-frame session of 5 x 80 frames, a few more or fewer when the
+pipeline splits the chunks between two processes). `merge_groups` likewise
+compares no two groups already merged. Each box's state is built once per
+run of consecutive chunks, in batched calls per chunk: its canonical crop
+(`_frame_crops`, one gather over the chunk's frames), gradient planes
+(`_planes`), corners (`_corners`) and the source windows of those corners
+(`_lk_windows`), which every pair the box starts shares. Frames are checked
+as their boxes are cropped; all frames with boxes must share one shape.
 """
 
 from __future__ import annotations
@@ -432,7 +433,7 @@ def _frame_crops(frames: Sequence, boxes_per_frame: Sequence[Sequence], t0: int,
 
 
 def _scored_pairs(
-    frames: Sequence, boxes_per_frame: Sequence[Sequence], cfg: FlowConfig, joined=None
+    frames: Sequence, boxes_per_frame: Sequence[Sequence], cfg: FlowConfig, joined=None, chunks=None
 ):
     """Motion-coherence score of the compared box pairs: yields (a, b, similarity).
 
@@ -446,14 +447,19 @@ def _scored_pairs(
     first, then those of each longer lag. A pair for which joined(a, b) is
     true when its wave starts is skipped: the generator resumes only after the
     caller has handled every pair yielded before, so joins made from them
-    count. Without joined, every pair is scored exactly once.
+    count. Without joined, every pair is scored exactly once. Only the pairs
+    whose first box lies in *chunks* (default: all of _chunks, in any order,
+    taken one at a time once the last one's pairs are yielded) are compared.
     """
     _check_frames(frames, boxes_per_frame)
     n = len(frames)
     keys: list[tuple[int, int]] = []
     planes = np.empty((3, 0, cfg.canonical_size, cfg.canonical_size))
-    built = 0
-    for t0, t1 in _chunks(boxes_per_frame, cfg):
+    built = end = 0
+    for t0, t1 in _chunks(boxes_per_frame, cfg) if chunks is None else chunks:
+        if t0 != end:  # a chunk that does not follow the last one shares no boxes with it
+            keys, planes, built = [], planes[:, :0], t0
+        end = t1
         # keep the boxes of frames t0 and later, add those up to the last compared frame
         stale = sum(1 for t, _i in keys if t < t0)
         last = min(t1 + cfg.gap_max + 1, n)
@@ -567,13 +573,15 @@ def group_boxes(
     boxes_per_frame: Sequence[Sequence],
     threshold: float,
     cfg: FlowConfig | None = None,
+    chunks=None,
 ) -> list[BoxTrackGroup]:
     """Union boxes across time by flow similarity.
 
     Boxes in frames t and t + k are compared for k up to gap_max + 1 (so a
     track survives up to gap_max frames with missing detections); pairs with
     similarity strictly above *threshold* are joined. Output is always a
-    partition of the (frame, box) pairs, in deterministic order.
+    partition of the (frame, box) pairs, in deterministic order. *chunks*,
+    if given, limits the compared pairs as in _scored_pairs.
     """
     if cfg is None:
         cfg = FlowConfig()
@@ -582,7 +590,7 @@ def group_boxes(
     ]
     uf = _UnionFind(keys)
     # a pair whose boxes are already joined cannot change the partition, so it is not scored
-    scored = _scored_pairs(frames, boxes_per_frame, cfg, lambda a, b: uf.find(a) == uf.find(b))
+    scored = _scored_pairs(frames, boxes_per_frame, cfg, lambda a, b: uf.find(a) == uf.find(b), chunks)
     for a, b, sim in scored:
         if sim > threshold:
             uf.union(a, b)

@@ -5,7 +5,9 @@ the raw frames, change-point segmentation of the pose stream, flow-based
 box grouping, per-frame rule fusion with self-training records, and episode
 labels per segment. Every stage writes its own files as it completes, so a
 failing stage leaves the earlier outputs on disk; the final report links
-everything by frame index; rpca runs in a worker beside segmentation and flow.
+everything by frame index. rpca runs in a forked worker beside segmentation
+and flow, and then groups the flow chunks it takes (`_Claims`); the groups,
+and every output byte, do not depend on which side took a chunk.
 """
 
 from __future__ import annotations
@@ -13,6 +15,9 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import dataclasses
+import functools
+import itertools
+import mmap
 import os
 import pickle
 
@@ -58,8 +63,9 @@ def blas_threads(n: int):
 def in_worker(fn, *args):
     """Start fn(*args) in a forked child; return a function that waits for it.
 
-    The waiting function reaps the child and returns fn's result or raises
-    its exception. Without os.fork, fn runs inline when waited for.
+    The waiting function reaps the child once and, at every call, returns
+    fn's result or raises its exception. Without os.fork, fn runs inline at
+    each call.
     """
     if not hasattr(os, "fork"):
         return lambda: fn(*args)
@@ -85,18 +91,51 @@ def in_worker(fn, *args):
             os._exit(status)
     os.close(write_fd)
 
-    def wait():
+    @functools.cache
+    def result() -> bytes:
         with os.fdopen(read_fd, "rb") as fh:
             data = fh.read()  # drained before waitpid, so a large result cannot block the child
         status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        if not data:
-            raise RuntimeError(f"worker exited with status {status} and no result")
-        ok, value = pickle.loads(data)
+        return data or pickle.dumps((False, RuntimeError(f"worker exited with status {status} and no result")))
+
+    def wait():
+        ok, value = pickle.loads(result())
         if not ok:
             raise value
         return value
 
     return wait
+
+
+class _Claims:
+    """Flow chunks shared with a forked worker: chunks[front:back], in shared memory, are untaken."""
+
+    def __init__(self, chunks):
+        self.chunks = list(chunks)
+        self._ends = memoryview(mmap.mmap(-1, 16)).cast("q")  # front, back: int64 in an anonymous shared map
+        self._ends[1] = len(self.chunks)
+        self._token = os.pipe()  # only the holder of its one byte changes the ends
+        os.write(self._token[1], b".")
+
+    def taken(self, end: int):
+        """Chunks taken until none are left: at the front (end 0) one at a time, at the back half the rest."""
+        while True:
+            os.read(self._token[0], 1)
+            front, back = self._ends
+            n = (back - front + 1) // 2 if end else min(back - front, 1)
+            self._ends[end] = back - n if end else front + n
+            os.write(self._token[1], b".")
+            if n == 0:
+                return
+            yield from self.chunks[back - n : back] if end else self.chunks[front : front + n]
+
+    def stolen(self) -> bool:
+        """Whether the worker took a chunk, so was past rpca (its failure is flow's); final once front meets back."""
+        return self._ends[1] < len(self.chunks)
+
+    def close(self) -> None:
+        for fd in self._token:
+            os.close(fd)
 
 
 def downscale(frame: np.ndarray, limit: int) -> np.ndarray:
@@ -224,9 +263,32 @@ def pixel_boxes(frames, boxes_per_frame) -> list[list[tuple]]:
     return scaled
 
 
-def run_flow_stage(frames, boxes_per_frame, cfg: Config, out_dir: str) -> dict:
-    """Group and merge pixel_boxes' boxes (x0, y0, x1, y1) by flow; write flow_groups.csv and .json."""
-    groups = optflow.group_boxes(frames, boxes_per_frame, cfg.flow.group_threshold, cfg.flow)
+def _flow_job(frames, boxes_per_frame, cfg: Config, out_dir: str, claims: _Claims) -> tuple:
+    """The rpca stage, then the flow chunks taken at claims' back: (rpca info, joined members or None)."""
+    # run_rpca_stage is looked up here, in the worker, so a wrapper set on the module applies
+    info = run_rpca_stage(frames_to_matrix(frames, cfg.downscale_limit), cfg, out_dir)
+    chunks = claims.taken(1)
+    first = next(chunks, None)
+    if first is None:
+        return info, None
+    groups = optflow.group_boxes(frames, boxes_per_frame, cfg.flow.group_threshold, cfg.flow,
+                                 itertools.chain([first], chunks))
+    return info, [g.members for g in groups]
+
+
+def run_flow_stage(frames, boxes_per_frame, cfg: Config, out_dir: str, claims=None, worker=None) -> dict:
+    """Group and merge pixel_boxes' boxes (x0, y0, x1, y1) by flow; write flow_groups.csv and .json.
+
+    With *claims*, the chunks taken at the front, joined with those *worker* (_flow_job) took, if any.
+    """
+    groups = optflow.group_boxes(frames, boxes_per_frame, cfg.flow.group_threshold, cfg.flow,
+                                 claims and claims.taken(0))
+    if claims and claims.stolen():
+        uf = optflow._UnionFind(m for g in groups for m in g.members)
+        for members in [g.members for g in groups] + worker()[1]:
+            for m in members[1:]:
+                uf.union(members[0], m)
+        groups = optflow._groups_from_union(uf, uf.parent)
     merged = optflow.merge_groups(groups, frames, boxes_per_frame, cfg.flow.merge_threshold, cfg.flow)
     fileio.write_csv(
         os.path.join(out_dir, "flow_groups.csv"),
@@ -309,11 +371,9 @@ def run_pipeline(session_dir: str, cfg: Config, out_dir: str) -> dict:
 
     report: dict = {"stages": {}, "frames": []}
 
-    with blas_threads(1):  # the worker holds a CPU: this process keeps one BLAS thread until it is reaped
-        # run_rpca_stage is looked up when the worker calls it, so a wrapper set on the module applies
-        rpca_wait = in_worker(
-            lambda: run_rpca_stage(frames_to_matrix(frames, cfg.downscale_limit), cfg, out_dir)
-        ) if len(frames) else lambda: None
+    # the worker holds a CPU: this process keeps one BLAS thread until it is reaped
+    with contextlib.closing(_Claims(optflow._chunks(boxes_per_frame, cfg.flow))) as claims, blas_threads(1):
+        worker = in_worker(_flow_job, frames, boxes_per_frame, cfg, out_dir, claims) if len(frames) else None
         try:
             seg = _stage("segmentation", run_segmentation_stage, signal, cfg, out_dir)
             labeling = seg["labelings"][0]
@@ -325,13 +385,13 @@ def run_pipeline(session_dir: str, cfg: Config, out_dir: str) -> dict:
             }
 
             if len(frames):
-                flow_info = _stage("flow_groups", run_flow_stage, frames, boxes_per_frame, cfg, out_dir)
-                report["stages"]["flow_groups"] = {
-                    "n_groups": len(flow_info["groups"]),
-                }
-        finally:
-            # always reaps the worker; a failed rpca is reported over a later stage's failure
-            rpca_info = _stage("rpca", rpca_wait)
+                flow_info = _stage("flow_groups", run_flow_stage, frames, boxes_per_frame, cfg, out_dir,
+                                   claims, worker)
+                report["stages"]["flow_groups"] = {"n_groups": len(flow_info["groups"])}
+        finally:  # leaves the worker no chunk and reaps it; a failed rpca is reported over a later stage's failure
+            for _chunk in claims.taken(0):
+                pass
+            rpca_info = _stage("flow_groups" if claims.stolen() else "rpca", worker)[0] if worker else None
     if rpca_info:
         report["stages"]["rpca"] = rpca_info
 

@@ -3,6 +3,7 @@ import builtins
 import copy
 import csv
 import ctypes
+import dataclasses
 import filecmp
 import inspect
 import json
@@ -10,10 +11,14 @@ import os
 import re
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from epkit import cli, config, fileio, fusion, gflasso, optflow, pipeline, rpca, synth
 
@@ -471,6 +476,35 @@ def test_in_worker_sends_unpicklable_errors_large_results_and_lost_children():
     _assert_no_child_process()
 
 
+def test_claims_give_each_chunk_to_exactly_one_taker_under_contention():
+    # more takers than cores, switching often: this thread at the front, four threads at the back
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _round in range(300):
+            claims = pipeline._Claims(range(64))
+            start = threading.Barrier(5, timeout=60)  # every taker begins at once
+
+            def take_back(back, claims=claims, start=start):
+                start.wait()
+                back.extend(claims.taken(1))
+
+            backs = [[] for _ in range(4)]
+            threads = [threading.Thread(target=take_back, args=(back,)) for back in backs]
+            for t in threads:
+                t.start()
+            start.wait()
+            front = list(claims.taken(0))
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+            claims.close()
+            assert sorted(front + [c for back in backs for c in back]) == list(range(64))  # none lost or twice
+            assert front == list(range(len(front))) and claims.stolen() == any(backs)
+    finally:
+        sys.setswitchinterval(interval)
+
+
 @pytest.fixture(scope="module")
 def session_400(tmp_path_factory):
     """The seed-1 400-frame session: on two or more cores, a default-threaded BLAS gives rpca other bytes."""
@@ -482,14 +516,129 @@ def session_400(tmp_path_factory):
     return sess
 
 
-def test_pipeline_without_fork_runs_rpca_inline_with_the_same_outputs(tmp_path, monkeypatch, session_400):
-    assert _pipeline(session_400, tmp_path / "forked") == 0
-    monkeypatch.delattr(os, "fork")
-    assert _pipeline(session_400, tmp_path / "inline") == 0  # pinned to one BLAS thread, as the worker is
-    names = sorted(os.listdir(tmp_path / "forked"))
-    assert len(names) == 14 and names == sorted(os.listdir(tmp_path / "inline"))
-    _match, mismatch, errors = filecmp.cmpfiles(tmp_path / "forked", tmp_path / "inline", names, shallow=False)
+@pytest.fixture(scope="module")
+def inline_400(tmp_path_factory, session_400):
+    """session_400's outputs without os.fork: rpca runs inline at the join, and this process groups every chunk."""
+    out = tmp_path_factory.mktemp("inline_400") / "inline"
+    with pytest.MonkeyPatch.context() as m:
+        m.delattr(os, "fork")
+        assert _pipeline(session_400, out) == 0  # pinned to one BLAS thread, as the worker is
+    return out
+
+
+def _assert_same_files(out, reference):
+    names = sorted(os.listdir(out))
+    assert len(names) == 14 and names == sorted(os.listdir(reference))
+    _match, mismatch, errors = filecmp.cmpfiles(out, reference, names, shallow=False)
     assert mismatch == [] and errors == []
+
+
+def test_pipeline_without_fork_runs_rpca_inline_with_the_same_outputs(tmp_path, session_400, inline_400):
+    assert _pipeline(session_400, tmp_path / "forked") == 0
+    _assert_same_files(tmp_path / "forked", inline_400)
+
+
+def _claims_made(monkeypatch):
+    """The _Claims each pipeline run makes, in order; a forked worker sees those made before it."""
+    made = []
+
+    class Recorded(pipeline._Claims):
+        def __init__(self, chunks):
+            super().__init__(chunks)
+            made.append(self)
+
+    monkeypatch.setattr(pipeline, "_Claims", Recorded)
+    return made
+
+
+def _until(done):
+    deadline = time.monotonic() + 120
+    while not done():
+        assert time.monotonic() < deadline
+        time.sleep(0.005)
+
+
+def _after(done, fn):
+    """fn, called once done() holds."""
+    def wrapped(*args):
+        _until(done)
+        return fn(*args)
+
+    return wrapped
+
+
+def _all_taken(claims) -> bool:
+    front, back = claims._ends
+    return front == back
+
+
+@pytest.mark.parametrize("steal", [True, False])
+def test_pipeline_outputs_do_not_depend_on_which_side_groups_a_chunk(tmp_path, monkeypatch, session_400,
+                                                                     inline_400, steal):
+    made = _claims_made(monkeypatch)
+    if steal:  # this process segments only once the worker, past rpca, has taken a block
+        monkeypatch.setattr(pipeline, "run_segmentation_stage",
+                            _after(lambda: made[-1].stolen(), pipeline.run_segmentation_stage))
+    else:  # the worker's rpca ends only once this process has taken every chunk
+        monkeypatch.setattr(rpca, "decompose", _after(lambda: _all_taken(made[-1]), rpca.decompose))
+    stolen = []
+    flow_stage = pipeline.run_flow_stage
+
+    def recorded(*args):
+        result = flow_stage(*args)
+        stolen.append(args[-2].stolen())
+        return result
+
+    monkeypatch.setattr(pipeline, "run_flow_stage", recorded)
+    assert _pipeline(session_400, tmp_path / "o") == 0
+    assert stolen == [steal] and len(made[-1].chunks) == 50
+    _assert_same_files(tmp_path / "o", inline_400)
+    _assert_no_child_process()
+
+
+@pytest.mark.parametrize("fault, kind, message", [
+    (_raising(TypeError("a bug in a chunk the worker took")), TypeError, "a bug in a chunk the worker took"),
+    (lambda: os._exit(9), RuntimeError, "worker exited with status 9 and no result"),  # killed mid-flow
+])
+def test_pipeline_flow_failure_in_a_chunk_the_worker_took_names_flow(tmp_path, monkeypatch, fault, kind, message):
+    sess = _tiny_session(tmp_path, frames=40)
+    made = _claims_made(monkeypatch)
+    monkeypatch.setattr(pipeline, "run_segmentation_stage",
+                        _after(lambda: made[-1].stolen(), pipeline.run_segmentation_stage))
+    parent, crops = os.getpid(), optflow._frame_crops
+
+    def broken_in_worker(*args):
+        if os.getpid() != parent:
+            fault()
+        return crops(*args)
+
+    monkeypatch.setattr(optflow, "_frame_crops", broken_in_worker)
+    with pytest.raises(pipeline.StageError) as info:
+        _pipeline(sess, tmp_path / "o")
+    assert info.value.stage == "flow_groups" and len(made[-1].chunks) >= 3
+    assert isinstance(info.value.cause, kind) and message in str(info.value.cause)
+    _assert_no_child_process()
+
+
+def test_pipeline_flow_failure_here_while_the_worker_holds_a_block_names_flow(tmp_path, monkeypatch):
+    sess = _tiny_session(tmp_path, frames=40)
+    made = _claims_made(monkeypatch)
+    monkeypatch.setattr(pipeline, "run_segmentation_stage",
+                        _after(lambda: made[-1].stolen(), pipeline.run_segmentation_stage))
+    parent, crops = os.getpid(), optflow._frame_crops
+
+    def broken_here(*args):
+        if os.getpid() == parent:
+            raise TypeError("a bug in a chunk this process took")
+        _until(lambda: _all_taken(made[-1]))  # the worker holds its block until this process has given up
+        return crops(*args)
+
+    monkeypatch.setattr(optflow, "_frame_crops", broken_here)
+    with pytest.raises(pipeline.StageError) as info:
+        _pipeline(sess, tmp_path / "o")
+    assert info.value.stage == "flow_groups" and "this process took" in str(info.value.cause)
+    assert (tmp_path / "o" / "rpca_summary.json").exists()  # the worker was reaped after its rpca
+    _assert_no_child_process()
 
 
 def test_pipeline_rpca_bytes_do_not_depend_on_blas_threads(tmp_path, session_400):
@@ -760,6 +909,8 @@ def test_pipeline_bad_flow_setting_exits_4_before_any_stage(tmp_path, capsys, se
     ("rpca", {"penalty_cap": "x"}, "rpca.penalty_cap must be a number"),
     ("flow", {"eigen_floor": False}, "flow.eigen_floor must be a number"),
     ("fusion", {"consistency_frames": 2.5}, "fusion.consistency_frames must be an integer"),
+    ("episode_rules", {"bogus": 1}, "'bogus'"),  # beside the session's own "rules"
+    ("episode_rules", {"default": []}, "'default'"),
 ])
 def test_pipeline_bad_setting_exits_4_before_any_stage(tmp_path, capsys, section, setting, message):
     sess = _tiny_session(tmp_path)
@@ -803,6 +954,54 @@ def test_synth_bad_params_exit_4(tmp_path, capsys, generator, params, message):
                 "--out", tmp_path / "o"]) == 4
     assert message in capsys.readouterr().err
     assert not (tmp_path / "o").exists()  # created only once the generator accepts its parameters
+
+
+@pytest.mark.parametrize("generator, params, message", [
+    ("lowrank_sparse", {"magnitude": 1e999, "d": 6, "t": 5, "rank": 1}, "magnitude must be finite"),
+    ("lowrank_sparse", {"d": 6.0}, "d must be an integer"),
+    ("piecewise", {"change_points": [1e999]}, "cannot convert float infinity"),
+    ("driver_session", {"side_flip_fraction": float("nan")}, "side_flip_fraction must be finite"),
+    ("driver_session", {"episode_schedule": [["safe_driving", 1e999]]}, "cannot convert float infinity"),
+])
+def test_synth_params_are_checked_before_any_generator_runs(tmp_path, capsys, generator, params, message):
+    assert run(["synth", "--generator", generator, "--params", json.dumps(params),
+                "--out", tmp_path / "o"]) == 4
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_synth_writer_failure_is_a_traceback(tmp_path, monkeypatch):
+    monkeypatch.setattr(fileio, "write_json", _raising(ValueError("a bug in a writer")))
+    with pytest.raises(ValueError, match="a bug in a writer"):
+        run(["synth", "--generator", "lowrank_sparse", "--params", '{"d": 6, "t": 5, "rank": 1}',
+             "--out", tmp_path / "o"])
+
+
+_NAMES = sorted({"rpca", "gfl", "flow", "fusion", "episode_rules", "downscale_limit", "rules", "label",
+                 "predicate", "params", "with_side", "lambda", "wheel_region", "threshold", "region",
+                 "object_labels", "head_radius", "chest_line", *fusion.PREDICATES,
+                 *(f.name for cls in config.SECTIONS.values() for f in dataclasses.fields(cls))})
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4) | st.sampled_from(_NAMES),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(_NAMES) | st.text(max_size=3), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@given(data=_JSON, where=st.sampled_from(["config file", "inline rule table", "rule table file"]))
+def test_config_and_rule_tables_raise_only_config_error(tmp_path_factory, data, where):
+    path = tmp_path_factory.mktemp("fuzz") / "c.json"
+    if where == "inline rule table":
+        data = {"episode_rules": data}
+    elif where == "rule table file":
+        path.with_name("rules.json").write_text(json.dumps(data))
+        data = {"episode_rules": str(path.with_name("rules.json"))}
+    path.write_text(json.dumps(data))
+    try:
+        config.load_config(str(path))
+    except fileio.ConfigError:
+        pass
 
 
 @pytest.mark.parametrize("argv", [

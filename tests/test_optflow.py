@@ -567,10 +567,10 @@ def test_batched_grouping_matches_oracle_on_criterion7_scenes():
         _assert_matches_oracle(frames, boxes, cfg)
 
 
-def _driver_session_scene():
-    """Frames, pixel boxes and flow settings of the seed-21 5 x 20-frame session."""
+def _driver_session_scene(frames_per_episode=20, seed=21):
+    """Frames, pixel boxes and flow settings of the seed-21 5 x 20-frame session (by default)."""
     labels = ["safe_driving", "texting_left", "drinking", "talking_on_phone_left", "operating_radio"]
-    bundle = gen_driver_session([(lbl, 20) for lbl in labels], seed=21, side_flip_fraction=0.1)
+    bundle = gen_driver_session([(lbl, frames_per_episode) for lbl in labels], seed=seed, side_flip_fraction=0.1)
     frames = list(render_frames(bundle.payload["frames"], *bundle.ground_truth["frame_size"]))
     h, w = frames[0].shape
     boxes = [
@@ -665,6 +665,84 @@ def test_group_boxes_scores_fewer_pairs_on_driver_session(monkeypatch):
     frames, boxes, cfg = _driver_session_scene()
     counts, n_candidates = _assert_skips_only_joined_pairs(monkeypatch, frames, boxes, cfg)
     assert all(n < n_candidates for n in counts), (counts, n_candidates)
+
+
+def _members(uf, keys):
+    return [g.members for g in optflow._groups_from_union(uf, keys)]
+
+
+def _partitions_as_chunks_are_taken(monkeypatch, frames, boxes, cfg, order):
+    """group_boxes over the chunks in *order*: its partition before each chunk is taken, then its groups.
+
+    Entry i is the partition of the pairs whose first box lies in order[:i].
+    """
+    keys = [(t, i) for t in range(len(boxes)) for i in range(len(boxes[t]))]
+    ufs, found = [], []
+
+    class Recorded(optflow._UnionFind):
+        def __init__(self, items):
+            super().__init__(items)
+            ufs.append(self)
+
+    def taken():  # group_boxes asks for a chunk only once it has joined the pairs of the last one
+        for chunk in order:
+            found.append(_members(ufs[-1], keys))
+            yield chunk
+
+    with monkeypatch.context() as m:
+        m.setattr(optflow, "_UnionFind", Recorded)
+        groups = optflow.group_boxes(frames, boxes, cfg.group_threshold, cfg, taken())
+    return found + [[g.members for g in groups]]
+
+
+def _joined(boxes, *partitions):
+    """The finest partition coarser than each of *partitions*."""
+    keys = [(t, i) for t in range(len(boxes)) for i in range(len(boxes[t]))]
+    uf = optflow._UnionFind(keys)
+    for members in (members for partition in partitions for members in partition):
+        for m in members[1:]:
+            uf.union(members[0], m)
+    return _members(uf, keys)
+
+
+def _assert_every_split_gives_the_serial_partition(monkeypatch, frames, boxes, cfg):
+    """For each k, the groups of chunks [0, k) joined with those of [k, n) are serial group_boxes' groups.
+
+    Each side joins only boxes of the pairs whose first box lies in its chunks.
+    """
+    chunks = list(optflow._chunks(boxes, cfg))
+    starts = [t0 for t0, _t1 in chunks] + [len(boxes)]
+    front = _partitions_as_chunks_are_taken(monkeypatch, frames, boxes, cfg, chunks)
+    serial = front[-1]  # all chunks, in order
+    # the back [k, n), taken one chunk at a time from the last: no chunk follows the one before it
+    back = _partitions_as_chunks_are_taken(monkeypatch, frames, boxes, cfg, chunks[::-1])[::-1]
+    for k in range(len(chunks) + 1):
+        assert all(m[-1][0] <= starts[k] + cfg.gap_max for m in front[k] if len(m) > 1), k
+        assert all(m[0][0] >= starts[k] for m in back[k] if len(m) > 1), k
+        assert _joined(boxes, front[k], back[k]) == serial, k
+    # the rpca worker's blocks once the parent has taken [0, k): back halves of the rest, each in order
+    k = len(chunks) // 3
+    claims = pipeline._Claims(chunks[k:])
+    blocks = list(claims.taken(1))
+    claims.close()
+    assert sorted(blocks) == chunks[k:] and blocks[0] == chunks[k + (len(chunks) - k) // 2]
+    worker = [g.members for g in optflow.group_boxes(frames, boxes, cfg.group_threshold, cfg, blocks)]
+    assert all(m[0][0] >= starts[k] for m in worker if len(m) > 1)
+    assert _joined(boxes, front[k], worker) == serial
+    return len(chunks)
+
+
+def test_every_chunk_split_gives_the_serial_partition_on_criterion7_scenes(monkeypatch):
+    monkeypatch.setattr(optflow, "BATCH_POINTS", 1)  # one chunk per frame
+    cfg = optflow.FlowConfig()
+    for seed in range(25):
+        frames, boxes = _criterion7_scene(seed)
+        _assert_every_split_gives_the_serial_partition(monkeypatch, frames, boxes, cfg)
+
+
+def test_every_chunk_split_gives_the_serial_partition_on_driver_session(monkeypatch):
+    frames, boxes, cfg = _driver_session_scene(frames_per_episode=80, seed=1)
+    assert _assert_every_split_gives_the_serial_partition(monkeypatch, frames, boxes, cfg) == 50
 
 
 def test_uint8_frames_give_the_same_scores_partitions_and_matrix_as_their_floats(tmp_path):
