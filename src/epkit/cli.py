@@ -180,6 +180,8 @@ def _synth_driver_session(out, seed, params):
     )
     params = dict(params)
     render = params.pop("render", True)  # frames are rendered as they are written, not held
+    if type(render) is not bool:
+        raise ConfigError(f"render must be true or false, got {render!r:.30}")
     write_session(out, _generate(synth.gen_driver_session, defaults, params, seed), render)
 
 

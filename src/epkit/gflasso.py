@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solveh_banded
 
 from .fusion import check_number
 from .numkit import as_matrix
@@ -171,6 +170,8 @@ def solve(x, w, cfg: GflConfig) -> GflResult:
     factorisation gives each row exactly what it would give that row alone.
     The band is rebuilt only when rho changes.
     """
+    from scipy.linalg import solveh_banded
+
     xa, wa = validate_inputs(x, w, cfg)
     d, t = xa.shape
     p = cfg.order

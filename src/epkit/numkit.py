@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 
 def as_matrix(m, name: str = "matrix") -> np.ndarray:
@@ -57,6 +56,8 @@ def svd(m) -> SvdFactors:
     try:
         u, s, vt = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError:
+        import scipy.linalg
+
         try:
             u, s, vt = scipy.linalg.svd(a, full_matrices=False, lapack_driver="gesvd")
         except Exception as exc:

@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.ndimage import maximum_filter, uniform_filter
 
 # Forward feature points solved in one batch. On the 400-frame benchmark
 # session (2-CPU host), group_boxes took a median 2.31 s at 256 points,
@@ -207,6 +206,8 @@ def _corners(planes: np.ndarray, max_count: int, quality: float, window: int) ->
     margin = window // 2 + 1
     if 2 * margin >= min(h, w):
         return [np.empty((0, 2)) for _ in range(n)]
+    from scipy.ndimage import maximum_filter, uniform_filter
+
     # size 1 along the stack axis: each image is filtered exactly as on its own
     size = (1, window, window)
     area = window * window

@@ -371,6 +371,8 @@ def run_pipeline(session_dir: str, cfg: Config, out_dir: str) -> dict:
 
     report: dict = {"stages": {}, "frames": []}
 
+    if len(frames):  # before the fork, so a worker that takes flow chunks does not import it while the parent waits
+        import scipy.ndimage  # noqa: F401
     # the worker holds a CPU: this process keeps one BLAS thread until it is reaped
     with contextlib.closing(_Claims(optflow._chunks(boxes_per_frame, cfg.flow))) as claims, blas_threads(1):
         worker = in_worker(_flow_job, frames, boxes_per_frame, cfg, out_dir, claims) if len(frames) else None

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.ndimage import gaussian_filter, map_coordinates
 
 from .fusion import HandDetection, ObjectDetection, PoseFrame
 
@@ -121,6 +120,8 @@ def gen_shifted_pair(
     """
     if abs(dx) > 3 or abs(dy) > 3:
         raise ValueError(f"shift components must satisfy |d| <= 3, got ({dx}, {dy})")
+    from scipy.ndimage import gaussian_filter, map_coordinates
+
     g = rng(seed)
     base = gaussian_filter(g.standard_normal((size, size)), sigma=texture_scale)
     lo, hi = base.min(), base.max()

@@ -948,6 +948,8 @@ def test_synth_driver_session_leaves_default_rules_alone(tmp_path, monkeypatch):
 @pytest.mark.parametrize("generator, params, message", [
     ("lowrank_sparse", {"rank": 500}, "rank 500"),
     ("driver_session", {"episode_schedule": [["bogus", 3]]}, "'bogus'"),
+    ("driver_session", {"episode_schedule": [["safe_driving", 3]], "render": "no"}, "render must be true or false"),
+    ("driver_session", {"episode_schedule": [["safe_driving", 3]], "render": 1}, "render must be true or false"),
 ])
 def test_synth_bad_params_exit_4(tmp_path, capsys, generator, params, message):
     assert run(["synth", "--generator", generator, "--params", json.dumps(params),
@@ -968,6 +970,15 @@ def test_synth_params_are_checked_before_any_generator_runs(tmp_path, capsys, ge
                 "--out", tmp_path / "o"]) == 4
     assert message in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("render", [True, False])
+def test_synth_driver_session_render_flag(tmp_path, render):
+    params = {"episode_schedule": [["safe_driving", 3]], "render": render}
+    assert run(["synth", "--generator", "driver_session", "--params", json.dumps(params),
+                "--out", tmp_path / "o"]) == 0
+    assert (tmp_path / "o" / "detections.jsonl").exists()
+    assert (tmp_path / "o" / "frames").is_dir() == render
 
 
 def test_synth_writer_failure_is_a_traceback(tmp_path, monkeypatch):

@@ -56,13 +56,17 @@ def test_svd_rejects_bad_input():
 
 
 def test_svd_nonconvergence_error_names_dimensions(monkeypatch):
+    calls = []
+
     def boom(*args, **kwargs):
+        calls.append(kwargs.get("lapack_driver"))
         raise np.linalg.LinAlgError("did not converge")
 
     monkeypatch.setattr(np.linalg, "svd", boom)
     monkeypatch.setattr("scipy.linalg.svd", boom)
     with pytest.raises(RuntimeError, match="7x4"):
         numkit.svd(np.ones((7, 4)))
+    assert calls == [None, "gesvd"]  # numpy's driver, then the scipy fallback
 
 
 def test_soft_threshold_examples():
