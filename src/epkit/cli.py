@@ -115,34 +115,34 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _generate(gen, defaults: dict, params: dict, seed: int):
-    """gen(seed=seed, **defaults updated in place by params), each param first held to its default's number rule."""
-    declared = {p.name: p.default for p in inspect.signature(gen).parameters.values()}
+def _generate(gen, params: dict, seed: int):
+    """(gen(seed=seed, **params), its settings): each param is first held to its default's number rule.
+
+    The settings are gen's signature defaults (seed aside) updated by params.
+    """
+    defaults = {p.name: p.default for p in inspect.signature(gen).parameters.values() if p.name != "seed"}
     for name, value in params.items():
-        fusion.check_number(name, value, defaults.get(name, declared.get(name)), ConfigError)
-    defaults.update(params)
+        fusion.check_number(name, value, defaults.get(name), ConfigError)
     try:
-        return gen(seed=seed, **defaults)
+        return gen(seed=seed, **params), {**defaults, **params}
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad parameters for {gen.__name__.removeprefix('gen_')}: {exc}") from None
 
 
 def _synth_lowrank_sparse(out, seed, params):
-    defaults = dict(d=200, t=200, rank=10, sparse_fraction=0.05, magnitude=5.0)
-    bundle = _generate(synth.gen_lowrank_sparse, defaults, params, seed)
+    bundle, settings = _generate(synth.gen_lowrank_sparse, params, seed)
     fileio.make_dir(out)
     fileio.write_matrix(os.path.join(out, "x.mat"), bundle.payload["x"])
     fileio.write_matrix(os.path.join(out, "truth_low_rank.mat"), bundle.ground_truth["low_rank"])
     fileio.write_matrix(os.path.join(out, "truth_sparse.mat"), bundle.ground_truth["sparse"])
     fileio.write_json(
         os.path.join(out, "meta.json"),
-        {"seed": seed, "params": defaults, "support": [int(i) for i in bundle.ground_truth["support"]]},
+        {"seed": seed, "params": settings, "support": [int(i) for i in bundle.ground_truth["support"]]},
     )
 
 
 def _synth_piecewise(out, seed, params):
-    defaults = dict(d=8, t=240, change_points=[40, 90, 150, 200], jump_scale=2.0, noise_sigma=0.3)
-    bundle = _generate(synth.gen_piecewise, defaults, params, seed)
+    bundle, settings = _generate(synth.gen_piecewise, params, seed)
     fileio.make_dir(out)
     fileio.write_matrix(os.path.join(out, "x.mat"), bundle.payload["x"])
     fileio.write_matrix(os.path.join(out, "w.mat"), bundle.payload["w"])
@@ -150,39 +150,29 @@ def _synth_piecewise(out, seed, params):
         os.path.join(out, "meta.json"),
         {
             "seed": seed,
-            "params": defaults,
+            "params": settings,
             "change_points": bundle.ground_truth["change_points"],
         },
     )
 
 
 def _synth_shifted_pair(out, seed, params):
-    defaults = dict(size=64, dx=1.0, dy=0.0, texture_scale=2.0)
-    bundle = _generate(synth.gen_shifted_pair, defaults, params, seed)
+    bundle, settings = _generate(synth.gen_shifted_pair, params, seed)
     fileio.make_dir(out)
     fileio.write_pgm(os.path.join(out, "frame1.pgm"), bundle.payload["frame1"])
     fileio.write_pgm(os.path.join(out, "frame2.pgm"), bundle.payload["frame2"])
     fileio.write_json(
         os.path.join(out, "meta.json"),
-        {"seed": seed, "params": defaults, "truth": bundle.ground_truth},
+        {"seed": seed, "params": settings, "truth": bundle.ground_truth},
     )
 
 
 def _synth_driver_session(out, seed, params):
-    defaults = dict(
-        episode_schedule=[
-            ["safe_driving", 120],
-            ["texting_left", 120],
-            ["drinking", 120],
-            ["talking_on_phone_left", 120],
-            ["operating_radio", 120],
-        ],
-    )
     params = dict(params)
     render = params.pop("render", True)  # frames are rendered as they are written, not held
     if type(render) is not bool:
         raise ConfigError(f"render must be true or false, got {render!r:.30}")
-    write_session(out, _generate(synth.gen_driver_session, defaults, params, seed), render)
+    write_session(out, _generate(synth.gen_driver_session, params, seed)[0], render)
 
 
 def write_session(out: str, bundle, render: bool) -> None:

@@ -30,6 +30,7 @@ import inspect
 import math
 import sys
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Sequence
 
 ARM_JOINTS = ("r_shoulder", "r_elbow", "r_wrist", "l_shoulder", "l_elbow", "l_wrist")
@@ -139,8 +140,7 @@ class WristAssociation:
     wrist: str
     hand_index: int
     distance: float  # wrist-to-edge distance in diagonal units
-    angle_deg: float | None
-    angle_waived: bool
+    angle_deg: float | None  # None: the elbow is unscored, which waives the angle check
 
 
 @dataclass
@@ -242,14 +242,30 @@ def _angle_deg(u: tuple[float, float], v: tuple[float, float]) -> float:
 _WRIST_SPECS = (("l_wrist", "l_elbow", "left"), ("r_wrist", "r_elbow", "right"))
 
 
-def _associate(pose: PoseFrame, hands, cfg: FusionConfig, enforce_angle: bool) -> list[WristAssociation]:
-    """Greedy wrist-to-hand-box assignment.
+def _greedy(candidates) -> list[WristAssociation]:
+    """Assign (distance, wrist, hand index, angle) candidates in order, each wrist and box once."""
+    taken_wrists: set[str] = set()
+    taken_hands: set[int] = set()
+    out: list[WristAssociation] = []
+    for dist, wrist_name, idx, angle in candidates:
+        if wrist_name in taken_wrists or idx in taken_hands:
+            continue
+        taken_wrists.add(wrist_name)
+        taken_hands.add(idx)
+        out.append(WristAssociation(wrist_name, idx, dist, angle))
+    out.sort(key=lambda a: a.wrist)
+    return out
+
+
+def _associate(pose: PoseFrame, hands, cfg: FusionConfig) -> tuple[list[WristAssociation], list[WristAssociation]]:
+    """Greedy wrist-to-hand-box assignments: (edge only, aimed).
 
     A confident wrist is a candidate for a box when it lies within
-    wrist_edge_dist_max of the box boundary and, with enforce_angle (unless
-    its elbow is unscored, which waives the check), the elbow-to-wrist
-    direction points at the box center within elbow_angle_max_deg. Smallest
-    distance assigns first; each box is used at most once.
+    wrist_edge_dist_max of the box boundary; the candidate is aimed when its
+    elbow is unscored (angle_deg None) or the elbow-to-wrist direction points
+    at the box center within elbow_angle_max_deg. Each assignment takes the
+    candidates (aimed ones only, for the second) by smallest distance; each
+    wrist and each box is used at most once.
     """
     candidates = []
     for wrist_name, elbow_name, _side in _WRIST_SPECS:
@@ -263,28 +279,16 @@ def _associate(pose: PoseFrame, hands, cfg: FusionConfig, enforce_angle: bool) -
             if dist > cfg.wrist_edge_dist_max:
                 continue
             angle: float | None = None
-            waived = not elbow_ok
             if elbow_ok:
                 cx, cy = hand.center
                 angle = _angle_deg(
                     (wj[0] - ej[0], wj[1] - ej[1]), (cx - wj[0], cy - wj[1])
                 )
-                if enforce_angle and angle > cfg.elbow_angle_max_deg:
-                    continue
-            candidates.append((dist, wrist_name, idx, angle, waived))
+            candidates.append((dist, wrist_name, idx, angle))
 
     candidates.sort(key=lambda c: (c[0], c[1], c[2]))
-    taken_wrists: set[str] = set()
-    taken_hands: set[int] = set()
-    out: list[WristAssociation] = []
-    for dist, wrist_name, idx, angle, waived in candidates:
-        if wrist_name in taken_wrists or idx in taken_hands:
-            continue
-        taken_wrists.add(wrist_name)
-        taken_hands.add(idx)
-        out.append(WristAssociation(wrist_name, idx, dist, angle, waived))
-    out.sort(key=lambda a: a.wrist)
-    return out
+    aimed = [c for c in candidates if c[3] is None or c[3] <= cfg.elbow_angle_max_deg]
+    return _greedy(candidates), _greedy(aimed)
 
 
 def evaluate_safe_driving(pose: PoseFrame, hands, cfg: FusionConfig) -> RuleVerdict:
@@ -303,21 +307,17 @@ def evaluate_safe_driving(pose: PoseFrame, hands, cfg: FusionConfig) -> RuleVerd
     if n_scored < 2:
         notes.append(f"rule 2: only {n_scored} hand(s) with score >= {cfg.hand_score_min}")
 
-    edge_assoc = _associate(pose, hands, cfg, enforce_angle=False)
-    full_assoc = _associate(pose, hands, cfg, enforce_angle=True)
-    edge_by_wrist = {a.wrist: a for a in edge_assoc}
-    full_by_wrist = {a.wrist: a for a in full_assoc}
+    edge_assoc, full_assoc = _associate(pose, hands, cfg)
 
-    both_edges = all(w in edge_by_wrist for w in ("l_wrist", "r_wrist"))
-    edge_val = (
-        max(a.distance for a in edge_assoc) if both_edges and edge_assoc else None
-    )
+    both_edges = len(edge_assoc) == 2  # each wrist is assigned at most once
+    edge_val = max(a.distance for a in edge_assoc) if both_edges else None
     results.append(RuleResult(3, both_edges, edge_val, "max wrist-to-edge distance"))
     if not both_edges:
-        missing = [w for w, _, _ in _WRIST_SPECS if w not in edge_by_wrist]
+        assigned = {a.wrist for a in edge_assoc}
+        missing = [w for w, _, _ in _WRIST_SPECS if w not in assigned]
         notes.append(f"rule 3: no close hand box for {', '.join(missing)}")
 
-    both_full = all(w in full_by_wrist for w in ("l_wrist", "r_wrist"))
+    both_full = len(full_assoc) == 2
     angles = [a.angle_deg for a in full_assoc if a.angle_deg is not None]
     results.append(
         RuleResult(4, both_full, max(angles) if both_full and angles else None, "max arm-to-box angle")
@@ -335,13 +335,11 @@ def evaluate_safe_driving(pose: PoseFrame, hands, cfg: FusionConfig) -> RuleVerd
     scores_ok = both_full and all(
         hands[a.hand_index].score >= cfg.hand_score_strict for a in full_assoc
     )
-    min_assoc_score = (
-        min(hands[a.hand_index].score for a in full_assoc) if both_full and full_assoc else None
-    )
+    min_assoc_score = min(hands[a.hand_index].score for a in full_assoc) if both_full else None
     results.append(RuleResult(6, scores_ok, min_assoc_score, "min associated hand score"))
 
     tight = both_full and all(a.distance <= cfg.wrist_edge_dist_strict for a in full_assoc)
-    max_dist = max((a.distance for a in full_assoc), default=None) if both_full else None
+    max_dist = max(a.distance for a in full_assoc) if both_full else None
     results.append(RuleResult(7, tight, max_dist, "max associated wrist-to-edge distance"))
 
     safe = all(r.passed for r in results[:5])
@@ -545,7 +543,8 @@ class _FrameContext:
     objects: Sequence[ObjectDetection]
     verdict: RuleVerdict
 
-    def off_wheel_assoc(self):
+    @cached_property
+    def off_wheel_assoc(self) -> list[tuple[str, int]]:  # (wrist, hand index), by wrist
         return [
             (w, i) for w, i in sorted(self.verdict.associations.items()) if i not in self.verdict.on_wheel
         ]
@@ -566,7 +565,7 @@ def _pred_phone_at_head(ctx: _FrameContext, object_labels=_PHONE_LABELS, head_ra
     head = ctx.pose.joints.get("head")
     if head is None:
         return None
-    off = ctx.off_wheel_assoc()
+    off = ctx.off_wheel_assoc
     if not off:
         return None
     for obj in ctx.objects:
@@ -588,7 +587,7 @@ def _pred_phone_at_head(ctx: _FrameContext, object_labels=_PHONE_LABELS, head_ra
 def _pred_phone_at_offwheel_wrist(
     ctx: _FrameContext, object_labels=_PHONE_LABELS, wrist_radius=0.10, chest_line=0.45
 ):
-    for wrist, idx in ctx.off_wheel_assoc():
+    for wrist, idx in ctx.off_wheel_assoc:
         wj = ctx.pose.joints.get(wrist)
         if wj is None or wj[1] <= chest_line:
             continue
@@ -614,7 +613,7 @@ def _pred_object_in_hand(ctx: _FrameContext, object_labels=("cup", "bottle")):
 def _pred_offwheel_wrist_in_region(ctx: _FrameContext, region=None):
     if region is None:
         return None
-    for wrist, _idx in ctx.off_wheel_assoc():
+    for wrist, _idx in ctx.off_wheel_assoc:
         wj = ctx.pose.joints.get(wrist)
         if wj is not None and region_contains(region, (wj[0], wj[1])):
             return _wrist_side(wrist)

@@ -218,23 +218,20 @@ def solve(x, w, cfg: GflConfig) -> GflResult:
         elif dual > 10.0 * primal and rho * 0.5 >= rho_lo:
             rho *= 0.5
 
-    strengths = np.linalg.norm(_apply_q(v, p), axis=0)
     return GflResult(
         smoothed=v,
-        jump_strengths=strengths,
+        jump_strengths=np.linalg.norm(vq, axis=0),  # the last iterate's differences
         objective=_objective(xa, wa, v, lam, p),
         converged=converged,
         iterations=iterations,
     )
 
 
-def oracle_solve(
-    x,
-    w,
-    cfg: GflConfig,
-    gap_tol: float = 1e-10,
-    max_iterations: int = 1_000_000,
-) -> GflResult:
+ORACLE_GAP_TOL = 1e-10  # duality gap, relative to 1 + |primal|, that certifies oracle_solve
+ORACLE_MAX_ITERATIONS = 1_000_000
+
+
+def oracle_solve(x, w, cfg: GflConfig) -> GflResult:
     """Reference solver: FISTA ascent on the dual, certified by duality gap.
 
     The dual variable Y has one column per difference column, constrained to
@@ -273,7 +270,7 @@ def oracle_solve(
     v = xa.copy()
     converged = False
     iterations = 0
-    for iterations in range(1, max_iterations + 1):
+    for iterations in range(1, ORACLE_MAX_ITERATIONS + 1):
         tk_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * tk * tk))
         ym = y + ((tk - 1.0) / tk_next) * (y - y_prev)
         v = xa - _apply_q_adjoint(ym, p, t) * winv2
@@ -283,12 +280,12 @@ def oracle_solve(
             tk_next = 1.0
         y_prev, y, tk = y, y_new, tk_next
 
-        if iterations % 10 == 0 or iterations == max_iterations:
+        if iterations % 10 == 0 or iterations == ORACLE_MAX_ITERATIONS:
             g = _apply_q_adjoint(y, p, t)
             v_feas = xa - g * winv2
             primal = _objective(xa, wa, v_feas, lam, p)
             dual = float(np.sum(g * xa)) - 0.5 * float(np.sum(g * g * winv2))
-            if primal - dual <= gap_tol * (1.0 + abs(primal)):
+            if primal - dual <= ORACLE_GAP_TOL * (1.0 + abs(primal)):
                 v = v_feas
                 converged = True
                 break

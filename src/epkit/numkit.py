@@ -136,21 +136,22 @@ def gram_svd(m, tau: float, count: int | None = None) -> SvdFactors | None:
     return SvdFactors(w, s, other) if b is a else SvdFactors(other, s, w)
 
 
-def singular_value_threshold(m, tau: float, basis=None) -> tuple[SvdFactors, int]:
+def singular_value_threshold(m, tau: float, basis=None) -> SvdFactors:
     """Shrink the singular values of *m* by *tau*.
 
     Proximal operator of tau * (nuclear norm). Returns the shrunk matrix as
     thin factors of the singular values strictly above tau (np.asarray
-    reconstructs it), and their count. A *basis* approximately spanning the
-    leading right singular vectors (say, the last call's `right`), plus
-    SVT_OVERSAMPLING columns, starts one block subspace iteration when that
-    block fits SVT_MAX_FRACTION of min(rows, cols); its triplets are kept
-    once their values above tau settle and the block reaches one at or below
-    tau. Otherwise (no basis, a block too wide, the step cap or a block with
-    no value at or below tau) the full step runs: the Gram matrix's triplets
-    (gram_svd) when its error bound certifies them, else the full LAPACK SVD.
-    Only the full step checks *m* for non-finite entries: the Gram matrix
-    refuses them, and the LAPACK SVD raises ValueError.
+    reconstructs it; singular_values.size is its rank). A *basis*
+    approximately spanning the leading right singular vectors (say, the last
+    call's `right`), plus SVT_OVERSAMPLING columns, starts one block subspace
+    iteration when that block fits SVT_MAX_FRACTION of min(rows, cols); its
+    triplets are kept once their values above tau settle and the block
+    reaches one at or below tau. Otherwise (no basis, a block too wide, the
+    step cap or a block with no value at or below tau) the full step runs:
+    the Gram matrix's triplets (gram_svd) when its error bound certifies
+    them, else the full LAPACK SVD. Only the full step checks *m* for
+    non-finite entries: the Gram matrix refuses them, and the LAPACK SVD
+    raises ValueError.
     """
     if tau < 0:
         raise ValueError(f"tau must be non-negative, got {tau}")
@@ -162,7 +163,7 @@ def singular_value_threshold(m, tau: float, basis=None) -> tuple[SvdFactors, int
     if f is None or f.singular_values[-1] > tau:
         f = gram_svd(a, tau) or svd(a)
     rank = int(np.count_nonzero(f.singular_values > tau))
-    return SvdFactors(f.left[:, :rank], f.singular_values[:rank] - tau, f.right[:, :rank]), rank
+    return SvdFactors(f.left[:, :rank], f.singular_values[:rank] - tau, f.right[:, :rank])
 
 
 def _subspace_iteration(a: np.ndarray, tau: float, v: np.ndarray) -> SvdFactors | None:
@@ -187,7 +188,10 @@ def _subspace_iteration(a: np.ndarray, tau: float, v: np.ndarray) -> SvdFactors 
     return None
 
 
-def spectral_norm_estimate(m, tol: float = 1e-6, max_iterations: int = 10_000) -> float:
+SPECTRAL_NORM_MAX_STEPS = 10_000  # power-iteration steps before the last estimate is returned
+
+
+def spectral_norm_estimate(m, tol: float = 1e-6) -> float:
     """Largest singular value of *m* via power iteration on M^T M.
 
     The iterate starts at the largest column (plus a tiny deterministic mix
@@ -207,7 +211,7 @@ def spectral_norm_estimate(m, tol: float = 1e-6, max_iterations: int = 10_000) -
     v += 1e-6 * np.arange(1, n + 1) / n
     v /= np.linalg.norm(v)
     sigma = 0.0
-    for _ in range(max_iterations):
+    for _ in range(SPECTRAL_NORM_MAX_STEPS):
         w = a @ v
         sigma_new = float(np.linalg.norm(w))
         if sigma_new == 0.0:

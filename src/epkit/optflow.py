@@ -122,8 +122,8 @@ def _planes(images: np.ndarray) -> np.ndarray:
     return np.stack([images, ix, iy])
 
 
-def _bilinear(img: np.ndarray, xs, ys, base=0) -> np.ndarray:
-    """Samples at (xs, ys) of img (h, w), or of the stack image (..., h, w) at flat index base.
+def _bilinear(img: np.ndarray, xs, ys, base) -> np.ndarray:
+    """Samples at (xs, ys) of the plane of the stack img (..., h, w) that starts at flat index base.
 
     The points must lie inside the image. xs and ys are scratch: they are
     overwritten.

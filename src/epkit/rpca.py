@@ -103,10 +103,10 @@ def decompose(x, cfg: RpcaConfig | None = None) -> RpcaResult:
     converged = False
     for iterations in range(1, cfg.max_iterations + 1):
         y_rho = y / rho
-        f, rank = numkit.singular_value_threshold(
+        f = numkit.singular_value_threshold(
             a - s + y_rho, 1.0 / rho, None if f is None else f.right
         )
-        rank_history.append(rank)
+        rank_history.append(f.singular_values.size)
         # a - u, formed once; u itself is rebuilt from f after the loop
         gap = a - f.reconstruct()
         y_rho += gap

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fusion import HandDetection, ObjectDetection, PoseFrame
+from .fusion import HandDetection, ObjectDetection, PoseFrame, check_number
 
 
 @dataclass
@@ -29,12 +29,12 @@ def rng(seed: int) -> np.random.Generator:
 
 
 def gen_lowrank_sparse(
-    d: int,
-    t: int,
-    rank: int,
-    sparse_fraction: float,
-    magnitude: float,
-    seed: int,
+    d: int = 200,
+    t: int = 200,
+    rank: int = 10,
+    sparse_fraction: float = 0.05,
+    magnitude: float = 5.0,
+    seed: int = 0,
 ) -> SynthBundle:
     """X = A B^T / sqrt(t) + S with uniform random +-magnitude spikes.
 
@@ -71,12 +71,12 @@ def gen_lowrank_sparse(
 
 
 def gen_piecewise(
-    d: int,
-    t: int,
-    change_points,
-    jump_scale: float,
-    noise_sigma: float,
-    seed: int,
+    d: int = 8,
+    t: int = 240,
+    change_points=(40, 90, 150, 200),
+    jump_scale: float = 2.0,
+    noise_sigma: float = 0.3,
+    seed: int = 0,
 ) -> SynthBundle:
     """Piecewise-constant rows with shared boundaries plus Gaussian noise.
 
@@ -84,7 +84,9 @@ def gen_piecewise(
     convention the extractor reports). Jumps are N(0, jump_scale^2) per row
     and boundary.
     """
-    cps = [int(c) for c in change_points]
+    cps = list(change_points)
+    for c in cps:
+        check_number("change_points", c, 0)
     if any(b <= a for a, b in zip(cps, cps[1:])):
         raise ValueError("change points must be strictly increasing")
     if cps and (cps[0] < 0 or cps[-1] >= t - 1):
@@ -105,11 +107,11 @@ def gen_piecewise(
 
 
 def gen_shifted_pair(
-    size: int,
-    dx: float,
-    dy: float,
-    texture_scale: float,
-    seed: int,
+    size: int = 64,
+    dx: float = 1.0,
+    dy: float = 0.0,
+    texture_scale: float = 2.0,
+    seed: int = 0,
 ) -> SynthBundle:
     """A textured frame and its copy translated by (dx, dy).
 
@@ -168,6 +170,10 @@ SESSION_LABELS = (
     "talking_on_phone_left",
     "talking_on_phone_right",
     "operating_radio",
+)
+# gen_driver_session's default: five 120-frame episodes
+SESSION_SCHEDULE = tuple(
+    (label, 120) for label in ("safe_driving", "texting_left", "drinking", "talking_on_phone_left", "operating_radio")
 )
 
 
@@ -238,7 +244,7 @@ def render_frames(frames, width: int, height: int):
 
 
 def gen_driver_session(
-    episode_schedule,
+    episode_schedule=SESSION_SCHEDULE,
     frame_rate: float = 10.0,
     score_noise: float = 0.03,
     side_flip_fraction: float = 0.0,
@@ -254,9 +260,10 @@ def gen_driver_session(
     box. A side_flip_fraction of hand detections get the wrong side label;
     the flip positions are retained in the ground truth.
     """
-    schedule = [(str(lbl), int(dur)) for lbl, dur in episode_schedule]
+    schedule = [(str(lbl), dur) for lbl, dur in episode_schedule]
     for lbl, dur in schedule:
         _parse_label(lbl)
+        check_number("episode duration", dur, 0)
         if dur < 0:
             raise ValueError(f"negative episode duration {dur}")
     g = rng(seed)

@@ -961,9 +961,13 @@ def test_synth_bad_params_exit_4(tmp_path, capsys, generator, params, message):
 @pytest.mark.parametrize("generator, params, message", [
     ("lowrank_sparse", {"magnitude": 1e999, "d": 6, "t": 5, "rank": 1}, "magnitude must be finite"),
     ("lowrank_sparse", {"d": 6.0}, "d must be an integer"),
-    ("piecewise", {"change_points": [1e999]}, "cannot convert float infinity"),
+    ("piecewise", {"change_points": [1e999]}, "change_points must be an integer"),
     ("driver_session", {"side_flip_fraction": float("nan")}, "side_flip_fraction must be finite"),
-    ("driver_session", {"episode_schedule": [["safe_driving", 1e999]]}, "cannot convert float infinity"),
+    ("driver_session", {"episode_schedule": [["safe_driving", 1e999]]}, "episode duration must be an integer"),
+    ("piecewise", {"change_points": [40.7, "90"]}, "change_points must be an integer, got 40.7"),
+    ("driver_session", {"episode_schedule": [["safe_driving", 2.5]]}, "episode duration must be an integer"),
+    ("driver_session", {"episode_schedule": [["drinking", "3"]]}, "episode duration must be an integer, got '3'"),
+    ("driver_session", {"episode_schedule": [["texting_left", True]]}, "episode duration must be an integer, got True"),
 ])
 def test_synth_params_are_checked_before_any_generator_runs(tmp_path, capsys, generator, params, message):
     assert run(["synth", "--generator", generator, "--params", json.dumps(params),

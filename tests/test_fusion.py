@@ -94,7 +94,7 @@ def test_associate_wrist_on_edge_pointing_at_center():
         },
     )
     hands = [_hand_at(0.45, 0.55)]  # wrist exactly on the top edge, arm points down
-    out = _associate(pose, hands, _cfg(), enforce_angle=True)
+    out = _associate(pose, hands, _cfg())[1]
     assert len(out) == 1
     assert out[0].wrist == "l_wrist" and out[0].hand_index == 0
     assert out[0].angle_deg == pytest.approx(0.0)
@@ -103,14 +103,14 @@ def test_associate_wrist_on_edge_pointing_at_center():
 def test_associate_far_wrist_is_unassociated():
     pose = PoseFrame(0, {"l_wrist": _joint(0.1, 0.1), "l_elbow": _joint(0.1, 0.3)})
     hands = [_hand_at(0.5, 0.5)]  # ~0.3 diagonal units away
-    assert _associate(pose, hands, _cfg(), enforce_angle=True) == []
+    assert _associate(pose, hands, _cfg())[1] == []
 
 
 def test_associate_missing_elbow_waives_angle():
     pose = PoseFrame(0, {"l_wrist": _joint(0.45, 0.50)})
     hands = [_hand_at(0.45, 0.55)]
-    out = _associate(pose, hands, _cfg(), enforce_angle=True)
-    assert len(out) == 1 and out[0].angle_waived
+    out = _associate(pose, hands, _cfg())[1]
+    assert len(out) == 1 and out[0].angle_deg is None
 
 
 def test_associate_crossing_hands_matches_brute_force():
@@ -156,7 +156,7 @@ def test_associate_crossing_hands_matches_brute_force():
     ]
     assert len(valid) == 1  # exactly one geometrically consistent assignment
     expected = dict(zip(("l_wrist", "r_wrist"), valid[0]))
-    got = {a.wrist: a.hand_index for a in _associate(pose, hands, cfg, enforce_angle=True)}
+    got = {a.wrist: a.hand_index for a in _associate(pose, hands, cfg)[1]}
     assert got == expected
 
 
@@ -426,6 +426,51 @@ def _random_frame(g, idx):
             _hand_at(cx, cy, score=float(g.uniform(0, 1)), side=("left", "right", "unknown")[int(g.integers(0, 3))])
         )
     return PoseFrame(idx, joints), hands
+
+
+def _associate_two_pass(pose, hands, cfg, enforce_angle):
+    """The former wrist-to-box assignment: one candidate pass per angle setting, kept as the reference."""
+    candidates = []
+    for wrist_name, elbow_name, _side in fusion._WRIST_SPECS:
+        wj = pose.joints.get(wrist_name)
+        if wj is None or wj[2] < cfg.pose_score_min:
+            continue
+        ej = pose.joints.get(elbow_name)
+        elbow_ok = ej is not None and ej[2] >= cfg.pose_score_min
+        for idx, hand in enumerate(hands):
+            dist = edge_distance((wj[0], wj[1]), hand.box)
+            if dist > cfg.wrist_edge_dist_max:
+                continue
+            angle = None
+            if elbow_ok:
+                cx, cy = hand.center
+                angle = fusion._angle_deg((wj[0] - ej[0], wj[1] - ej[1]), (cx - wj[0], cy - wj[1]))
+                if enforce_angle and angle > cfg.elbow_angle_max_deg:
+                    continue
+            candidates.append((dist, wrist_name, idx, angle))
+    candidates.sort(key=lambda c: (c[0], c[1], c[2]))
+    taken_wrists, taken_hands, out = set(), set(), []
+    for dist, wrist_name, idx, angle in candidates:
+        if wrist_name in taken_wrists or idx in taken_hands:
+            continue
+        taken_wrists.add(wrist_name)
+        taken_hands.add(idx)
+        out.append((wrist_name, idx, dist, angle))
+    return sorted(out)
+
+
+def test_single_candidate_pass_matches_two_passes():
+    g = rng(654)
+    cfg = _cfg()
+    aimed_differs = 0
+    for i in range(1000):
+        pose, hands = _random_frame(g, i)
+        edge, aimed = _associate(pose, hands, cfg)
+        got = [[(a.wrist, a.hand_index, a.distance, a.angle_deg) for a in assoc] for assoc in (edge, aimed)]
+        want = [_associate_two_pass(pose, hands, cfg, enforce_angle) for enforce_angle in (False, True)]
+        assert got == want, i
+        aimed_differs += want[0] != want[1]
+    assert aimed_differs >= 10  # the draws reach the angle check, not only empty assignments
 
 
 def test_rule_soundness_randomized():

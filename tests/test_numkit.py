@@ -93,14 +93,16 @@ def test_soft_threshold_nonexpansive(seed, tau):
 
 
 def test_svt_diagonal():
-    out, rank = numkit.singular_value_threshold(np.diag([3.0, 2.0, 1.0]), 1.5)
+    out = numkit.singular_value_threshold(np.diag([3.0, 2.0, 1.0]), 1.5)
+    rank = out.singular_values.size
     assert np.allclose(np.sort(np.diag(out))[::-1], [1.5, 0.5, 0.0], atol=1e-12)
     assert rank == 2
 
 
 def test_svt_tau_zero_is_identity():
     m = rng(5).standard_normal((6, 4))
-    out, rank = numkit.singular_value_threshold(m, 0.0)
+    out = numkit.singular_value_threshold(m, 0.0)
+    rank = out.singular_values.size
     assert np.allclose(out, m, atol=1e-10)
     assert rank == 4
 
@@ -111,7 +113,8 @@ def test_svt_rank_one_keeps_directions():
     v = g.standard_normal(5)
     u *= 10.0 / (np.linalg.norm(u) * np.linalg.norm(v))
     m = np.outer(u, v)  # sigma = 10 by construction
-    out, rank = numkit.singular_value_threshold(m, 2.0)
+    out = numkit.singular_value_threshold(m, 2.0)
+    rank = out.singular_values.size
     assert rank == 1
     f = numkit.svd(out)  # oracle check on the shrunk factorization
     assert abs(f.singular_values[0] - 8.0) <= 1e-9
@@ -121,7 +124,7 @@ def test_svt_rank_one_keeps_directions():
 @given(st.integers(0, 2**32 - 1), st.floats(0.0, 3.0))
 def test_svt_shrinks_nuclear_norm(seed, tau):
     m = rng(seed).standard_normal((5, 6))
-    out, _ = numkit.singular_value_threshold(m, tau)
+    out = numkit.singular_value_threshold(m, tau)
     nuc = lambda a: np.linalg.svd(a, compute_uv=False).sum()
     assert nuc(out) <= nuc(m) + 1e-9
 
@@ -131,7 +134,8 @@ def test_svt_warm_start_matches_full_svd(monkeypatch, basis_rank):
     g = rng(23)
     signal = (g.standard_normal((80, 5)) * [40.0, 30.0, 20.0, 10.0, 5.0]) @ g.standard_normal((5, 60))
     m = signal + 0.01 * g.standard_normal((80, 60))
-    full, rank = numkit.singular_value_threshold(m, 1.0)
+    full = numkit.singular_value_threshold(m, 1.0)
+    rank = full.singular_values.size
     # warm start from a perturbed subspace, as from the previous solver iteration
     basis = numkit.svd(m + 0.1 * g.standard_normal(m.shape)).right[:, :basis_rank]
     gram_svd = numkit.gram_svd
@@ -145,7 +149,8 @@ def test_svt_warm_start_matches_full_svd(monkeypatch, basis_rank):
 
     monkeypatch.setattr(numkit, "gram_svd", no_full_gram)
     monkeypatch.setattr(numkit, "svd", no_full_svd)
-    warm, warm_rank = numkit.singular_value_threshold(m, 1.0, basis)
+    warm = numkit.singular_value_threshold(m, 1.0, basis)
+    warm_rank = warm.singular_values.size
     assert warm_rank == rank == 5
     assert np.allclose(warm.singular_values, full.singular_values, rtol=1e-9, atol=0.0)
     assert np.allclose(warm, full, rtol=0.0, atol=1e-9 * np.abs(m).max())
@@ -167,9 +172,11 @@ def test_svt_wide_warm_start_uses_full_svd(monkeypatch):
     monkeypatch.setattr(numkit, "gram_svd", spy_gram)
     monkeypatch.setattr(numkit, "svd", spy_svd)
     # a 1-column basis plus the margin exceeds a quarter of 30 columns
-    out, rank = numkit.singular_value_threshold(m, 0.5, np.eye(30)[:, :1])
+    out = numkit.singular_value_threshold(m, 0.5, np.eye(30)[:, :1])
+    rank = out.singular_values.size
     assert calls == [("gram", None)]  # one full step, which the Gram matrix certifies; no block
-    ref, ref_rank = numkit.singular_value_threshold(m, 0.5)
+    ref = numkit.singular_value_threshold(m, 0.5)
+    ref_rank = ref.singular_values.size
     assert rank == ref_rank and np.array_equal(np.asarray(out), np.asarray(ref))
 
 
@@ -183,7 +190,8 @@ def test_gram_svd_matches_lapack_when_certified(shape):
     assert np.allclose(f.singular_values, lapack[:4], rtol=1e-12, atol=0.0)
     assert np.max(np.abs(f.left.T @ f.left - np.eye(4))) <= 1e-10
     assert np.max(np.abs(f.right.T @ f.right - np.eye(4))) <= 1e-10
-    out, rank = numkit.singular_value_threshold(m, tau)
+    out = numkit.singular_value_threshold(m, tau)
+    rank = out.singular_values.size
     ref = numkit.svd(m)
     want = (ref.left[:, :4] * (ref.singular_values[:4] - tau)) @ ref.right[:, :4].T
     assert rank == 4 and np.allclose(out, want, rtol=0.0, atol=1e-10)
@@ -193,8 +201,10 @@ def test_gram_svd_matches_lapack_when_certified(shape):
 def test_svt_warm_start_on_exact_low_rank_matches_full_svd():
     g = rng(3)
     m = g.standard_normal((80, 3)) @ g.standard_normal((3, 60))  # the 10-column block holds 7 zero values
-    full, rank = numkit.singular_value_threshold(m, 0.5)
-    warm, warm_rank = numkit.singular_value_threshold(m, 0.5, np.zeros((60, 0)))
+    full = numkit.singular_value_threshold(m, 0.5)
+    rank = full.singular_values.size
+    warm = numkit.singular_value_threshold(m, 0.5, np.zeros((60, 0)))
+    warm_rank = warm.singular_values.size
     assert warm_rank == rank == 3
     assert np.allclose(warm, full, rtol=0.0, atol=1e-9 * np.abs(m).max())
 
@@ -226,8 +236,9 @@ def test_gram_certificate_refuses_small_kept_values_and_ambiguous_rank(monkeypat
     # the block's first Rayleigh-Ritz step is refused, the later ones skip the Gram matrix
     assert calls == [10, None]
     monkeypatch.setattr(numkit, "gram_svd", lambda *args: None)
-    for b, (out, rank) in zip((None, basis), got):
-        want, want_rank = numkit.singular_value_threshold(m, tau, b)
+    for b, out in zip((None, basis), got):
+        want = numkit.singular_value_threshold(m, tau, b)
+        rank, want_rank = out.singular_values.size, want.singular_values.size
         assert rank == want_rank == 17
         assert np.array_equal(np.asarray(out), np.asarray(want))
 

@@ -1,5 +1,8 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from epkit import numkit, pipeline, rpca
 from epkit.synth import gen_driver_session, gen_lowrank_sparse, render_frames, rng
@@ -158,6 +161,21 @@ REFERENCE_CASES = {
 @pytest.mark.parametrize("case", list(REFERENCE_CASES))
 def test_decompose_matches_full_svd_reference(case):
     _assert_matches_reference(REFERENCE_CASES[case]())
+
+
+@st.composite
+def _planted_instances(draw):
+    rows, cols = draw(st.integers(8, 60)), draw(st.integers(8, 60))
+    rank = draw(st.integers(1, max(1, min(rows, cols) // 4)))
+    fraction = draw(st.floats(0.0, 0.1))
+    return gen_lowrank_sparse(rows, cols, rank, fraction, 5.0, seed=draw(st.integers(0, 2**32 - 1))).payload["x"]
+
+
+@given(_planted_instances())
+def test_decompose_matches_full_svd_reference_on_drawn_instances(x):
+    _assert_matches_reference(x)
+    with mock.patch.object(numkit, "gram_svd", lambda *args, **kwargs: None):  # every step through LAPACK
+        _assert_matches_reference(x)
 
 
 def test_decompose_frame_shaped_instance_makes_no_full_size_lapack_svd(monkeypatch):
