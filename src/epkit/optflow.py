@@ -17,17 +17,20 @@ lag 1 first, and `group_boxes` unions as pairs are scored: a pair whose two
 boxes are already in one set when its wave starts is not scored, since it
 cannot change the connected components (about 2,000 of 3,188 pairs are
 scored on a 400-frame session of 5 x 80 frames, a few more or fewer when the
-pipeline splits the chunks between two processes). `merge_groups` likewise
-compares no two groups already merged. Each box's state is built once per
-run of consecutive chunks, in batched calls per chunk: its canonical crop
-(`_frame_crops`, one gather over the chunk's frames), gradient planes
-(`_planes`), corners (`_corners`) and the source windows of those corners
-(`_lk_windows`), which every pair the box starts shares. Frames are checked
-as their boxes are cropped; all frames with boxes must share one shape.
+pipeline splits the chunks between two processes). Each box's state is
+built once per run of consecutive chunks, in batched calls per chunk: its
+canonical crop (`_frame_crops`, one gather over the chunk's frames), gradient
+planes (`_planes`), corners (`_corners`) and the source windows of those
+corners (`_lk_windows`), which every pair the box starts shares. The union-find
+sums the crops per set, so `merge_groups` reads no frame; it joins groups that
+share a member, such as those of two runs over disjoint chunks, and compares no
+two groups already merged. Frames are checked as their boxes are cropped; all
+frames with boxes must share one shape.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -55,7 +58,7 @@ class FlowConfig:
     feature_quality: float = 0.05
     gap_max: int = 2
     group_threshold: float = 0.5  # read by the pipeline's group_boxes call
-    merge_threshold: float = 0.9  # read by the pipeline's merge_groups call
+    merge_threshold: float = 0.9  # read by the pipeline's merge_groups call on both sides' groups
 
     def __post_init__(self):
         if self.window < 3 or self.window % 2 == 0:
@@ -97,6 +100,8 @@ class BoxTrackGroup:
 
     group_id: int
     members: list[tuple[int, int]]
+    # sum of the canonical crops of the members whose chunk the run took; None if it took none
+    crop_sum: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 def as_frame(f, name: str = "frame") -> np.ndarray:
@@ -434,7 +439,7 @@ def _frame_crops(frames: Sequence, boxes_per_frame: Sequence[Sequence], t0: int,
 
 
 def _scored_pairs(
-    frames: Sequence, boxes_per_frame: Sequence[Sequence], cfg: FlowConfig, joined=None, chunks=None
+    frames: Sequence, boxes_per_frame: Sequence[Sequence], cfg: FlowConfig, uf=None, chunks=None
 ):
     """Motion-coherence score of the compared box pairs: yields (a, b, similarity).
 
@@ -445,10 +450,10 @@ def _scored_pairs(
     corner windows are built once and shared by every pair it is in.
 
     A chunk's pairs are solved in lag waves: those of frames t and t + 1
-    first, then those of each longer lag. A pair for which joined(a, b) is
-    true when its wave starts is skipped: the generator resumes only after the
-    caller has handled every pair yielded before, so joins made from them
-    count. Without joined, every pair is scored exactly once. Only the pairs
+    first, then those of each longer lag. A pair already in one set of *uf*
+    when its wave starts is skipped: the generator resumes only after the
+    caller has handled every pair yielded before. Each chunk adds its boxes'
+    crops to uf. Without uf, every pair is scored exactly once. Only the pairs
     whose first box lies in *chunks* (default: all of _chunks, in any order,
     taken one at a time once the last one's pairs are yielded) are compared.
     """
@@ -469,6 +474,9 @@ def _scored_pairs(
         keys = keys[stale:] + new_keys
         planes = np.concatenate([planes[:, stale:], _planes(new_crops)], axis=1)
         n_src = sum(1 for t, _i in keys if t < t1)
+        if uf is not None:
+            for key, crop in zip(keys[:n_src], planes[0]):
+                uf.add(key, crop)
         lags = range(1, cfg.gap_max + 2)
         if not any(boxes_per_frame[t + k] for t, _i in keys[:n_src] for k in lags if t + k < n):
             continue
@@ -483,7 +491,7 @@ def _scored_pairs(
                 for a in keys[:n_src]
                 if a[0] + lag < n
                 for j in range(len(boxes_per_frame[a[0] + lag]))
-                if joined is None or not joined(a, (a[0] + lag, j))
+                if uf is None or uf.find(a) != uf.find((a[0] + lag, j))
             ]
             if not pairs:
                 continue
@@ -541,14 +549,21 @@ def box_similarity(prev, nxt, box_prev, box_next, cfg: FlowConfig | None = None)
 
 
 class _UnionFind:
+    """Disjoint sets of keys; the root of a set holds the sum of the crops added to its keys."""
+
     def __init__(self, items):
         self.parent = {k: k for k in items}
+        self.sums: dict = {}
 
     def find(self, k):
         while self.parent[k] != k:
             self.parent[k] = self.parent[self.parent[k]]
             k = self.parent[k]
         return k
+
+    def add(self, k, crop):
+        r = self.find(k)
+        self.sums[r] = self.sums[r] + crop if r in self.sums else crop.copy()  # not a view of a chunk's planes
 
     def union(self, a, b):
         ra, rb = self.find(a), self.find(b)
@@ -557,6 +572,8 @@ class _UnionFind:
             if rb < ra:
                 ra, rb = rb, ra
             self.parent[rb] = ra
+            if rb in self.sums:
+                self.add(ra, self.sums.pop(rb))
 
 
 def _groups_from_union(uf: _UnionFind, keys) -> list[BoxTrackGroup]:
@@ -565,7 +582,8 @@ def _groups_from_union(uf: _UnionFind, keys) -> list[BoxTrackGroup]:
         clusters.setdefault(uf.find(k), []).append(k)
     roots = sorted(clusters, key=lambda r: min(clusters[r]))
     return [
-        BoxTrackGroup(group_id=i, members=sorted(clusters[r])) for i, r in enumerate(roots)
+        BoxTrackGroup(group_id=i, members=sorted(clusters[r]), crop_sum=uf.sums.get(r))
+        for i, r in enumerate(roots)
     ]
 
 
@@ -582,7 +600,7 @@ def group_boxes(
     track survives up to gap_max frames with missing detections); pairs with
     similarity strictly above *threshold* are joined. Output is always a
     partition of the (frame, box) pairs, in deterministic order. *chunks*,
-    if given, limits the compared pairs as in _scored_pairs.
+    if given, limits the compared pairs and crop sums as in _scored_pairs.
     """
     if cfg is None:
         cfg = FlowConfig()
@@ -591,55 +609,40 @@ def group_boxes(
     ]
     uf = _UnionFind(keys)
     # a pair whose boxes are already joined cannot change the partition, so it is not scored
-    scored = _scored_pairs(frames, boxes_per_frame, cfg, lambda a, b: uf.find(a) == uf.find(b), chunks)
-    for a, b, sim in scored:
+    for a, b, sim in _scored_pairs(frames, boxes_per_frame, cfg, uf, chunks):
         if sim > threshold:
             uf.union(a, b)
     return _groups_from_union(uf, keys)
 
 
-def merge_groups(
-    groups: list[BoxTrackGroup],
-    frames: Sequence,
-    boxes_per_frame: Sequence[Sequence],
-    merge_threshold: float,
-    cfg: FlowConfig | None = None,
-) -> list[BoxTrackGroup]:
+def merge_groups(groups: list[BoxTrackGroup], merge_threshold: float) -> list[BoxTrackGroup]:
     """Merge groups whose mean canonical appearance correlates.
 
-    Descriptor = pixelwise mean of the member crops; groups whose Pearson
-    correlation exceeds merge_threshold are joined transitively. The result
-    is a coarsening of the input partition in group_boxes' order, whatever
-    the order of *groups*.
+    Groups that share a member are first joined into one, whose crop sum is
+    the sum of theirs. Descriptor = crop sum / member count; groups whose
+    Pearson correlation exceeds merge_threshold are joined transitively. The
+    result is a coarsening of the joined partition in group_boxes' order,
+    whatever the order of *groups*.
     """
-    if cfg is None:
-        cfg = FlowConfig()
-    owner = {m: gi for gi, g in enumerate(groups) for m in g.members}
-    if len(owner) != sum(len(g.members) for g in groups) or not all(g.members for g in groups):
-        raise ValueError("input groups are not a partition (duplicate member or empty group)")
-    size = cfg.canonical_size
-    acc = np.zeros((len(groups), size, size))
-    _check_frames(frames, boxes_per_frame)
-    # member crops are summed in frame order, a chunk of frames at a time
-    found = 0
-    for t0, t1 in _chunks(boxes_per_frame, cfg):
-        for key, c in zip(*_frame_crops(frames, boxes_per_frame, t0, t1, size)):
-            if key in owner:
-                acc[owner[key]] += c
-                found += 1
-    if found != len(owner):
-        raise ValueError("input groups name boxes that are not in boxes_per_frame")
-    descs = [(a / len(g.members)).ravel() for a, g in zip(acc, groups)]
-    # each descriptor is centred and normalised once
-    centred = [d - d.mean() for d in descs]
+    if not all(g.members for g in groups):
+        raise ValueError("input groups must not be empty")
+    uf = _UnionFind(m for g in groups for m in g.members)
+    for g in groups:
+        for m in g.members[1:]:
+            uf.union(g.members[0], m)
+        if g.crop_sum is not None:
+            uf.add(g.members[0], g.crop_sum)
+    sizes = Counter(map(uf.find, uf.parent))
+    heads = sorted(sizes)  # each joined group's smallest member, its root
+    missing = [r for r in heads if r not in uf.sums]
+    if missing:
+        raise ValueError(f"the group of box {missing[0]} holds no crop sum")
+    # each descriptor, crop sum / member count, is centred and normalised once
+    centred = [d - d.mean() for d in (uf.sums[r].ravel() / sizes[r] for r in heads)]
     norms = [np.linalg.norm(d) for d in centred]
 
-    heads = [g.members[0] for g in groups]  # a group is joined to others through its first member
-    uf = _UnionFind(owner)
-    for m, gi in owner.items():
-        uf.union(heads[gi], m)
-    for i in range(len(groups)):
-        for j in range(i + 1, len(groups)):
+    for i in range(len(heads)):
+        for j in range(i + 1, len(heads)):
             # a pair already in one merged set cannot change the result
             if uf.find(heads[i]) == uf.find(heads[j]):
                 continue
@@ -647,4 +650,4 @@ def merge_groups(
             corr = float(np.dot(centred[i], centred[j]) / (na * nb)) if na and nb else 0.0
             if corr > merge_threshold:
                 uf.union(heads[i], heads[j])
-    return _groups_from_union(uf, sorted(owner))
+    return _groups_from_union(uf, sorted(uf.parent))

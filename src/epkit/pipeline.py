@@ -264,32 +264,27 @@ def pixel_boxes(frames, boxes_per_frame) -> list[list[tuple]]:
 
 
 def _flow_job(frames, boxes_per_frame, cfg: Config, out_dir: str, claims: _Claims) -> tuple:
-    """The rpca stage, then the flow chunks taken at claims' back: (rpca info, joined members or None)."""
+    """The rpca stage, then the flow chunks taken at claims' back: (rpca info, their groups or None)."""
     # run_rpca_stage is looked up here, in the worker, so a wrapper set on the module applies
     info = run_rpca_stage(frames_to_matrix(frames, cfg.downscale_limit), cfg, out_dir)
     chunks = claims.taken(1)
     first = next(chunks, None)
     if first is None:
         return info, None
-    groups = optflow.group_boxes(frames, boxes_per_frame, cfg.flow.group_threshold, cfg.flow,
-                                 itertools.chain([first], chunks))
-    return info, [g.members for g in groups]
+    return info, optflow.group_boxes(frames, boxes_per_frame, cfg.flow.group_threshold, cfg.flow,
+                                     itertools.chain([first], chunks))
 
 
 def run_flow_stage(frames, boxes_per_frame, cfg: Config, out_dir: str, claims=None, worker=None) -> dict:
     """Group and merge pixel_boxes' boxes (x0, y0, x1, y1) by flow; write flow_groups.csv and .json.
 
-    With *claims*, the chunks taken at the front, joined with those *worker* (_flow_job) took, if any.
+    With *claims*, merge_groups joins the groups of the chunks taken at the front with those *worker* (_flow_job) took.
     """
     groups = optflow.group_boxes(frames, boxes_per_frame, cfg.flow.group_threshold, cfg.flow,
                                  claims and claims.taken(0))
     if claims and claims.stolen():
-        uf = optflow._UnionFind(m for g in groups for m in g.members)
-        for members in [g.members for g in groups] + worker()[1]:
-            for m in members[1:]:
-                uf.union(members[0], m)
-        groups = optflow._groups_from_union(uf, uf.parent)
-    merged = optflow.merge_groups(groups, frames, boxes_per_frame, cfg.flow.merge_threshold, cfg.flow)
+        groups += worker()[1]
+    merged = optflow.merge_groups(groups, cfg.flow.merge_threshold)
     fileio.write_csv(
         os.path.join(out_dir, "flow_groups.csv"),
         ["frame", "box", "group"],

@@ -175,7 +175,8 @@ def test_criterion_7_grouping_correctness():
         optflow.BoxTrackGroup(0, [(t, 0) for t in range(3)]),
         optflow.BoxTrackGroup(1, [(t, 0) for t in range(3, 6)]),
     ]
-    merged = optflow.merge_groups(split, frames_s, boxes_s, 0.9)
+    # threshold 2.0 gives singletons, which carry the crop sums the split groups are joined with
+    merged = optflow.merge_groups(optflow.group_boxes(frames_s, boxes_s, 2.0) + split, 0.9)
     assert len(merged) == 1
 
     # partition invariant over 200 randomized scenes
@@ -198,7 +199,7 @@ def test_criterion_7_grouping_correctness():
         grouped = optflow.group_boxes(scene, scene_boxes, 0.5)
         members = sorted(m for grp in grouped for m in grp.members)
         assert members == sorted(keys), seed
-        merged2 = optflow.merge_groups(grouped, scene, scene_boxes, 0.9)
+        merged2 = optflow.merge_groups(grouped, 0.9)
         members2 = sorted(m for grp in merged2 for m in grp.members)
         assert members2 == sorted(keys), seed
     _report(7, "two-object purity 1.0, split restored by merge, 200 partitions clean")
