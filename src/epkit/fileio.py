@@ -14,6 +14,7 @@ import contextlib
 import csv
 import json
 import os
+import re
 from typing import Iterable
 
 import numpy as np
@@ -112,6 +113,10 @@ def read_pgm(path) -> np.ndarray:
     return _pgm_pixels(path).astype(np.float64) / 255.0
 
 
+# whitespace and "#" comments up to the end of their line, then one token
+_PGM_TOKEN = re.compile(rb"(?:\s|#[^\n]*\n?)*(\S*)")
+
+
 def _pgm_pixels(path) -> np.ndarray:
     """The frame's (h, w) uint8 pixels."""
     with _os_errors(path, "read"), open(path, "rb") as fh:
@@ -121,21 +126,11 @@ def _pgm_pixels(path) -> np.ndarray:
 
     def next_token():
         nonlocal pos
-        while pos < len(blob):
-            c = blob[pos : pos + 1]
-            if c == b"#":
-                nl = blob.find(b"\n", pos)
-                pos = len(blob) if nl < 0 else nl + 1
-            elif c.isspace():
-                pos += 1
-            else:
-                break
-        start = pos
-        while pos < len(blob) and not blob[pos : pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            raise InputFormatError(f"{path}: truncated PGM header", byte_offset=start)
-        return blob[start:pos], start
+        m = _PGM_TOKEN.match(blob, pos)
+        pos = m.end()
+        if m.start(1) == pos:
+            raise InputFormatError(f"{path}: truncated PGM header", byte_offset=pos)
+        return m.group(1), m.start(1)
 
     magic, off = next_token()
     if magic != b"P5":

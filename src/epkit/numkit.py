@@ -170,7 +170,7 @@ def _subspace_iteration(a: np.ndarray, tau: float, v: np.ndarray) -> SvdFactors 
     """Block subspace iteration from the columns of *v*; None past the step cap.
 
     Each Rayleigh-Ritz step tries the Gram matrix of the k x n block first;
-    after one step it cannot certify, the remaining steps use the LAPACK SVD.
+    after one step it cannot certify, the remaining steps use svd (LAPACK, with its fallback).
     """
     previous, gram = None, True
     for _ in range(SVT_MAX_STEPS):
@@ -179,8 +179,7 @@ def _subspace_iteration(a: np.ndarray, tau: float, v: np.ndarray) -> SvdFactors 
         f = gram_svd(b, tau, b.shape[0]) if gram else None
         if f is None:
             gram = False
-            ub, s, vt = np.linalg.svd(b, full_matrices=False)
-            f = SvdFactors(left=ub, singular_values=s, right=vt.T)
+            f = svd(b)
         above = f.singular_values[f.singular_values > tau]
         if previous is not None and np.all(np.abs(above - previous[: above.size]) <= SVT_RTOL * above):
             return SvdFactors(left=q @ f.left, singular_values=f.singular_values, right=f.right)

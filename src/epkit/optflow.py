@@ -36,6 +36,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .fusion import check_box
+from .numkit import as_matrix
+
 # Forward feature points solved in one batch. On the 400-frame benchmark
 # session (2-CPU host), group_boxes took a median 2.31 s at 256 points,
 # 1.86 s at 512, 1.82 s at 768 and 1.91 s at 1024: smaller batches repeat
@@ -105,14 +108,13 @@ class BoxTrackGroup:
 
 
 def as_frame(f, name: str = "frame") -> np.ndarray:
-    """f as a float frame in [0, 1], checked; uint8 input is an 8-bit image, mapped by / 255."""
+    """f as a float frame in [0, 1]; uint8 input is an 8-bit image, mapped by / 255.
+
+    Other input must pass as_matrix (2-D, non-empty, finite) and lie in [0, 1].
+    """
     if getattr(f, "dtype", None) == np.uint8 and f.ndim == 2 and f.size:
         return f / 255.0  # finite and in [0, 1] by its type
-    a = np.asarray(f, dtype=np.float64)
-    if a.ndim != 2 or a.size == 0:
-        raise ValueError(f"{name} must be a non-empty 2-D array")
-    if not np.isfinite(a).all():
-        raise ValueError(f"{name} contains non-finite values")
+    a = as_matrix(f, name)
     if a.min() < -1e-9 or a.max() > 1 + 1e-9:
         raise ValueError(f"{name} values must lie in [0, 1]")
     return np.clip(a, 0.0, 1.0)
@@ -121,8 +123,10 @@ def as_frame(f, name: str = "frame") -> np.ndarray:
 def _planes(images: np.ndarray) -> np.ndarray:
     """Image, x-gradient and y-gradient stacks (3, n, h, w) of images (n, h, w).
 
-    Central differences, one-sided at the borders; h, w >= 3.
+    Central differences, one-sided at the borders; ValueError unless h, w >= 3.
     """
+    if min(images.shape[1:]) < 3:
+        raise ValueError(f"frame too small for gradients: {images.shape[1:]}")
     iy, ix = np.gradient(images, axis=(1, 2))
     return np.stack([images, ix, iy])
 
@@ -168,8 +172,7 @@ def _bilinear(img: np.ndarray, xs, ys, base) -> np.ndarray:
 def _check_box(box, shape, name="box"):
     x0, y0, x1, y1 = (float(c) for c in box)
     h, w = shape
-    if not (x1 > x0 and y1 > y0):
-        raise ValueError(f"{name} is empty: {box}")
+    check_box(name, (x0, y0, x1, y1))
     if x0 < 0 or y0 < 0 or x1 > w or y1 > h:
         raise ValueError(f"{name} {box} exceeds frame bounds {w}x{h}")
     return x0, y0, x1, y1
@@ -193,15 +196,10 @@ def _crops(stack: np.ndarray, slot, boxes, out_h: int, out_w: int) -> np.ndarray
     return _bilinear(stack, gx, gy, base)
 
 
-def canonical_rect(frame, box, out_h: int, out_w: int) -> np.ndarray:
-    """Resample a box region to out_h x out_w with bilinear interpolation."""
-    f = as_frame(frame)
-    return _crops(f[None], [0], [_check_box(box, f.shape)], out_h, out_w)[0]
-
-
 def canonical_crop(frame, box, size: int) -> np.ndarray:
     """Resample a box to size x size with bilinear interpolation."""
-    return canonical_rect(frame, box, size, size)
+    f = as_frame(frame)
+    return _crops(f[None], [0], [_check_box(box, f.shape)], size, size)[0]
 
 
 def _corners(planes: np.ndarray, max_count: int, quality: float, window: int) -> list[np.ndarray]:
@@ -245,15 +243,11 @@ def good_features(frame, max_count: int, quality: float, window: int = 9) -> np.
 
     Keeps responses >= quality * best, suppresses non-maxima within the
     window radius, truncates to max_count. Returns an (n, 2) array of
-    (x, y); empty on flat frames.
+    (x, y); empty on flat frames. window, max_count and quality are checked
+    by FlowConfig's rules for window, max_features and feature_quality.
     """
-    if max_count < 1:
-        raise ValueError(f"max_count must be at least 1, got {max_count}")
-    if not 0 < quality <= 1:
-        raise ValueError(f"quality must lie in (0, 1], got {quality}")
+    FlowConfig(window=window, max_features=max_count, feature_quality=quality)
     f = as_frame(frame)
-    if f.shape[0] < 3 or f.shape[1] < 3:
-        raise ValueError(f"frame too small for gradients: {f.shape}")
     return _corners(_planes(f[None]), max_count, quality, window)[0]
 
 
@@ -375,8 +369,6 @@ def lk_flow(prev, nxt, points, cfg: FlowConfig | None = None) -> list[FlowVector
     n = pts.shape[0]
     if n == 0:
         return []
-    if min(a.shape) < 3:
-        raise ValueError(f"frame too small for gradients: {a.shape}")
     planes = _planes(np.stack([a, b]))
     win = _lk_windows(planes, np.zeros(n, np.int64), pts, cfg)
     disp, valid = _lk_refine(planes[0], win, np.arange(n), np.ones(n, np.int64), cfg)
@@ -637,9 +629,10 @@ def merge_groups(groups: list[BoxTrackGroup], merge_threshold: float) -> list[Bo
     missing = [r for r in heads if r not in uf.sums]
     if missing:
         raise ValueError(f"the group of box {missing[0]} holds no crop sum")
-    # each descriptor, crop sum / member count, is centred and normalised once
+    # each descriptor, crop sum / member count, is centred and normalised once; a flat one
+    # (range 0) has norm 0 exactly, though its mean can round off its value
     centred = [d - d.mean() for d in (uf.sums[r].ravel() / sizes[r] for r in heads)]
-    norms = [np.linalg.norm(d) for d in centred]
+    norms = [np.linalg.norm(d) if np.ptp(d) else 0.0 for d in centred]
 
     for i in range(len(heads)):
         for j in range(i + 1, len(heads)):

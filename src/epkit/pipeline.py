@@ -138,20 +138,19 @@ class _Claims:
             os.close(fd)
 
 
-def downscale(frame: np.ndarray, limit: int) -> np.ndarray:
-    """Resize so the longest side is at most *limit* (bilinear)."""
-    h, w = frame.shape
-    longest = max(h, w)
-    if longest <= limit:
-        return optflow.as_frame(frame)
-    scale = limit / longest
-    out_h, out_w = max(1, round(h * scale)), max(1, round(w * scale))
-    return optflow.canonical_rect(frame, (0.0, 0.0, float(w), float(h)), out_h, out_w)
-
-
 def frames_to_matrix(frames, limit: int) -> np.ndarray:
-    """Stack downscaled frames as columns: one pixel per row, one frame per column."""
-    return np.stack([downscale(f, limit).ravel() for f in frames], axis=1)
+    """Frames of one shape as columns, one pixel per row, resized (bilinear) to a longest side of at most *limit*."""
+    h, w = np.shape(frames[0])
+    if any(np.shape(f) != (h, w) for f in frames):  # one output size for all, from the first frame
+        raise ValueError(f"frames differ in shape from the first frame's {(h, w)}")
+    if max(h, w) <= limit:
+        return np.stack([optflow.as_frame(f).ravel() for f in frames], axis=1)
+    scale = limit / max(h, w)
+    out_h, out_w = max(1, round(h * scale)), max(1, round(w * scale))
+    whole = [(0.0, 0.0, float(w), float(h))]
+    return np.stack(
+        [optflow._crops(optflow.as_frame(f)[None], [0], whole, out_h, out_w).ravel() for f in frames], axis=1
+    )
 
 
 def warning_frames(energy: np.ndarray, warn_factor: float) -> list[int]:
@@ -251,7 +250,7 @@ def run_segmentation_stage(signal, cfg: Config, out_dir: str) -> dict:
 
 
 def pixel_boxes(frames, boxes_per_frame) -> list[list[tuple]]:
-    """Normalized boxes in the first frame's pixels; SchemaError for a box that optflow._check_box refuses."""
+    """Normalized boxes in the first frame's pixels; SchemaError for an empty box or one past the frame (_check_box)."""
     h, w = frames[0].shape
     scaled = [[(b[0] * w, b[1] * h, b[2] * w, b[3] * h) for b in boxes] for boxes in boxes_per_frame]
     for t, boxes in enumerate(scaled):

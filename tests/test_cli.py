@@ -343,6 +343,7 @@ def test_flow_group_cmd_and_mismatch_exit(tmp_path, capsys):
     ([{"frame": 0, "boxes": []}, {"frame": 2, "boxes": []}], "in [0, 2), got 2"),
     ([{"frame": 0, "boxes": [[0.1, 0.1, 0.5]]}, {"frame": 1}], "boxes must be a list"),
     ([{"frame": 0, "boxes": [[0.1, 0.1, 0.5, "x"]]}, {"frame": 1}], "boxes must be a list"),
+    ([{"frame": 0, "boxes": [[0.5, 0.1, 0.2, 0.6]]}, {"frame": 1}], "box 0 of frame 0 needs x0 < x1 and y0 < y1"),
 ])
 def test_flow_group_cmd_bad_box_records_exit_3(tmp_path, capsys, records, message):
     frames_dir = tmp_path / "frames"

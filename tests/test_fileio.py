@@ -2,7 +2,7 @@ import csv
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from epkit import cli, fileio
@@ -57,6 +57,95 @@ def test_pgm_rejects_malformed(tmp_path):
     path.write_bytes(b"P5\n2 2\n255\nxx")  # short pixel data
     with pytest.raises(InputFormatError, match="pixel bytes"):
         fileio.read_pgm(path)
+
+
+def _pgm_pixels_reference(path):
+    """fileio._pgm_pixels as it read the header before its token pattern: byte by byte."""
+    blob = path.read_bytes()
+    pos = 0
+
+    def next_token():
+        nonlocal pos
+        while pos < len(blob):
+            c = blob[pos : pos + 1]
+            if c == b"#":
+                nl = blob.find(b"\n", pos)
+                pos = len(blob) if nl < 0 else nl + 1
+            elif c.isspace():
+                pos += 1
+            else:
+                break
+        start = pos
+        while pos < len(blob) and not blob[pos : pos + 1].isspace():
+            pos += 1
+        if start == pos:
+            raise InputFormatError(f"{path}: truncated PGM header", byte_offset=start)
+        return blob[start:pos], start
+
+    magic, off = next_token()
+    if magic != b"P5":
+        raise InputFormatError(f"{path}: not a binary PGM (magic {magic!r})", byte_offset=off)
+    fields = []
+    for _ in range(3):
+        tok, off = next_token()
+        try:
+            fields.append(int(tok))
+        except ValueError:
+            raise InputFormatError(f"{path}: non-numeric PGM header token {tok!r}", byte_offset=off) from None
+    w, h, maxval = fields
+    if maxval != 255 or w < 1 or h < 1:
+        raise InputFormatError(f"{path}: unsupported PGM header {w}x{h} max {maxval}", byte_offset=off)
+    pos += 1
+    if len(blob) - pos != w * h:
+        raise InputFormatError(f"{path}: expected {w * h} pixel bytes, found {len(blob) - pos}", byte_offset=pos)
+    return np.frombuffer(blob, dtype=np.uint8, offset=pos).reshape(h, w)
+
+
+_PGM_WHITESPACE = [bytes([c]) for c in b" \t\n\r\x0b\x0c"]  # all six ASCII whitespace bytes
+_PGM_ALPHABET = _PGM_WHITESPACE + [bytes([c]) for c in b"#0123456789+-_"] + [b"P5", b"P6"]
+
+
+@st.composite
+def _pgm_blobs(draw) -> bytes:
+    """A PGM file with drawn separators and comments, and a drawn bad token, pixel count or cut, or none."""
+    junk = st.lists(st.sampled_from(_PGM_ALPHABET), max_size=6).map(b"".join)
+    comment = junk.map(lambda j: b"#" + j.replace(b"\n", b"") + b"\n")
+    w, h = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    tokens = [b"P5", b"%d" % w, b"%d" % h, b"255"]
+    fault = draw(st.sampled_from([None, "token", "pixels", "cut"]))
+    if fault == "token":
+        tokens[draw(st.integers(0, 3))] = draw(st.sampled_from([b"P6", b"+2", b"-1", b"1_0", b"2#5", b"0255"]) | junk)
+    blob = b""
+    for k, token in enumerate(tokens):
+        blob += b"".join(draw(st.lists(st.sampled_from(_PGM_WHITESPACE) | comment, min_size=min(k, 1), max_size=3)))
+        blob += token
+    n = w * h + (draw(st.sampled_from([-1, 1])) if fault == "pixels" else 0)
+    blob += draw(st.sampled_from(_PGM_WHITESPACE)) + draw(st.binary(min_size=n, max_size=n))
+    return blob[: draw(st.integers(0, len(blob)))] if fault == "cut" else blob
+
+
+def _pgm_outcome(read, path):
+    """The pixels read, or the InputFormatError's message and byte offset."""
+    try:
+        return read(path)
+    except InputFormatError as exc:
+        return str(exc), exc.byte_offset
+
+
+@given(blob=_pgm_blobs())
+@example(blob=b"#\x0b\nP5\x0c# a comment 9\n2\x0b1\r\n#\n255\t\x00\xff")
+@example(blob=b"P5 2#5 1 255 xx")
+@example(blob=b"P5 2 1 255 # no newline")
+@example(blob=b"P5 2\x0b# cut after a separator\n\x0c")
+def test_pgm_header_tokens_match_the_byte_scanner(tmp_path_factory, blob):
+    path = tmp_path_factory.getbasetemp() / "header.pgm"
+    path.write_bytes(blob)
+    want = _pgm_outcome(_pgm_pixels_reference, path)
+    got = _pgm_outcome(fileio._pgm_pixels, path)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert isinstance(got, np.ndarray) and got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_read_frames_is_one_uint8_stack_of_the_written_bytes(tmp_path):

@@ -73,8 +73,11 @@ def test_gradients_match_independent_oracle():
 
 
 def test_gradients_reject_degenerate_frames():
-    with pytest.raises(ValueError, match="too small for gradients"):
+    with pytest.raises(ValueError, match=r"too small for gradients: \(2, 5\)"):
         optflow.good_features(np.zeros((2, 5)), 10, 0.1)
+    with pytest.raises(ValueError, match=r"too small for gradients: \(2, 5\)"):
+        optflow.lk_flow(np.zeros((2, 5)), np.zeros((2, 5)), [(1.0, 1.0)])
+    assert optflow.lk_flow(np.zeros((2, 5)), np.zeros((2, 5)), []) == []  # no point, no gradient
 
 
 def test_good_features_flat_frame_is_empty():
@@ -98,10 +101,15 @@ def test_good_features_checkerboard():
 
 
 def test_good_features_validates_arguments():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="max_features"):
         optflow.good_features(np.zeros((8, 8)), 0, 0.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="feature_quality"):
         optflow.good_features(np.zeros((8, 8)), 5, 1.5)
+    for window in (4, 2, 1):
+        with pytest.raises(ValueError, match="window must be odd"):
+            optflow.good_features(np.zeros((8, 8)), 5, 0.5, window)
+    for window in (3, 5, 9):
+        assert optflow.good_features(np.zeros((8, 8)), 5, 0.5, window).shape == (0, 2)
 
 
 def test_lk_flow_identical_frames_zero_exact():
@@ -798,9 +806,8 @@ def test_generated_scenes_group_and_merge_like_the_oracles(scene, budget, data):
             front = optflow.group_boxes(frames, boxes, thr, cfg, chunks[:k])
             back = optflow.group_boxes(frames, boxes, thr, cfg, back_chunks)
             assert _joined(boxes, _members(front), _members(back)) == partition, thr
-            # merge threshold 0.0 is left to test_flat_box_correlates_with_no_group
             for groups in (serial, front + back):
-                _assert_merge_matches_reference(groups, frames, boxes, cfg, (0.5, 0.9))
+                _assert_merge_matches_reference(groups, frames, boxes, cfg, (0.0, 0.5, 0.9))
 
 
 def test_uint8_frames_give_the_same_scores_partitions_and_matrix_as_their_floats(tmp_path):
@@ -819,6 +826,14 @@ def test_uint8_frames_give_the_same_scores_partitions_and_matrix_as_their_floats
     for limit in (32, 200):  # resampled, and kept at full size
         a, b = (pipeline.frames_to_matrix(fr, limit) for fr in (stack, floats))
         assert a.dtype == b.dtype == np.float64 and a.tobytes() == b.tobytes()
+
+
+def test_frames_to_matrix_refuses_frames_of_two_shapes():
+    # both would resample to 32 x 32, but the output size is taken from the first frame alone
+    frames = [np.full((100, 100), 0.5), np.full((50, 50), 0.25)]
+    for limit in (32, 200):
+        with pytest.raises(ValueError, match=r"differ in shape from the first frame's \(100, 100\)"):
+            pipeline.frames_to_matrix(frames, limit)
 
 
 def test_box_similarity_matches_oracle():
@@ -903,14 +918,12 @@ def test_corners_break_ties_like_reference():
 
 
 def _pearson(a, b):
-    """Correlation of two descriptors, centred and normalised for this pair alone."""
+    """Correlation of two descriptors, centred and normalised for this pair alone; 0 where one is constant."""
     da = a - a.mean()
     db = b - b.mean()
-    na = np.linalg.norm(da)
-    nb = np.linalg.norm(db)
-    if na == 0 or nb == 0:
+    if not np.ptp(da) or not np.ptp(db):  # a constant's centred residue is rounding, not signal
         return 0.0
-    return float(np.dot(da, db) / (na * nb))
+    return float(np.dot(da, db) / (np.linalg.norm(da) * np.linalg.norm(db)))
 
 
 def _reference_descriptors(groups, frames, boxes, cfg):
@@ -931,7 +944,10 @@ def _merge_reference(groups, frames, boxes, merge_threshold, cfg, corr=None):
     uf = optflow._UnionFind(range(len(groups)))
     for i in range(len(groups)):
         for j in range(i + 1, len(groups)):
-            r = np.corrcoef(descs[i], descs[j])[0, 1] if corr is None else corr(descs[i], descs[j])
+            if corr is not None:
+                r = corr(descs[i], descs[j])
+            else:  # 0 where one is constant, where corrcoef would divide by its rounding residue
+                r = np.corrcoef(descs[i], descs[j])[0, 1] if np.ptp(descs[i]) and np.ptp(descs[j]) else 0.0
             if r > merge_threshold:
                 uf.union(i, j)
     merged = optflow._groups_from_union(uf, range(len(groups)))
@@ -939,9 +955,9 @@ def _merge_reference(groups, frames, boxes, merge_threshold, cfg, corr=None):
 
 
 def _correlations(descs):
-    """Pearson correlation of every pair of descriptors, 0 where one is constant."""
+    """Pearson correlation of every pair of descriptors, 0 where one is constant (its range is 0)."""
     c = np.array([np.ravel(d - d.mean()) for d in descs] or np.empty((0, 0)))
-    norms = np.linalg.norm(c, axis=1)[:, None]
+    norms = np.array([np.linalg.norm(d) if np.ptp(d) else 0.0 for d in c]).reshape(-1, 1)
     c = np.divide(c, norms, out=np.zeros_like(c), where=norms > 0)
     return c @ c.T
 
@@ -994,10 +1010,9 @@ def test_merge_groups_result_does_not_depend_on_the_order_of_its_groups():
             assert optflow.merge_groups(groups[::-1], thr) == forward, thr
 
 
-@pytest.mark.xfail(strict=True, reason="a flat crop's centred descriptor is a rounding residue, not zero")
 def test_flat_box_correlates_with_no_group():
     # found by the generated-scene test: 4096 crop samples of 0.3 average to 0.3 - 2**-54, so the
-    # flat box's centred descriptor is not zero and correlates 6e-16 with the textured box, above 0.0
+    # flat box's centred descriptor is a rounding residue, which must count as norm 0, not correlate above 0.0
     frames = [np.full((48, 64), 0.3), _patch_frame(48, 64, _noise_patch(0), 0, 0)]
     boxes = [[(0, 0, 20, 20)], [(0, 0, 20, 20)]]
     assert len(optflow.merge_groups(optflow.group_boxes(frames, boxes, 2.0), 0.0)) == 2

@@ -245,6 +245,28 @@ def test_decompose_rank_jump_misses_block_then_takes_full_step(monkeypatch):
     assert missed and all(calls[i + 1] == "full" for i in missed), calls
 
 
+def test_decompose_warm_step_falls_back_like_the_full_step(monkeypatch):
+    # the divide-and-conquer driver converges nowhere: warm blocks and full steps both fall back to gesvd
+    x = _planted(200, 200, 10, seed=3)
+    warm = []
+    subspace_iteration = numkit._subspace_iteration
+
+    def spy_partial(a, tau, v):
+        warm.append(v.shape)
+        return subspace_iteration(a, tau, v)
+
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(numkit, "gram_svd", lambda *args, **kwargs: None)
+    monkeypatch.setattr(numkit, "_subspace_iteration", spy_partial)
+    monkeypatch.setattr(np.linalg, "svd", no_convergence)
+    got = rpca.decompose(x)
+    monkeypatch.undo()
+    assert warm
+    _assert_matches_reference(x, None, got)
+
+
 def test_decompose_is_byte_identical_across_runs():
     x = _planted(200, 200, 10, seed=7)
     first, second = rpca.decompose(x), rpca.decompose(x)
