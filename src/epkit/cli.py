@@ -76,14 +76,16 @@ def cmd_fuse(args) -> int:
     if args.segments:  # each input is read and checked before --out is created
         data = fileio.read_json(args.segments)
         try:
-            for key in ("change_points", "group_ids"):
-                for v in data[key]:
-                    fusion.check_number(key, v, 0)  # integers only: no bool, string or 1.9
-            labeling = gflasso.SegmentLabeling(data["change_points"], data["group_ids"])
+            labeling = gflasso.SegmentLabeling(data["change_points"], len(detections))
+            group_ids = data["group_ids"]
+            for v in group_ids:
+                fusion.check_number("group_ids", v, 0)  # integers only: no bool, string or 1.9
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"bad segments file {args.segments}: {exc}") from None
-        if len(labeling.group_ids) != len(detections):
-            raise SchemaError(f"{args.segments}: {len(labeling.group_ids)} group ids for {len(detections)} frames")
+        if len(group_ids) != len(detections):
+            raise SchemaError(f"{args.segments}: {len(group_ids)} group ids for {len(detections)} frames")
+        if group_ids != labeling.group_ids:
+            raise SchemaError(f"bad segments file {args.segments}: group_ids differ from those its change_points give")
     else:
         signal = pipeline.pose_signal(detections, cfg)
     fileio.make_dir(args.out)

@@ -437,29 +437,22 @@ def relabel_hands(
     return corrected, records
 
 
-def emit_pose_corrections(
-    pose: PoseFrame,
-    corrected_hands,
-    side_records: list[TrainingRecord],
-) -> list[TrainingRecord]:
-    """One wrist-position correction per relabeled hand.
+def emit_pose_corrections(side_records: list[TrainingRecord]) -> list[TrainingRecord]:
+    """One wrist-position correction per hand_side_label record of relabel_hands.
 
-    The corrected side names the wrist, which is pinned to the hand-box
-    center; the justifying trace is inherited from the side record.
+    The record's new side names the wrist, which is pinned to the center of
+    the record's hand box; the justifying trace is inherited from the record.
     """
     out: list[TrainingRecord] = []
     for rec in side_records:
-        if rec.kind != "hand_side_label":
-            continue
-        idx = rec.payload["hand_index"]
-        hand = corrected_hands[idx]
-        cx, cy = hand.center
-        wrist = "l_wrist" if hand.side == "left" else "r_wrist"
+        x0, y0, x1, y1 = rec.payload["box"]
+        side = rec.payload["new_side"]
         out.append(
             TrainingRecord(
-                frame_index=pose.frame_index,
+                frame_index=rec.frame_index,
                 kind="pose_correction",
-                payload={"joint": wrist, "x": cx, "y": cy, "side": hand.side, "hand_index": idx},
+                payload={"joint": "l_wrist" if side == "left" else "r_wrist", "x": 0.5 * (x0 + x1),
+                         "y": 0.5 * (y0 + y1), "side": side, "hand_index": rec.payload["hand_index"]},
                 provenance=rec.provenance,
             )
         )
@@ -467,20 +460,18 @@ def emit_pose_corrections(
 
 
 def temporal_verdict(verdicts: Sequence[RuleVerdict], cfg: FusionConfig) -> list[RuleVerdict]:
-    """Stabilize per-frame verdicts over a consistency window.
+    """Stabilize per-frame verdicts over a consistency window, in place; return them as a list.
 
-    The stabilized flag at frame t is true only if the raw flag held for the
-    whole trailing window, so a stabilized true never appears on a raw-false
-    frame.
+    Each verdict's stabilized_safe_driving is set true only if the raw flag
+    held for the whole trailing window, so a stabilized true never appears
+    on a raw-false frame.
     """
     k = cfg.resolved_consistency_frames()
-    out = []
     streak = 0
     for v in verdicts:
         streak = streak + 1 if v.safe_driving else 0
-        nv = replace(v, stabilized_safe_driving=streak >= k)
-        out.append(nv)
-    return out
+        v.stabilized_safe_driving = streak >= k
+    return list(verdicts)
 
 
 # --------------------------------------------------------------------------

@@ -18,7 +18,7 @@ They share nothing but the difference operator, so each checks the other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -77,18 +77,27 @@ class GflResult:
 
 @dataclass
 class SegmentLabeling:
-    """Change points plus the per-frame segment ids they induce.
+    """Change points over n_frames frames plus the per-frame segment ids they induce.
 
     A change point c marks the boundary between frames c and c + 1, i.e. it
-    is the (0-based) index of the difference column that fired.
+    is the (0-based) index of the difference column that fired. Change
+    points are integers, strictly increasing, in [0, n_frames - 1), else
+    ValueError; frame f's group id is the number of change points below f.
     """
 
     change_points: list[int]
-    group_ids: list[int]
+    n_frames: int
+    group_ids: list[int] = field(init=False)
 
     def __post_init__(self):
-        if any(b <= a for a, b in zip(self.change_points, self.change_points[1:])):
+        cps = self.change_points
+        for c in cps:
+            check_number("change_points", c, 0)
+        if any(b <= a for a, b in zip(cps, cps[1:])):
             raise ValueError("change_points must be strictly increasing")
+        if cps and (cps[0] < 0 or cps[-1] >= self.n_frames - 1):
+            raise ValueError(f"change_points must lie in [0, {self.n_frames - 1}), got {cps}")
+        self.group_ids = np.searchsorted(cps, np.arange(self.n_frames)).tolist()
 
 
 def _stencil(p: int) -> np.ndarray:
@@ -324,10 +333,7 @@ def extract_change_points(
         if all(abs(i - j) >= min_gap for j in kept):
             kept.append(i)
     kept.sort()
-
-    cps = np.asarray(kept, dtype=np.int64)
-    group_ids = [int(np.count_nonzero(cps < f)) for f in range(n_frames)]
-    return SegmentLabeling(change_points=kept, group_ids=group_ids)
+    return SegmentLabeling(kept, n_frames)
 
 
 # row layout of the segmentation signal built from pose streams

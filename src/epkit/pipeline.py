@@ -307,27 +307,25 @@ def run_flow_stage(frames, boxes_per_frame, cfg: Config, out_dir: str, claims=No
     return {"groups": merged}
 
 
-def run_fusion_stage(detections, cfg: Config, out_dir: str, rpca_warnings=None) -> dict:
-    fcfg = cfg.fusion
-    warn_set = set(rpca_warnings or [])
+def run_fusion_stage(detections, cfg: Config, out_dir: str, rpca_warnings=frozenset()) -> dict:
+    """Evaluate, relabel and correct each frame in one pass; write verdicts.jsonl and training_records.jsonl.
+
+    The verdicts are then stabilized; those whose frame index is in *rpca_warnings* are tagged rpca_outlier_energy.
+    """
     verdicts = []
     records = []
     for pose, hands, _objects in detections:
-        verdict = fusion.evaluate_safe_driving(pose, hands, fcfg)
-        corrected, side_records = fusion.relabel_hands(pose, hands, verdict)
-        pose_records = fusion.emit_pose_corrections(pose, corrected, side_records)
-        records.extend(side_records)
-        records.extend(pose_records)
-        verdicts.append(verdict)
-    verdicts = fusion.temporal_verdict(verdicts, fcfg)
-    verdict_dicts = []
-    for v in verdicts:
-        d = fusion.verdict_to_dict(v)
-        d["warnings"] = (
-            ["rpca_outlier_energy"] if v.frame_index in warn_set else []
-        )
-        verdict_dicts.append(d)
-    fileio.write_jsonl(os.path.join(out_dir, "verdicts.jsonl"), verdict_dicts)
+        verdicts.append(fusion.evaluate_safe_driving(pose, hands, cfg.fusion))
+        side_records = fusion.relabel_hands(pose, hands, verdicts[-1])[1]
+        records += side_records + fusion.emit_pose_corrections(side_records)
+    verdicts = fusion.temporal_verdict(verdicts, cfg.fusion)
+    fileio.write_jsonl(
+        os.path.join(out_dir, "verdicts.jsonl"),
+        [
+            {**fusion.verdict_to_dict(v), "warnings": ["rpca_outlier_energy"] if v.frame_index in rpca_warnings else []}
+            for v in verdicts
+        ],
+    )
     fileio.write_jsonl(
         os.path.join(out_dir, "training_records.jsonl"),
         [fusion.record_to_dict(r) for r in records],
@@ -391,8 +389,8 @@ def run_pipeline(session_dir: str, cfg: Config, out_dir: str) -> dict:
     if rpca_info:
         report["stages"]["rpca"] = rpca_info
 
-    warning_frames = rpca_info["warning_frames"] if rpca_info else []
-    fus = _stage("fusion", run_fusion_stage, detections, cfg, out_dir, warning_frames)
+    warned = set(rpca_info["warning_frames"]) if rpca_info else frozenset()
+    fus = _stage("fusion", run_fusion_stage, detections, cfg, out_dir, warned)
     report["stages"]["fusion"] = {
         "n_records": len(fus["records"]),
         "n_safe_frames": sum(1 for v in fus["verdicts"] if v.safe_driving),
@@ -405,18 +403,17 @@ def run_pipeline(session_dir: str, cfg: Config, out_dir: str) -> dict:
     ]
 
     label_by_segment = {e.segment: e.label for e in episodes}
-    warn_set = set(warning_frames)
-    for i, v in enumerate(fus["verdicts"]):
-        report["frames"].append(
-            {
-                "frame": v.frame_index,
-                "safe_driving": v.safe_driving,
-                "stabilized_safe_driving": v.stabilized_safe_driving,
-                "segment": labeling.group_ids[i],
-                "episode_label": label_by_segment.get(labeling.group_ids[i], "unknown"),
-                "rpca_warning": v.frame_index in warn_set,
-            }
-        )
+    report["frames"] = [
+        {
+            "frame": v.frame_index,
+            "safe_driving": v.safe_driving,
+            "stabilized_safe_driving": v.stabilized_safe_driving,
+            "segment": gid,
+            "episode_label": label_by_segment.get(gid, "unknown"),
+            "rpca_warning": v.frame_index in warned,
+        }
+        for v, gid in zip(fus["verdicts"], labeling.group_ids)
+    ]
 
     solvers = [("rpca", rpca_info["summary"] if rpca_info else None), ("segmentation", seg)]
     report["warnings"] = [

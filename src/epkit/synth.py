@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fusion import HandDetection, ObjectDetection, PoseFrame, check_number
+from .gflasso import SegmentLabeling
 
 
 @dataclass
@@ -38,9 +39,12 @@ def gen_lowrank_sparse(
 ) -> SynthBundle:
     """X = A B^T / sqrt(t) + S with uniform random +-magnitude spikes.
 
-    The 1/sqrt(t) scaling keeps entries O(1). Ground truth retains the
-    factors, the sparse part and its support (flat row-major indices).
+    d and t are at least 1; the 1/sqrt(t) scaling keeps entries O(1). Ground
+    truth retains the factors, the sparse part and its support (flat
+    row-major indices).
     """
+    if min(d, t) < 1:
+        raise ValueError(f"d and t must be at least 1, got d={d}, t={t}")
     if rank > min(d, t):
         raise ValueError(f"rank {rank} exceeds min(d, t) = {min(d, t)}")
     if rank < 0:
@@ -80,24 +84,18 @@ def gen_piecewise(
 ) -> SynthBundle:
     """Piecewise-constant rows with shared boundaries plus Gaussian noise.
 
-    A change point c marks the boundary between frames c and c + 1 (the same
-    convention the extractor reports). Jumps are N(0, jump_scale^2) per row
+    A change point c marks the boundary between frames c and c + 1, the
+    convention and rule of gflasso.SegmentLabeling, which the extractor
+    reports. d and t are at least 1. Jumps are N(0, jump_scale^2) per row
     and boundary.
     """
-    cps = list(change_points)
-    for c in cps:
-        check_number("change_points", c, 0)
-    if any(b <= a for a, b in zip(cps, cps[1:])):
-        raise ValueError("change points must be strictly increasing")
-    if cps and (cps[0] < 0 or cps[-1] >= t - 1):
-        raise ValueError(f"change points must lie in [0, t-1), got {cps}")
+    if min(d, t) < 1:
+        raise ValueError(f"d and t must be at least 1, got d={d}, t={t}")
+    segments = SegmentLabeling(list(change_points), t)
+    cps = segments.change_points
     g = rng(seed)
     levels = g.standard_normal((d, len(cps) + 1)) * jump_scale
-    clean = np.zeros((d, t))
-    starts = [0] + [c + 1 for c in cps]
-    ends = [c + 1 for c in cps] + [t]
-    for k, (lo, hi) in enumerate(zip(starts, ends)):
-        clean[:, lo:hi] = levels[:, k : k + 1]
+    clean = levels[:, segments.group_ids]
     noise = g.standard_normal((d, t)) * noise_sigma if noise_sigma > 0 else np.zeros((d, t))
     return SynthBundle(
         seed=seed,
@@ -161,6 +159,12 @@ _ACTION_POSES = {
     "texting": ((0.78, 0.74), (0.70, 0.56)),
     "operating_radio": ((0.76, 0.59), (0.70, 0.52)),
 }
+# label base -> (label, half width, half height) of the object box at the acting hand's center
+_HELD = {
+    "drinking": ("cup", 0.035, 0.05),
+    "talking_on_phone": ("cell phone", 0.03, 0.04),
+    "texting": ("cell phone", 0.03, 0.04),
+}
 
 SESSION_LABELS = (
     "safe_driving",
@@ -185,9 +189,7 @@ def _parse_label(label: str) -> tuple[str, str]:
     if label == "safe_driving":
         return label, "none"
     for base in _ACTION_POSES:
-        if label == base:
-            return base, "left"
-        if label == f"{base}_left":
+        if label in (base, f"{base}_left"):
             return base, "left"
         if label == f"{base}_right":
             return base, "right"
@@ -260,9 +262,9 @@ def gen_driver_session(
     box. A side_flip_fraction of hand detections get the wrong side label;
     the flip positions are retained in the ground truth.
     """
-    schedule = [(str(lbl), dur) for lbl, dur in episode_schedule]
-    for lbl, dur in schedule:
-        _parse_label(lbl)
+    episodes = []  # (label, base, acting side, duration)
+    for label, dur in [(str(lbl), dur) for lbl, dur in episode_schedule]:
+        episodes.append((label, *_parse_label(label), dur))
         check_number("episode duration", dur, 0)
         if dur < 0:
             raise ValueError(f"negative episode duration {dur}")
@@ -271,7 +273,6 @@ def gen_driver_session(
     frames = []
     flips = []
     truth_schedule = []
-    frame_idx = 0
 
     def jitter(pt):
         return (
@@ -282,75 +283,37 @@ def gen_driver_session(
     def score():
         return float(np.clip(0.9 + g.normal(0.0, score_noise), 0.05, 1.0))
 
-    for label, duration in schedule:
-        base, act_side = _parse_label(label)
-        truth_schedule.append({"label": label, "start": frame_idx, "end": frame_idx + duration})
+    for label, base, act_side, duration in episodes:
+        truth_schedule.append({"label": label, "start": len(frames), "end": len(frames) + duration})
+        targets = {side: (REST_WRIST[side], REST_ELBOW[side]) for side in ("left", "right")}  # (wrist, elbow)
+        if base in _ACTION_POSES:
+            wpt, ept = _ACTION_POSES[base]
+            mirrored = act_side == "right" and base != "operating_radio"
+            targets[act_side] = (_mirror(wpt), _mirror(ept)) if mirrored else (wpt, ept)
         for _ in range(duration):
-            joints: dict[str, tuple[float, float, float]] = {}
-            for name, pt in (("head", HEAD), ("neck", NECK)):
-                jx, jy = jitter(pt)
-                joints[name] = (jx, jy, score())
-            wrist_pos = {}
-            elbow_pos = {}
-            for side in ("left", "right"):
-                if side == act_side and base in _ACTION_POSES:
-                    wpt, ept = _ACTION_POSES[base]
-                    if side == "right" and base != "operating_radio":
-                        wpt, ept = _mirror(wpt), _mirror(ept)
-                else:
-                    wpt, ept = REST_WRIST[side], REST_ELBOW[side]
-                wrist_pos[side] = jitter(wpt)
-                elbow_pos[side] = jitter(ept)
-                prefix = "l" if side == "left" else "r"
-                sx, sy = jitter(SHOULDER[side])
-                joints[f"{prefix}_shoulder"] = (sx, sy, score())
-                joints[f"{prefix}_elbow"] = (*elbow_pos[side], score())
-                joints[f"{prefix}_wrist"] = (*wrist_pos[side], score())
+            joints = {name: (*jitter(pt), score()) for name, pt in (("head", HEAD), ("neck", NECK))}
+            arms = {}  # side -> jittered (wrist, elbow)
+            for side, (wpt, ept) in targets.items():
+                wrist, elbow = arms[side] = jitter(wpt), jitter(ept)
+                joints[f"{side[0]}_shoulder"] = (*jitter(SHOULDER[side]), score())
+                joints[f"{side[0]}_elbow"] = (*elbow, score())
+                joints[f"{side[0]}_wrist"] = (*wrist, score())
 
             hands = []
-            for hand_i, side in enumerate(("left", "right")):
-                box = _hand_box(wrist_pos[side], elbow_pos[side])
+            for hand_i, (side, arm) in enumerate(arms.items()):
                 reported = side
                 if side_flip_fraction > 0 and g.random() < side_flip_fraction:
                     reported = "left" if side == "right" else "right"
-                    flips.append(
-                        {"frame": frame_idx, "hand_index": hand_i, "true_side": side}
-                    )
-                hands.append(
-                    {
-                        "box": box,
-                        "score": score(),
-                        "side": reported,
-                        "side_score": score(),
-                    }
-                )
+                    flips.append({"frame": len(frames), "hand_index": hand_i, "true_side": side})
+                hands.append(HandDetection(_hand_box(*arm), score(), reported, score()))
 
             objects = []
-            if base in ("drinking", "talking_on_phone", "texting"):
-                acting = hands[0] if act_side == "left" else hands[1]
-                bx = acting["box"]
-                cx, cy = 0.5 * (bx[0] + bx[2]), 0.5 * (bx[1] + bx[3])
-                if base == "drinking":
-                    objects.append(
-                        {"label": "cup", "box": (cx - 0.035, cy - 0.05, cx + 0.035, cy + 0.05), "score": score()}
-                    )
-                else:
-                    objects.append(
-                        {
-                            "label": "cell phone",
-                            "box": (cx - 0.03, cy - 0.04, cx + 0.03, cy + 0.04),
-                            "score": score(),
-                        }
-                    )
+            if base in _HELD:
+                name, half_w, half_h = _HELD[base]
+                cx, cy = hands[0 if act_side == "left" else 1].center
+                objects.append(ObjectDetection(name, (cx - half_w, cy - half_h, cx + half_w, cy + half_h), score()))
 
-            frames.append(
-                (
-                    PoseFrame(frame_index=frame_idx, joints=joints),
-                    [HandDetection(**h) for h in hands],
-                    [ObjectDetection(**o) for o in objects],
-                )
-            )
-            frame_idx += 1
+            frames.append((PoseFrame(frame_index=len(frames), joints=joints), hands, objects))
 
     return SynthBundle(
         seed=seed,

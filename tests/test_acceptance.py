@@ -307,7 +307,7 @@ def test_criterion_9_rule_soundness():
             if h.score >= cfg.hand_score_min and fusion.region_contains(cfg.wheel_region, h.center)
         ], i
         fixed, records = fusion.relabel_hands(pose, hands, v)
-        records += fusion.emit_pose_corrections(pose, fixed, records)
+        records += fusion.emit_pose_corrections(records)
         passed = set(v.passed_rules())
         for rec in records:
             n_records += 1

@@ -253,6 +253,9 @@ def test_fuse_cmd_non_finite_region_in_config_exits_4_before_out(tmp_path, capsy
     ({"change_points": [True], "group_ids": [0] * 6}, "change_points must be an integer, got True"),
     ({"change_points": [], "group_ids": ["1"] + [0] * 5}, "group_ids must be an integer, got '1'"),
     ({"change_points": [], "group_ids": [1.9] + [0] * 5}, "group_ids must be an integer, got 1.9"),
+    ({"change_points": [2], "group_ids": [0, 0, 0, 1, 1, 0]}, "group_ids differ from those its change_points give"),
+    ({"change_points": [5], "group_ids": [0] * 6}, "change_points must lie in [0, 5), got [5]"),
+    ({"change_points": [-3, 1000], "group_ids": [0] * 6}, "change_points must lie in [0, 5), got [-3, 1000]"),
 ])
 def test_fuse_cmd_non_integer_segments_exit_3_before_out(tmp_path, capsys, segments, message):
     sess = _tiny_session(tmp_path)
@@ -948,6 +951,10 @@ def test_synth_driver_session_leaves_default_rules_alone(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("generator, params, message", [
     ("lowrank_sparse", {"rank": 500}, "rank 500"),
+    ("lowrank_sparse", {"d": 0, "rank": 0}, "d and t must be at least 1, got d=0, t=200"),
+    ("lowrank_sparse", {"t": 0, "rank": 0}, "d and t must be at least 1, got d=200, t=0"),
+    ("piecewise", {"d": 0}, "d and t must be at least 1, got d=0, t=240"),
+    ("piecewise", {"t": 0, "change_points": []}, "d and t must be at least 1, got d=8, t=0"),
     ("driver_session", {"episode_schedule": [["bogus", 3]]}, "'bogus'"),
     ("driver_session", {"episode_schedule": [["safe_driving", 3]], "render": "no"}, "render must be true or false"),
     ("driver_session", {"episode_schedule": [["safe_driving", 3]], "render": 1}, "render must be true or false"),

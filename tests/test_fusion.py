@@ -254,14 +254,14 @@ def test_pose_corrections_one_per_relabel():
     pose, hands = _safe_frame(l_side="right", r_side="right")
     hands = [hands[0], replace(hands[1], score=0.1)]
     corrected, records = relabel_hands(pose, hands, evaluate_safe_driving(pose, hands, _cfg()))
-    out = emit_pose_corrections(pose, corrected, records)
+    out = emit_pose_corrections(records)
     assert len(out) == 1
     rec = out[0]
     assert rec.kind == "pose_correction"
     assert rec.payload["joint"] == "l_wrist"
     assert rec.payload["x"] == pytest.approx(corrected[0].center[0])
     assert rec.provenance == records[0].provenance
-    assert emit_pose_corrections(pose, list(hands), []) == []
+    assert emit_pose_corrections([]) == []
 
 
 def _verdict(idx, safe):
@@ -333,7 +333,7 @@ def _verdicts(frames):
 
 def test_classify_episode_drinking_and_safe():
     frames = _segment_frames("drinking", 5) + _segment_frames("safe", 5)
-    seg = SegmentLabeling(change_points=[4], group_ids=[0] * 5 + [1] * 5)
+    seg = SegmentLabeling(change_points=[4], n_frames=10)
     table = fusion.DEFAULT_EPISODE_RULES
     out = classify_episode(frames, _verdicts(frames), seg, table)
     assert [e.label for e in out] == ["drinking", "safe_driving"]
@@ -363,7 +363,7 @@ def test_classify_episode_tie_is_unknown_with_note():
             hand = _hand_at(0.5866, 0.1932, side="left")
             phone = ObjectDetection("cell phone", (0.56, 0.15, 0.62, 0.23), 0.9)
         frames.append((pose, [_hand_at(0.4211, 0.7599, side="right"), hand], [phone]))
-    seg = SegmentLabeling(change_points=[], group_ids=[0] * 6)
+    seg = SegmentLabeling(change_points=[], n_frames=6)
     out = classify_episode(frames, _verdicts(frames), seg, fusion.DEFAULT_EPISODE_RULES)
     assert out[0].label == "unknown"
     assert out[0].notes and "ambiguous" in out[0].notes[0]
@@ -372,21 +372,21 @@ def test_classify_episode_tie_is_unknown_with_note():
 
 def test_classify_episode_empty_segment_unknown():
     frames = [( PoseFrame(0, {}), [], [] )]
-    seg = SegmentLabeling(change_points=[], group_ids=[0])
+    seg = SegmentLabeling(change_points=[], n_frames=1)
     out = classify_episode(frames, _verdicts(frames), seg, fusion.DEFAULT_EPISODE_RULES)
     assert out[0].label == "unknown"
 
 
 def test_classify_episode_validates_coverage():
     frames = _segment_frames("safe", 3)
-    seg = SegmentLabeling(change_points=[], group_ids=[0, 0])
+    seg = SegmentLabeling(change_points=[], n_frames=2)
     with pytest.raises(ValueError):
         classify_episode(frames, _verdicts(frames), seg, fusion.DEFAULT_EPISODE_RULES)
 
 
 def test_classify_episode_validates_verdict_count():
     frames = _segment_frames("safe", 3)
-    seg = SegmentLabeling(change_points=[], group_ids=[0, 0, 0])
+    seg = SegmentLabeling(change_points=[], n_frames=3)
     with pytest.raises(ValueError, match="2 verdicts"):
         classify_episode(frames, _verdicts(frames)[:2], seg, fusion.DEFAULT_EPISODE_RULES)
 
@@ -473,6 +473,37 @@ def test_single_candidate_pass_matches_two_passes():
     assert aimed_differs >= 10  # the draws reach the angle check, not only empty assignments
 
 
+def _pose_corrections_from_hands(pose, corrected_hands, side_records):
+    """The former pose corrections, derived from the corrected hands, kept as the reference."""
+    out = []
+    for rec in side_records:
+        idx = rec.payload["hand_index"]
+        hand = corrected_hands[idx]
+        cx, cy = hand.center
+        wrist = "l_wrist" if hand.side == "left" else "r_wrist"
+        out.append(
+            fusion.TrainingRecord(
+                frame_index=pose.frame_index,
+                kind="pose_correction",
+                payload={"joint": wrist, "x": cx, "y": cy, "side": hand.side, "hand_index": idx},
+                provenance=rec.provenance,
+            )
+        )
+    return out
+
+
+def test_pose_corrections_from_side_records_match_corrected_hands():
+    g = rng(987)
+    cfg = _cfg()
+    relabeled = 0
+    for i in range(1000):
+        pose, hands = _random_frame(g, i)
+        corrected, records = relabel_hands(pose, hands, evaluate_safe_driving(pose, hands, cfg))
+        assert emit_pose_corrections(records) == _pose_corrections_from_hands(pose, corrected, records), i
+        relabeled += bool(records)
+    assert relabeled >= 5  # the draws reach the relabel rule, not only empty record lists
+
+
 def test_rule_soundness_randomized():
     g = rng(321)
     cfg = _cfg()
@@ -489,7 +520,7 @@ def test_rule_soundness_randomized():
             assert v.safe_driving
         corrected, records = relabel_hands(pose, hands, v)
         passed = set(v.passed_rules())
-        for rec in records + emit_pose_corrections(pose, corrected, records):
+        for rec in records + emit_pose_corrections(records):
             assert rec.provenance["rules"], rec
             assert set(rec.provenance["rules"]) <= passed
 
@@ -529,7 +560,7 @@ def test_determinism_bitwise_serialization():
         for pose, hands, _objects in bundle.payload["frames"]:
             v = evaluate_safe_driving(pose, hands, cfg)
             corrected, recs = relabel_hands(pose, hands, v)
-            recs += emit_pose_corrections(pose, corrected, recs)
+            recs += emit_pose_corrections(recs)
             blobs.append(canon_dumps(fusion.verdict_to_dict(v)))
             blobs.extend(canon_dumps(fusion.record_to_dict(r)) for r in recs)
         return "\n".join(blobs)

@@ -188,6 +188,15 @@ def test_extract_change_points_group_ids():
     assert lab.group_ids == [0, 0, 1, 1, 2]
 
 
+def test_segment_labeling_rule_and_group_ids():
+    assert gflasso.SegmentLabeling([], 3).group_ids == [0, 0, 0]
+    assert gflasso.SegmentLabeling([0, 3], 6).group_ids == [0, 1, 1, 1, 2, 2]
+    for cps, message in (([2, 2], "strictly increasing"), ([-1], r"lie in \[0, 5\)"), ([5], r"lie in \[0, 5\)"),
+                         ([1.0], "must be an integer"), ([True], "must be an integer")):
+        with pytest.raises(ValueError, match=message):
+            gflasso.SegmentLabeling(cps, 6)
+
+
 def test_extract_change_points_min_gap_and_ties():
     # equal strengths: earlier index wins under min_gap suppression
     lab = gflasso.extract_change_points([3.0, 0.0, 3.0], 1.0, 3)

@@ -27,6 +27,9 @@ def test_lowrank_sparse_degenerate_cases():
         synth.gen_lowrank_sparse(10, 8, 2, 0.5, 5.0, seed=1)
     with pytest.raises(ValueError):
         synth.gen_lowrank_sparse(10, 8, 20, 0.1, 5.0, seed=1)
+    for d, t in ((0, 8), (10, 0), (0, 0)):
+        with pytest.raises(ValueError, match="d and t must be at least 1"):
+            synth.gen_lowrank_sparse(d, t, 0, 0.1, 5.0, seed=1)
 
 
 def test_piecewise_structure():
@@ -41,6 +44,9 @@ def test_piecewise_structure():
         synth.gen_piecewise(2, 10, [5, 5], 1.0, 0.1, seed=0)
     with pytest.raises(ValueError):
         synth.gen_piecewise(2, 10, [9], 1.0, 0.1, seed=0)
+    for d, t in ((0, 10), (2, 0)):
+        with pytest.raises(ValueError, match="d and t must be at least 1"):
+            synth.gen_piecewise(d, t, [], 1.0, 0.1, seed=0)
 
 
 def test_piecewise_determinism():
