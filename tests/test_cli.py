@@ -951,13 +951,13 @@ def test_synth_driver_session_leaves_default_rules_alone(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("generator, params, message", [
     ("lowrank_sparse", {"rank": 500}, "rank 500"),
+    ("driver_session", {"episode_schedule": [["bogus", 3]]}, "'bogus'"),
+    ("driver_session", {"episode_schedule": [["safe_driving", 3]], "render": "no"}, "render must be true or false"),
+    ("driver_session", {"episode_schedule": [["safe_driving", 3]], "render": 1}, "render must be true or false"),
     ("lowrank_sparse", {"d": 0, "rank": 0}, "d and t must be at least 1, got d=0, t=200"),
     ("lowrank_sparse", {"t": 0, "rank": 0}, "d and t must be at least 1, got d=200, t=0"),
     ("piecewise", {"d": 0}, "d and t must be at least 1, got d=0, t=240"),
     ("piecewise", {"t": 0, "change_points": []}, "d and t must be at least 1, got d=8, t=0"),
-    ("driver_session", {"episode_schedule": [["bogus", 3]]}, "'bogus'"),
-    ("driver_session", {"episode_schedule": [["safe_driving", 3]], "render": "no"}, "render must be true or false"),
-    ("driver_session", {"episode_schedule": [["safe_driving", 3]], "render": 1}, "render must be true or false"),
 ])
 def test_synth_bad_params_exit_4(tmp_path, capsys, generator, params, message):
     assert run(["synth", "--generator", generator, "--params", json.dumps(params),
