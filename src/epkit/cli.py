@@ -42,13 +42,19 @@ def _load_cfg(args) -> cfgmod.Config:
     return cfgmod.load_config(args.config, overrides)
 
 
+def _warn(warnings) -> None:
+    for message in warnings:
+        print(f"warning: {message}", file=sys.stderr)
+
+
 def cmd_rpca(args) -> int:
     cfg = _load_cfg(args)
     if os.path.isdir(args.input):
         mat = pipeline.frames_to_matrix(fileio.read_frames(args.input), cfg.downscale_limit)
     else:
         mat = fileio.read_matrix(args.input)
-    pipeline.run_rpca_stage(mat, cfg, args.out)  # checks the matrix, then creates --out
+    info = pipeline.run_rpca_stage(mat, cfg, args.out)  # checks the matrix, then creates --out
+    _warn(pipeline.solver_warnings(rpca=info["summary"]))
     return 0
 
 
@@ -56,7 +62,7 @@ def cmd_segment(args) -> int:
     cfg = _load_cfg(args)
     signal = pipeline.pose_signal(fileio.read_detections(args.detections), cfg)
     fileio.make_dir(args.out)
-    pipeline.run_segmentation_stage(signal, cfg, args.out)
+    _warn(pipeline.solver_warnings(segmentation=pipeline.run_segmentation_stage(signal, cfg, args.out)))
     return 0
 
 
@@ -91,7 +97,9 @@ def cmd_fuse(args) -> int:
     fileio.make_dir(args.out)
     verdicts = pipeline.run_fusion_stage(detections, cfg, args.out)["verdicts"]
     if not args.segments:
-        labeling = pipeline.run_segmentation_stage(signal, cfg, args.out)["labelings"][0]
+        seg = pipeline.run_segmentation_stage(signal, cfg, args.out)
+        _warn(pipeline.solver_warnings(segmentation=seg))
+        labeling = seg["labelings"][0]
     pipeline.run_episode_stage(detections, verdicts, labeling, cfg, args.out)
     return 0
 
@@ -217,6 +225,7 @@ def cmd_pipeline(args) -> int:
     report = pipeline.run_pipeline(args.session, cfg, args.out)
     print(f"report written to {os.path.join(args.out, 'report.json')}")
     print(f"stages: {', '.join(sorted(report['stages']))}")
+    _warn(report["warnings"])
     return 0
 
 

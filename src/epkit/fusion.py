@@ -29,6 +29,7 @@ from __future__ import annotations
 import inspect
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Sequence
@@ -645,52 +646,35 @@ def classify_episode(
     segments,
     rule_table: EpisodeRuleTable,
 ) -> list[EpisodeLabel]:
-    """Majority-vote a label per temporal segment from the predicate table.
+    """Majority-vote a label per segment of the labeling *segments* from the predicate table.
 
+    Segment k spans frames [starts[k], starts[k + 1]), where starts is 0 and
+    each change point plus one, and the last segment ends at n_frames.
     verdicts[i] is the evaluate_safe_driving result of frames[i]; the
     predicates read its safe_driving flag, wrist associations and on-wheel
     hands (verdict.on_wheel). Every firing predicate contributes one vote
-    per frame; a segment whose top two labels tie is reported unknown with
+    per frame; a segment whose top labels tie is reported unknown with
     the candidates noted, and a segment with no votes is unknown.
     """
-    group_ids = list(segments.group_ids)
-    if not len(group_ids) == len(verdicts) == len(frames):
-        raise ValueError(
-            f"{len(frames)} frames but segments cover {len(group_ids)} and {len(verdicts)} verdicts were given"
-        )
-
-    votes_per_segment: dict[int, dict[str, int]] = {}
-    bounds: dict[int, tuple[int, int]] = {}
-    for i, (gid, (pose, hands, objects), verdict) in enumerate(zip(group_ids, frames, verdicts)):
-        lo, hi = bounds.get(gid, (i, i))
-        bounds[gid] = (min(lo, i), max(hi, i))
-        ctx = _FrameContext(pose, hands, objects, verdict)
-        tally = votes_per_segment.setdefault(gid, {})
-        for rule in rule_table.rules:
-            side = PREDICATES[rule.predicate](ctx, **rule.params)
-            if side is None:
-                continue
-            label = f"{rule.label}_{side}" if rule.with_side and side else rule.label
-            tally[label] = tally.get(label, 0) + 1
-
+    n = segments.n_frames
+    if not n == len(verdicts) == len(frames):
+        raise ValueError(f"{len(frames)} frames but segments cover {n} and {len(verdicts)} verdicts were given")
+    starts = [0] + [c + 1 for c in segments.change_points]
     out: list[EpisodeLabel] = []
-    for gid in sorted(bounds):
-        lo, hi = bounds[gid]
-        tally = votes_per_segment.get(gid, {})
-        notes: list[str] = []
-        if not tally:
-            label = "unknown"
-        else:
-            ranked = sorted(tally.items(), key=lambda kv: (-kv[1], kv[0]))
-            if len(ranked) > 1 and ranked[0][1] == ranked[1][1]:
-                tied = [k for k, v in ranked if v == ranked[0][1]]
-                label = "unknown"
-                notes.append(f"ambiguous: {' vs '.join(sorted(tied))}")
-            else:
-                label = ranked[0][0]
-        out.append(
-            EpisodeLabel(segment=gid, start=lo, end=hi + 1, label=label, votes=dict(sorted(tally.items())), notes=notes)
-        )
+    for gid, (lo, hi) in enumerate(zip(starts, starts[1:] + [n]) if n else ()):  # no frames, no segment
+        tally: Counter[str] = Counter()
+        for (pose, hands, objects), verdict in zip(frames[lo:hi], verdicts[lo:hi]):
+            ctx = _FrameContext(pose, hands, objects, verdict)
+            for rule in rule_table.rules:
+                side = PREDICATES[rule.predicate](ctx, **rule.params)
+                if side is not None:
+                    tally[f"{rule.label}_{side}" if rule.with_side and side else rule.label] += 1
+        top = max(tally.values(), default=0)
+        tied = sorted(label for label, count in tally.items() if count == top)
+        notes = [f"ambiguous: {' vs '.join(tied)}"] if len(tied) > 1 else []
+        label = tied[0] if len(tied) == 1 else "unknown"
+        out.append(EpisodeLabel(segment=gid, start=lo, end=hi, label=label, votes=dict(sorted(tally.items())),
+                                notes=notes))
     return out
 
 

@@ -352,33 +352,25 @@ ARM_SERIES: tuple[tuple[str, int], ...] = (
 def normalize_and_weight(pose_stream) -> tuple[np.ndarray, np.ndarray]:
     """Build the (X, W) pair for `solve` from a sequence of pose frames.
 
-    One row per wrist/elbow coordinate (8 rows, see ARM_SERIES), each row
-    standardized to zero mean / unit variance over the frames where the
-    joint was scored > 0; zero-variance rows map to all zeros. Weights are
-    the raw joint scores (0 for missing joints), so unscored entries never
-    influence a fit.
+    The frames' ARM_SERIES joints form one (frames, 8, 3) table of
+    (x, y, score), a missing joint reading (0, 0, 0). W is its score plane,
+    one row per wrist/elbow coordinate; each X row is that coordinate
+    standardized to zero mean / unit variance over the frames where its
+    joint was scored > 0, and 0 elsewhere; zero-variance rows map to all
+    zeros. Unscored entries therefore never influence a fit.
     """
     frames = list(pose_stream)
     if not frames:
         raise ValueError("pose stream is empty")
-    t = len(frames)
-    x = np.zeros((len(ARM_SERIES), t))
-    w = np.zeros((len(ARM_SERIES), t))
+    table = np.array([[f.joints.get(j, (0.0, 0.0, 0.0)) for j, _axis in ARM_SERIES] for f in frames], np.float64)
+    w = np.ascontiguousarray(table[:, :, 2].T)
+    x = np.zeros_like(w)
     for row, (joint, axis) in enumerate(ARM_SERIES):
-        vals = np.zeros(t)
-        scores = np.zeros(t)
-        for i, frame in enumerate(frames):
-            entry = frame.joints.get(joint)
-            if entry is None:
-                continue
-            vals[i] = entry[axis]
-            scores[i] = entry[2]
-        observed = scores > 0
+        observed = w[row] > 0
         if not observed.any():
             raise ValueError(f"joint {joint!r} is missing from every frame")
-        mu = vals[observed].mean()
-        sd = vals[observed].std()
+        vals = table[observed, row, axis]
+        sd = vals.std()
         if sd > 0:
-            x[row, observed] = (vals[observed] - mu) / sd
-        w[row] = scores
+            x[row, observed] = (vals - vals.mean()) / sd
     return x, w

@@ -207,7 +207,7 @@ def run_segmentation_stage(signal, cfg: Config, out_dir: str) -> dict:
     n_frames = x.shape[1]
     result = gflasso.solve(x, w, cfg.gfl)
     strengths = result.jump_strengths
-    top = float(strengths.max()) if strengths.size else 0.0
+    top = float(strengths.max())  # validate_inputs holds order < T, so there is at least one strength
     thresholds = cfg.gfl.threshold or [cfg.gfl.threshold_fraction * top]
     min_gap = cfg.gfl.min_gap
     labelings = [
@@ -233,10 +233,7 @@ def run_segmentation_stage(signal, cfg: Config, out_dir: str) -> dict:
     fileio.write_csv(
         os.path.join(out_dir, "groups.csv"),
         ["frame"] + [f"group_t{i}" for i in range(len(thresholds))],
-        [
-            tuple([f] + [lab.group_ids[f] for lab in labelings])
-            for f in range(n_frames)
-        ],
+        zip(range(n_frames), *(lab.group_ids for lab in labelings)),
     )
     with open(os.path.join(out_dir, "strengths.svg"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write(svgplot.line_plot(list(strengths), thresholds, title="jump strengths"))
@@ -339,6 +336,15 @@ def run_episode_stage(detections, verdicts, labeling, cfg: Config, out_dir: str)
     return episodes
 
 
+def solver_warnings(rpca=None, segmentation=None) -> list[str]:
+    """"<stage> did not converge in N iterations" for each given result (rpca summary, segmentation) that did not."""
+    return [
+        f"{stage} did not converge in {info['iterations']} iterations"
+        for stage, info in (("rpca", rpca), ("segmentation", segmentation))
+        if info is not None and not info["converged"]
+    ]
+
+
 def run_pipeline(session_dir: str, cfg: Config, out_dir: str) -> dict:
     """Run all stages over a session directory and write report.json.
 
@@ -402,24 +408,18 @@ def run_pipeline(session_dir: str, cfg: Config, out_dir: str) -> dict:
         for e in episodes
     ]
 
-    label_by_segment = {e.segment: e.label for e in episodes}
     report["frames"] = [
         {
             "frame": v.frame_index,
             "safe_driving": v.safe_driving,
             "stabilized_safe_driving": v.stabilized_safe_driving,
             "segment": gid,
-            "episode_label": label_by_segment.get(gid, "unknown"),
+            "episode_label": episodes[gid].label,
             "rpca_warning": v.frame_index in warned,
         }
         for v, gid in zip(fus["verdicts"], labeling.group_ids)
     ]
 
-    solvers = [("rpca", rpca_info["summary"] if rpca_info else None), ("segmentation", seg)]
-    report["warnings"] = [
-        f"{stage} did not converge in {info['iterations']} iterations"
-        for stage, info in solvers
-        if info is not None and not info["converged"]
-    ]
+    report["warnings"] = solver_warnings(rpca_info and rpca_info["summary"], seg)
     fileio.write_json(os.path.join(out_dir, "report.json"), report)
     return report

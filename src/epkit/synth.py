@@ -268,6 +268,8 @@ def gen_driver_session(
         check_number("episode duration", dur, 0)
         if dur < 0:
             raise ValueError(f"negative episode duration {dur}")
+    if frame_width < 1 or frame_height < 1 or not frame_rate > 0:
+        raise ValueError(f"need frame size >= 1x1 and frame_rate > 0, got {frame_width}x{frame_height}, {frame_rate}")
     g = rng(seed)
 
     frames = []

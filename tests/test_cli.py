@@ -958,12 +958,40 @@ def test_synth_driver_session_leaves_default_rules_alone(tmp_path, monkeypatch):
     ("lowrank_sparse", {"t": 0, "rank": 0}, "d and t must be at least 1, got d=200, t=0"),
     ("piecewise", {"d": 0}, "d and t must be at least 1, got d=0, t=240"),
     ("piecewise", {"t": 0, "change_points": []}, "d and t must be at least 1, got d=8, t=0"),
+    ("driver_session", {"episode_schedule": [["safe_driving", 3]], "frame_width": 0}, "got 0x72, 10.0"),
+    ("driver_session", {"episode_schedule": [["safe_driving", 3]], "frame_height": 0}, "got 96x0, 10.0"),
+    ("driver_session", {"episode_schedule": [["safe_driving", 3]], "frame_width": -5}, "got -5x72, 10.0"),
+    ("driver_session", {"episode_schedule": [["safe_driving", 3]], "frame_rate": 0.0}, "got 96x72, 0.0"),
+    ("driver_session", {"episode_schedule": [["safe_driving", 3]], "frame_rate": -2.5}, "got 96x72, -2.5"),
 ])
 def test_synth_bad_params_exit_4(tmp_path, capsys, generator, params, message):
     assert run(["synth", "--generator", generator, "--params", json.dumps(params),
                 "--out", tmp_path / "o"]) == 4
     assert message in capsys.readouterr().err
     assert not (tmp_path / "o").exists()  # created only once the generator accepts its parameters
+
+
+@pytest.mark.parametrize("params, message", [("{", "--params is not valid JSON"),
+                                             ("[1]", "--params must hold a JSON object")])
+def test_synth_params_not_a_json_object_exit_4(tmp_path, capsys, params, message):
+    assert run(["synth", "--generator", "driver_session", "--params", params, "--out", tmp_path / "o"]) == 4
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("content, message", [
+    (None, "bad config file"),
+    ("{not json", "bad config file"),
+    ('{"flow": {"windw": 9}}', "unknown config key flow.'windw'"),
+])
+def test_bad_config_file_exits_4(tmp_path, capsys, content, message):
+    sess = _tiny_session(tmp_path)
+    path = tmp_path / "c.json"
+    if content is not None:  # None: the file does not exist
+        path.write_text(content)
+    assert run(["segment", "--detections", sess / "detections.jsonl", "--config", path, "--out", tmp_path / "o"]) == 4
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("generator, params, message", [
@@ -1229,7 +1257,7 @@ def test_pipeline_discrete_outputs_are_pinned(tmp_path):
         ({"gfl": {"max_iterations": 2}}, ["segmentation did not converge in 2 iterations"]),
     ],
 )
-def test_pipeline_reports_solver_non_convergence(tmp_path, override, warnings):
+def test_pipeline_reports_solver_non_convergence(tmp_path, capsys, override, warnings):
     sess = tmp_path / "sess"
     assert run(["synth", "--generator", "driver_session", "--seed", "4",
                 "--params", json.dumps({"episode_schedule": [["safe_driving", 12]]}),
@@ -1240,6 +1268,20 @@ def test_pipeline_reports_solver_non_convergence(tmp_path, override, warnings):
     out = tmp_path / "out"
     assert run(["pipeline", "--session", sess, "--config", tmp_path / "c.json", "--out", out]) == 0
     assert fileio.read_json(out / "report.json")["warnings"] == warnings
+    assert capsys.readouterr().err == "".join(f"warning: {w}\n" for w in warnings)
+
+
+@pytest.mark.parametrize("command, stage", [("rpca", "rpca"), ("segment", "segmentation"), ("fuse", "segmentation")])
+def test_subcommands_report_solver_non_convergence_on_stderr(tmp_path, capsys, command, stage):
+    sess = _tiny_session(tmp_path, frames=12)
+    cfg = fileio.read_json(sess / "session_config.json")
+    fileio.write_json(tmp_path / "c.json", {**cfg, "rpca": {"max_iterations": 1}, "gfl": {"max_iterations": 1}})
+    inputs = ["--input", sess / "frames"] if command == "rpca" else ["--detections", sess / "detections.jsonl"]
+    assert run([command, *inputs, "--config", sess / "session_config.json", "--out", tmp_path / "converged"]) == 0
+    assert capsys.readouterr().err == ""
+    assert run([command, *inputs, "--config", tmp_path / "c.json", "--out", tmp_path / "stopped"]) == 0
+    assert capsys.readouterr().err == f"warning: {stage} did not converge in 1 iterations\n"
+    assert sorted(os.listdir(tmp_path / "stopped")) == sorted(os.listdir(tmp_path / "converged"))
 
 
 def test_rpca_cmd_summary_matches_pipeline_stage(tmp_path, monkeypatch, session_400):

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from epkit import fusion
 from epkit.fileio import canon_dumps
@@ -24,7 +25,7 @@ from epkit.fusion import (
     temporal_verdict,
 )
 from epkit.gflasso import SegmentLabeling
-from epkit.synth import gen_driver_session, rng
+from epkit.synth import SESSION_LABELS, gen_driver_session, rng
 
 WHEEL = (0.28, 0.58, 0.64, 0.92)
 
@@ -391,6 +392,31 @@ def test_classify_episode_validates_verdict_count():
         classify_episode(frames, _verdicts(frames)[:2], seg, fusion.DEFAULT_EPISODE_RULES)
 
 
+def test_offwheel_wrist_in_region_fires_for_a_wrist_without_a_hand_box():
+    pose, hands = _safe_frame()
+    hands = hands[1:]  # the right hand, on the wheel; no box near the left wrist
+    region = [0.66, 0.5, 0.86, 0.68]
+    for score, fired in ((0.9, "left"), (0.0, None)):
+        joints = {**pose.joints, "l_elbow": _joint(0.70, 0.52), "l_wrist": _joint(0.76, 0.59, score)}
+        at_radio = PoseFrame(0, joints)
+        verdict = evaluate_safe_driving(at_radio, hands, _cfg())
+        assert "l_wrist" not in verdict.associations
+        ctx = fusion._FrameContext(at_radio, hands, [], verdict)
+        assert fusion.PREDICATES["offwheel_wrist_in_region"](ctx, region=region) == fired
+
+
+def test_phone_at_offwheel_wrist_skips_other_objects():
+    pose, hands = _safe_frame()
+    texting = PoseFrame(0, {**pose.joints, "l_elbow": _joint(0.70, 0.56), "l_wrist": _joint(0.78, 0.74)})
+    hands = [_hand_at(0.792, 0.767, side="left"), hands[1]]
+    verdict = evaluate_safe_driving(texting, hands, _cfg())
+    box = (0.76, 0.72, 0.82, 0.80)
+    cup, phone = ObjectDetection("cup", box, 0.9), ObjectDetection("cell phone", box, 0.9)
+    predicate = fusion.PREDICATES["phone_at_offwheel_wrist"]
+    assert predicate(fusion._FrameContext(texting, hands, [cup], verdict)) is None
+    assert predicate(fusion._FrameContext(texting, hands, [cup, phone], verdict)) == "left"
+
+
 def test_rule_table_rejects_unknown_predicate():
     table = dataclasses.asdict(fusion.DEFAULT_EPISODE_RULES)
     table["rules"][1]["predicate"] = "phone_near_head"
@@ -603,3 +629,72 @@ def test_number_rule_is_one_predicate_for_settings_and_readers():
     with pytest.raises(ValueError, match="x must be finite, got 1000"):
         fusion.check_number("x", 10**400, 0.0)
     assert FusionConfig().wheel_region is None  # built, and range-checked, without a region
+
+
+def _classify_episode_by_group_ids(frames, verdicts, segments, rule_table):
+    """The former classify_episode, which rebuilt each segment's range from the group ids, kept as the reference."""
+    group_ids = list(segments.group_ids)
+    if not len(group_ids) == len(verdicts) == len(frames):
+        raise ValueError(
+            f"{len(frames)} frames but segments cover {len(group_ids)} and {len(verdicts)} verdicts were given"
+        )
+    votes_per_segment = {}
+    bounds = {}
+    for i, (gid, (pose, hands, objects), verdict) in enumerate(zip(group_ids, frames, verdicts)):
+        lo, hi = bounds.get(gid, (i, i))
+        bounds[gid] = (min(lo, i), max(hi, i))
+        ctx = fusion._FrameContext(pose, hands, objects, verdict)
+        tally = votes_per_segment.setdefault(gid, {})
+        for rule in rule_table.rules:
+            side = fusion.PREDICATES[rule.predicate](ctx, **rule.params)
+            if side is None:
+                continue
+            label = f"{rule.label}_{side}" if rule.with_side and side else rule.label
+            tally[label] = tally.get(label, 0) + 1
+    out = []
+    for gid in sorted(bounds):
+        lo, hi = bounds[gid]
+        tally = votes_per_segment.get(gid, {})
+        notes = []
+        if not tally:
+            label = "unknown"
+        else:
+            ranked = sorted(tally.items(), key=lambda kv: (-kv[1], kv[0]))
+            if len(ranked) > 1 and ranked[0][1] == ranked[1][1]:
+                tied = [k for k, v in ranked if v == ranked[0][1]]
+                label = "unknown"
+                notes.append(f"ambiguous: {' vs '.join(sorted(tied))}")
+            else:
+                label = ranked[0][0]
+        out.append(fusion.EpisodeLabel(segment=gid, start=lo, end=hi + 1, label=label,
+                                       votes=dict(sorted(tally.items())), notes=notes))
+    return out
+
+
+@st.composite
+def _segmented_sessions(draw):
+    """A short driver session, its verdicts, and a labeling whose frame count may miss the session's by one."""
+    labels = st.sampled_from(SESSION_LABELS + ("operating_radio_right",))
+    schedule = draw(st.lists(st.tuples(labels, st.integers(0, 8)), max_size=4))
+    bundle = gen_driver_session(schedule, side_flip_fraction=draw(st.sampled_from([0.0, 0.3])),
+                                score_noise=draw(st.sampled_from([0.03, 0.5])), seed=draw(st.integers(0, 2**32 - 1)))
+    frames = bundle.payload["frames"]
+    cfg = _cfg(frame_rate=bundle.ground_truth["frame_rate"])
+    verdicts = [evaluate_safe_driving(pose, hands, cfg) for pose, hands, _objects in frames]
+    n = max(0, len(frames) + draw(st.sampled_from([0, 0, 0, -1, 1])))
+    change_points = sorted(draw(st.sets(st.integers(0, n - 2))) if n > 1 else [])
+    return frames, verdicts, SegmentLabeling(change_points, n)
+
+
+@given(_segmented_sessions())
+def test_classify_episode_matches_group_id_reference_on_drawn_sessions(session):
+    frames, verdicts, segments = session
+    table = fusion.DEFAULT_EPISODE_RULES
+    try:
+        want = _classify_episode_by_group_ids(frames, verdicts, segments, table)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            classify_episode(frames, verdicts, segments, table)
+        assert str(info.value) == str(exc)
+        return
+    assert classify_episode(frames, verdicts, segments, table) == want

@@ -295,3 +295,63 @@ def test_qqt_band_is_the_banded_gram_of_the_differencing_matrix(p):
         for off in range(p + 1):  # upper banded storage: row p - off holds the off-th superdiagonal
             expected[p - off, off:] = np.diagonal(gram, off)
         assert np.array_equal(gflasso._qqt_band_upper(t, p), expected)  # integer stencils: exact
+
+
+def _normalize_and_weight_per_frame(pose_stream):
+    """The former per-frame, per-row normalize_and_weight, kept as the reference."""
+    frames = list(pose_stream)
+    if not frames:
+        raise ValueError("pose stream is empty")
+    t = len(frames)
+    x = np.zeros((len(gflasso.ARM_SERIES), t))
+    w = np.zeros((len(gflasso.ARM_SERIES), t))
+    for row, (joint, axis) in enumerate(gflasso.ARM_SERIES):
+        vals = np.zeros(t)
+        scores = np.zeros(t)
+        for i, frame in enumerate(frames):
+            entry = frame.joints.get(joint)
+            if entry is None:
+                continue
+            vals[i] = entry[axis]
+            scores[i] = entry[2]
+        observed = scores > 0
+        if not observed.any():
+            raise ValueError(f"joint {joint!r} is missing from every frame")
+        mu = vals[observed].mean()
+        sd = vals[observed].std()
+        if sd > 0:
+            x[row, observed] = (vals[observed] - mu) / sd
+        w[row] = scores
+    return x, w
+
+
+@st.composite
+def _pose_streams(draw):
+    """Up to 12 frames whose arm joints may be missing, scored 0 or below, integer, or equal across frames."""
+    coord = st.sampled_from([0, 1, 0.25, 0.5]) | st.floats(-1.0, 2.0)
+    score = st.sampled_from([-0.5, 0, 0.0, 1]) | st.floats(0.0, 1.0)
+    joint = st.none() | st.tuples(coord, coord, score) | st.tuples(coord, coord, score)
+    frames = []
+    for i in range(draw(st.integers(0, 12))):
+        joints = {"head": (0.5, 0.2, 0.9)}
+        for name in ("l_wrist", "r_wrist", "l_elbow", "r_elbow"):
+            entry = draw(joint)
+            if entry is not None:
+                joints[name] = entry
+        frames.append(PoseFrame(frame_index=i, joints=joints))
+    return frames
+
+
+@given(_pose_streams())
+def test_normalize_and_weight_matches_per_frame_reference_on_drawn_streams(frames):
+    try:
+        want = _normalize_and_weight_per_frame(frames)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            gflasso.normalize_and_weight(frames)
+        assert str(info.value) == str(exc)
+        return
+    got = gflasso.normalize_and_weight(frames)
+    for g, r in zip(got, want):
+        assert g.dtype == r.dtype and g.shape == r.shape and g.flags.c_contiguous
+        assert g.tobytes() == r.tobytes()

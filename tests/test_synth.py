@@ -97,6 +97,26 @@ def test_driver_session_unknown_label_raises():
         synth.gen_driver_session([("juggling", 5)], seed=0)
 
 
+def test_driver_session_right_side_labels():
+    bundle = synth.gen_driver_session(
+        [("texting_right", 2), ("operating_radio_right", 2)], score_noise=0.0, pos_jitter=0.0, seed=0
+    )
+    assert synth._parse_label("texting_right") == ("texting", "right")
+    frames = bundle.payload["frames"]
+    wrist, elbow = synth._ACTION_POSES["texting"]
+    for pose, hands, objects in frames[:2]:  # the left-hand pose, mirrored onto hand 1, which holds the phone
+        assert pose.joints["r_wrist"][:2] == (1.0 - wrist[0], wrist[1])
+        assert pose.joints["r_elbow"][:2] == (1.0 - elbow[0], elbow[1])
+        assert pose.joints["l_wrist"][:2] == synth.REST_WRIST["left"]
+        assert [h.side for h in hands] == ["left", "right"]
+        (phone,) = objects
+        assert phone.label == "cell phone" and phone.center == pytest.approx(hands[1].center)
+    wrist, elbow = synth._ACTION_POSES["operating_radio"]
+    for pose, _hands, objects in frames[2:]:  # the radio stays where it is: no mirror
+        assert pose.joints["r_wrist"][:2] == wrist and pose.joints["r_elbow"][:2] == elbow
+        assert objects == []
+
+
 def test_driver_session_determinism_and_flips():
     kw = dict(side_flip_fraction=0.2, seed=123)
     a = synth.gen_driver_session([("safe_driving", 30), ("drinking", 30)], **kw)
