@@ -80,6 +80,8 @@ def cmd_fuse(args) -> int:
     detections = fileio.read_detections(args.detections)
     cfg.require_fusion()
     if args.segments:  # each input is read and checked before --out is created
+        if not detections:  # refused as segmentation refuses it without --segments
+            raise SchemaError("segmentation input: pose stream is empty")
         data = fileio.read_json(args.segments)
         try:
             labeling = gflasso.SegmentLabeling(data["change_points"], len(detections))

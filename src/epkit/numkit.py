@@ -39,8 +39,10 @@ class SvdFactors:
     singular_values: np.ndarray
     right: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        return (self.left * self.singular_values) @ self.right.T
+    def reconstruct(self, out: np.ndarray | None = None) -> np.ndarray:
+        """left @ diag(s) @ right.T, written into *out* (D x T float64, not
+        overlapping the factors) when given, else into a new array."""
+        return np.matmul(self.left * self.singular_values, self.right.T, out=out)
 
     def __array__(self, dtype=None, copy=None):
         return np.asarray(self.reconstruct(), dtype=dtype)
@@ -67,16 +69,25 @@ def svd(m) -> SvdFactors:
     return SvdFactors(left=u, singular_values=s, right=vt.T)
 
 
-def soft_threshold(m, tau: float) -> np.ndarray:
+def soft_threshold(m, tau: float, out: np.ndarray | None = None) -> np.ndarray:
     """Entrywise shrinkage sign(x) * max(|x| - tau, 0).
 
     Proximal operator of tau * ||vec(.)||_1; accepts arrays of any shape.
+    Written into *out* (float64, m's shape) when given, else into a new array;
+    *out* must not overlap *m* (ValueError), since m's signs are read last.
     Not validated: non-finite entries stay non-finite.
     """
     if tau < 0:
         raise ValueError(f"tau must be non-negative, got {tau}")
     a = np.asarray(m, dtype=np.float64)
-    return np.sign(a) * np.maximum(np.abs(a) - tau, 0.0)
+    if out is not None and np.may_share_memory(a, out):
+        raise ValueError("out must not overlap the input")
+    # max(|x| - tau, 0) * sign(x) has the bits of sign(x) * max(|x| - tau, 0)
+    r = np.abs(a, out=out)
+    r -= tau
+    np.maximum(r, 0.0, out=r)
+    r *= np.sign(a)
+    return r
 
 
 # Partial SVD for the shrinkage: rank predicted from the last call (Lin, Chen &
@@ -132,7 +143,8 @@ def gram_svd(m, tau: float, count: int | None = None) -> SvdFactors | None:
         return None
     s = np.sqrt(lam[:n])
     w = w[:, :n]
-    other = (b.T @ w) / s
+    other = b.T @ w
+    other /= s
     return SvdFactors(w, s, other) if b is a else SvdFactors(other, s, w)
 
 

@@ -205,7 +205,10 @@ def run_segmentation_stage(signal, cfg: Config, out_dir: str) -> dict:
     """Segment pose_signal's (x, w) and write the jump strengths, change points and groups."""
     x, w = signal
     n_frames = x.shape[1]
-    result = gflasso.solve(x, w, cfg.gfl)
+    try:
+        result = gflasso.solve(x, w, cfg.gfl)
+    except np.linalg.LinAlgError as exc:  # pose_signal's rule makes the system nonsingular; high orders still fail
+        raise fileio.ConfigError(f"gfl.order {cfg.gfl.order} is too high to factor the segmentation system: {exc}") from None
     strengths = result.jump_strengths
     top = float(strengths.max())  # validate_inputs holds order < T, so there is at least one strength
     thresholds = cfg.gfl.threshold or [cfg.gfl.threshold_fraction * top]

@@ -13,7 +13,9 @@ when it reaches a value at or below 1/rho; the first iteration, a block too
 wide and a block that misses take the full step. Both take their singular
 triplets from the eigendecomposition of the smaller Gram matrix when its
 error bound certifies them (numkit.gram_svd), else from the LAPACK SVD. The
-input is validated once, on entry.
+input is validated once, on entry. The iterates live in four matrices of the
+input's shape, allocated once and updated in place, so no iteration allocates
+one.
 """
 
 from __future__ import annotations
@@ -94,7 +96,11 @@ def decompose(x, cfg: RpcaConfig | None = None) -> RpcaResult:
     cap = cfg.penalty_cap if cfg.penalty_cap is not None else 1e7 * rho
     # dual start: X scaled into the dual-feasible box/ball intersection
     y = a / max(sn, float(np.max(np.abs(a))) / lam)
-    s = np.zeros_like(a)
+    s = np.zeros(a.shape)
+    # the iterates live in y, s and two work matrices, updated in place:
+    # w holds the shrinkage input, then a - u, then a - u - s;
+    # t holds y / rho, then y / rho + a - u, then rho * (a - u - s)
+    w, t = np.empty(a.shape), np.empty(a.shape)
     f = None
     rank_history: list[int] = []
 
@@ -102,25 +108,28 @@ def decompose(x, cfg: RpcaConfig | None = None) -> RpcaResult:
     residual = 1.0
     converged = False
     for iterations in range(1, cfg.max_iterations + 1):
-        y_rho = y / rho
-        f = numkit.singular_value_threshold(
-            a - s + y_rho, 1.0 / rho, None if f is None else f.right
-        )
+        np.divide(y, rho, out=t)
+        np.subtract(a, s, out=w)
+        w += t
+        f = numkit.singular_value_threshold(w, 1.0 / rho, None if f is None else f.right)
         rank_history.append(f.singular_values.size)
         # a - u, formed once; u itself is rebuilt from f after the loop
-        gap = a - f.reconstruct()
-        y_rho += gap
-        s = soft_threshold(y_rho, lam / rho)
-        gap -= s
-        y = y + rho * gap
+        f.reconstruct(out=w)
+        np.subtract(a, w, out=w)
+        t += w
+        soft_threshold(t, lam / rho, out=s)
+        w -= s
+        np.multiply(w, rho, out=t)
+        y += t
         rho = min(rho * cfg.penalty_growth, cap)
-        residual = float(np.linalg.norm(gap) / x_fro)
+        residual = float(np.linalg.norm(w) / x_fro)
         if residual <= cfg.tolerance:
             converged = True
             break
 
+    del y, t
     return RpcaResult(
-        low_rank=f.reconstruct(),
+        low_rank=f.reconstruct(out=w),
         sparse=s,
         singular_values=np.pad(f.singular_values, (0, min(a.shape) - f.singular_values.size)),
         iterations=iterations,

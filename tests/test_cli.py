@@ -1396,6 +1396,12 @@ def _negative_score(records):
     records[2]["pose"]["joints"]["l_wrist"][2] = -0.5
 
 
+def _l_elbow_scored_once(records):
+    for rec in records:
+        if rec["frame"] != 3:
+            rec["pose"]["joints"]["l_elbow"][2] = 0.0
+
+
 @pytest.mark.parametrize("command, edit, gfl, message", [
     ("segment", list.clear, {}, "pose stream is empty"),
     ("segment", _drop_r_wrist, {}, "joint 'r_wrist' is missing from every frame"),
@@ -1404,6 +1410,10 @@ def _negative_score(records):
     ("segment", _negative_score, {}, "weights must be non-negative"),
     ("pipeline", None, {"order": 6}, "order 6 must be smaller than T=6"),
     ("fuse", None, {"order": 7}, "order 7 must be smaller than T=6"),
+    ("segment", _l_elbow_scored_once, {"order": 2}, "weight row 4 has fewer positive entries (1) than order 2"),
+    ("fuse", _l_elbow_scored_once, {"order": 2}, "weight row 4 has fewer positive entries (1) than order 2"),
+    ("pipeline", _l_elbow_scored_once, {"order": 2}, "weight row 4 has fewer positive entries (1) than order 2"),
+    ("fuse --segments", list.clear, {}, "pose stream is empty"),
 ])
 def test_pose_stream_the_solver_refuses_exits_3_before_out(tmp_path, capsys, command, edit, gfl, message):
     sess = _tiny_session(tmp_path)
@@ -1413,15 +1423,32 @@ def test_pose_stream_the_solver_refuses_exits_3_before_out(tmp_path, capsys, com
     cfg["gfl"] = gfl
     fileio.write_json(tmp_path / "c.json", cfg)
     det = sess / "detections.jsonl"
+    fileio.write_json(tmp_path / "segments.json", {"change_points": [], "group_ids": []})
     argv = {
         "segment": ["segment", "--detections", det],
         "fuse": ["fuse", "--detections", det],
+        "fuse --segments": ["fuse", "--detections", det, "--segments", tmp_path / "segments.json"],
         "pipeline": ["pipeline", "--session", sess],
     }[command]
     out = tmp_path / "o"
     assert run(argv + ["--config", tmp_path / "c.json", "--out", out]) == 3
     assert f"segmentation input: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["segment", "pipeline"])
+def test_order_too_high_to_factor_exits_4_naming_gfl_order(tmp_path, capsys, command):
+    # every row is scored in all 40 frames, but order 30's Q Q^T is too ill-conditioned to factor
+    sess = _tiny_session(tmp_path, frames=40)
+    cfg = fileio.read_json(sess / "session_config.json")
+    cfg["gfl"] = {"order": 30}
+    fileio.write_json(tmp_path / "c.json", cfg)
+    argv = {
+        "segment": ["segment", "--detections", sess / "detections.jsonl"],
+        "pipeline": ["pipeline", "--session", sess],
+    }[command]
+    assert run(argv + ["--config", tmp_path / "c.json", "--out", tmp_path / "o"]) == 4
+    assert "gfl.order 30 is too high to factor the segmentation system" in capsys.readouterr().err
 
 
 def test_hand_box_beyond_the_frame_exits_3_before_out(tmp_path, capsys):

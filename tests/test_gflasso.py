@@ -68,6 +68,24 @@ def test_solve_rejects_bad_weights():
         gflasso.solve(x, -np.ones((2, 5)), gflasso.GflConfig(lam=1.0))
 
 
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_weight_row_needs_order_scored_frames(order):
+    # diag(w^2) + Q Q^T is nonsingular exactly when the row is scored in at least order frames
+    x = rng(order).standard_normal((2, 12))
+    q = gflasso.differencing_matrix(12, order)
+    cfg = gflasso.GflConfig(lam=1.0, order=order)
+    for scored in (order, order - 1):
+        w = np.ones_like(x)
+        w[1] = 0.0
+        w[1, [2, 5, 9, 10][:scored]] = 0.8
+        assert (np.linalg.matrix_rank(np.diag(w[1] ** 2) + q @ q.T) == 12) == (scored == order)
+        if scored == order:
+            assert np.isfinite(gflasso.solve(x, w, cfg).smoothed).all()
+        else:
+            with pytest.raises(ValueError, match=rf"weight row 1 has fewer positive entries \({scored}\) than order {order}"):
+                gflasso.solve(x, w, cfg)
+
+
 def test_oracle_lambda_zero_returns_input():
     x = rng(4).standard_normal((2, 6))
     r = gflasso.oracle_solve(x, np.ones_like(x), gflasso.GflConfig(lam=0.0))

@@ -78,6 +78,31 @@ def test_soft_threshold_examples():
     assert np.allclose(numkit.soft_threshold(np.array([[-3.5]]), 1.25), [[-2.25]])
 
 
+@pytest.mark.parametrize("m, tau", [
+    (np.array([[-0.5, -0.0, 0.0, 0.5]]), 1.0),  # within tau: -0.0 for a negative entry, as sign(x) * 0 gives
+    (np.zeros((3, 4)), 0.25),
+    (rng(3).standard_normal((4, 5)), 0.0),
+    (rng(4).standard_normal((6, 7)), 0.7),
+])
+def test_soft_threshold_out_gives_the_bits_of_the_formula(m, tau):
+    expected = np.sign(m) * np.maximum(np.abs(m) - tau, 0.0)
+    out = np.full(m.shape, np.nan)
+    assert numkit.soft_threshold(m, tau, out=out) is out
+    for got in (out, numkit.soft_threshold(m, tau)):
+        assert got.tobytes() == expected.tobytes()
+
+
+def test_soft_threshold_refuses_an_out_that_overlaps_the_input():
+    m = rng(5).standard_normal((4, 6))
+    before = m.copy()
+    for out in (m, m[:, :], m.T.T):
+        with pytest.raises(ValueError, match="overlap"):
+            numkit.soft_threshold(m, 0.1, out=out)
+    with pytest.raises(ValueError, match="overlap"):
+        numkit.soft_threshold(m[:, :3], 0.1, out=m[:, 3:])  # may share memory: one buffer
+    assert np.array_equal(m, before)
+
+
 def test_soft_threshold_rejects_negative_tau():
     with pytest.raises(ValueError):
         numkit.soft_threshold(np.zeros((2, 2)), -0.1)

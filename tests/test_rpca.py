@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -176,6 +177,76 @@ def test_decompose_matches_full_svd_reference_on_drawn_instances(x):
     _assert_matches_reference(x)
     with mock.patch.object(numkit, "gram_svd", lambda *args, **kwargs: None):  # every step through LAPACK
         _assert_matches_reference(x)
+
+
+def _decompose_allocating(x, cfg=None):
+    """decompose's loop as it ran before its iterates moved into preallocated
+    matrices: every step allocates its result."""
+    a = np.asarray(x, dtype=np.float64)
+    cfg = cfg or rpca.RpcaConfig()
+    lam = cfg.lam if cfg.lam is not None else rpca.default_lambda(*a.shape)
+    x_fro = np.linalg.norm(a)
+    sn = numkit.spectral_norm_estimate(a, tol=1e-4)
+    rho = 1.25 / sn
+    cap = cfg.penalty_cap if cfg.penalty_cap is not None else 1e7 * rho
+    y = a / max(sn, float(np.max(np.abs(a))) / lam)
+    s = np.zeros_like(a)
+    f = None
+    rank_history = []
+    for iterations in range(1, cfg.max_iterations + 1):
+        y_rho = y / rho
+        f = numkit.singular_value_threshold(a - s + y_rho, 1.0 / rho, None if f is None else f.right)
+        rank_history.append(f.singular_values.size)
+        gap = a - (f.left * f.singular_values) @ f.right.T
+        y_rho += gap
+        tau = lam / rho
+        s = np.sign(y_rho) * np.maximum(np.abs(y_rho) - tau, 0.0)
+        gap -= s
+        y = y + rho * gap
+        rho = min(rho * cfg.penalty_growth, cap)
+        residual = float(np.linalg.norm(gap) / x_fro)
+        if residual <= cfg.tolerance:
+            break
+    return rpca.RpcaResult(
+        low_rank=(f.left * f.singular_values) @ f.right.T,
+        sparse=s,
+        singular_values=np.pad(f.singular_values, (0, min(a.shape) - f.singular_values.size)),
+        iterations=iterations,
+        final_residual=residual,
+        converged=residual <= cfg.tolerance,
+        rank_history=rank_history,
+    )
+
+
+def _assert_same_bits_as_allocating_loop(x, cfg=None):
+    got, ref = rpca.decompose(x, cfg), _decompose_allocating(x, cfg)
+    for name in ("low_rank", "sparse", "singular_values"):
+        assert getattr(got, name).tobytes() == getattr(ref, name).tobytes(), name
+    for name in ("iterations", "rank_history", "final_residual", "converged"):
+        assert getattr(got, name) == getattr(ref, name), name
+
+
+@given(_planted_instances())
+def test_decompose_in_place_matches_allocating_loop_on_drawn_instances(x):
+    _assert_same_bits_as_allocating_loop(x)
+    _assert_same_bits_as_allocating_loop(x, rpca.RpcaConfig(max_iterations=3))  # stopped mid-run
+
+
+def test_decompose_in_place_matches_allocating_loop_on_frame_shaped_instance():
+    _assert_same_bits_as_allocating_loop(REFERENCE_CASES["768x600-rank24"]())
+
+
+def test_decompose_traced_peak_stays_under_seven_input_sized_matrices():
+    # y, s and two work matrices persist; a full step adds its Gram matrix,
+    # eigenvectors and other side, so the loop must allocate no matrix of x's shape
+    x = REFERENCE_CASES["768x600-rank24"]()
+    tracemalloc.start()
+    try:
+        rpca.decompose(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7 * x.nbytes, peak / x.nbytes
 
 
 def test_decompose_frame_shaped_instance_makes_no_full_size_lapack_svd(monkeypatch):
