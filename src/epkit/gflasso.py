@@ -159,17 +159,21 @@ def validate_inputs(x, w, cfg: GflConfig) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"x and w shapes differ: {xa.shape} vs {wa.shape}")
     if np.any(wa < 0):
         raise ValueError("weights must be non-negative")
-    scored = np.count_nonzero(wa > 0, axis=1)
-    if not scored.all():
-        raise ValueError(f"weight row {int(np.argmin(scored))} has no positive entry")
+    positive = np.count_nonzero(wa > 0, axis=1)
+    if not positive.all():
+        raise ValueError(f"weight row {int(np.argmin(positive))} has no positive entry")
     if cfg.order >= xa.shape[1]:
         raise ValueError(f"order {cfg.order} must be smaller than T={xa.shape[1]}")
     # diag(w_d^2) + rho Q Q^T is singular exactly when a nonzero polynomial of
-    # degree < order (the null space of Q^T) vanishes on row d's scored frames
+    # degree < order (the null space of Q^T) vanishes on the frames where row
+    # d's w^2, as solve forms it, is positive; a weight below ~1e-162 squares to 0
+    scored = np.count_nonzero(wa * wa > 0, axis=1)
     few = np.flatnonzero(scored < cfg.order)
     if few.size:
         row = int(few[0])
-        raise ValueError(f"weight row {row} has fewer positive entries ({scored[row]}) than order {cfg.order}")
+        raise ValueError(
+            f"weight row {row} has fewer entries with a positive square ({scored[row]}) than order {cfg.order}"
+        )
     return xa, wa
 
 

@@ -207,8 +207,13 @@ def run_segmentation_stage(signal, cfg: Config, out_dir: str) -> dict:
     n_frames = x.shape[1]
     try:
         result = gflasso.solve(x, w, cfg.gfl)
-    except np.linalg.LinAlgError as exc:  # pose_signal's rule makes the system nonsingular; high orders still fail
-        raise fileio.ConfigError(f"gfl.order {cfg.gfl.order} is too high to factor the segmentation system: {exc}") from None
+    except np.linalg.LinAlgError as exc:
+        # pose_signal's rule makes the system nonsingular in exact arithmetic;
+        # in floating point it can still fail to factor
+        raise fileio.ConfigError(
+            f"cannot factor the segmentation system at gfl.order {cfg.gfl.order} ({exc}): it is ill-conditioned "
+            "at high orders and where a joint's scores are too small to register next to the smoothing penalty"
+        ) from None
     strengths = result.jump_strengths
     top = float(strengths.max())  # validate_inputs holds order < T, so there is at least one strength
     thresholds = cfg.gfl.threshold or [cfg.gfl.threshold_fraction * top]

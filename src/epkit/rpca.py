@@ -15,7 +15,8 @@ triplets from the eigendecomposition of the smaller Gram matrix when its
 error bound certifies them (numkit.gram_svd), else from the LAPACK SVD. The
 input is validated once, on entry. The iterates live in four matrices of the
 input's shape, allocated once and updated in place, so no iteration allocates
-one.
+one; only the first, for an input not in C order, copies its shrinkage input
+into the input's own layout.
 """
 
 from __future__ import annotations
@@ -111,7 +112,13 @@ def decompose(x, cfg: RpcaConfig | None = None) -> RpcaResult:
         np.divide(y, rho, out=t)
         np.subtract(a, s, out=w)
         w += t
-        f = numkit.singular_value_threshold(w, 1.0 / rho, None if f is None else f.right)
+        shrink = w
+        if f is None and not a.flags.c_contiguous:
+            # the first step reads its input in x's own memory layout, later
+            # steps in C order; the Gram product's bits depend on the layout
+            shrink = np.empty_like(a)
+            shrink[...] = w
+        f = numkit.singular_value_threshold(shrink, 1.0 / rho, None if f is None else f.right)
         rank_history.append(f.singular_values.size)
         # a - u, formed once; u itself is rebuilt from f after the loop
         f.reconstruct(out=w)
@@ -127,7 +134,6 @@ def decompose(x, cfg: RpcaConfig | None = None) -> RpcaResult:
             converged = True
             break
 
-    del y, t
     return RpcaResult(
         low_rank=f.reconstruct(out=w),
         sparse=s,

@@ -1402,6 +1402,11 @@ def _l_elbow_scored_once(records):
             rec["pose"]["joints"]["l_elbow"][2] = 0.0
 
 
+def _l_elbow_score_squares_to_zero(records):
+    for rec in records:
+        rec["pose"]["joints"]["l_elbow"][2] = 1e-200
+
+
 @pytest.mark.parametrize("command, edit, gfl, message", [
     ("segment", list.clear, {}, "pose stream is empty"),
     ("segment", _drop_r_wrist, {}, "joint 'r_wrist' is missing from every frame"),
@@ -1410,10 +1415,11 @@ def _l_elbow_scored_once(records):
     ("segment", _negative_score, {}, "weights must be non-negative"),
     ("pipeline", None, {"order": 6}, "order 6 must be smaller than T=6"),
     ("fuse", None, {"order": 7}, "order 7 must be smaller than T=6"),
-    ("segment", _l_elbow_scored_once, {"order": 2}, "weight row 4 has fewer positive entries (1) than order 2"),
-    ("fuse", _l_elbow_scored_once, {"order": 2}, "weight row 4 has fewer positive entries (1) than order 2"),
-    ("pipeline", _l_elbow_scored_once, {"order": 2}, "weight row 4 has fewer positive entries (1) than order 2"),
+    ("segment", _l_elbow_scored_once, {"order": 2}, "weight row 4 has fewer entries with a positive square (1) than order 2"),
+    ("fuse", _l_elbow_scored_once, {"order": 2}, "weight row 4 has fewer entries with a positive square (1) than order 2"),
+    ("pipeline", _l_elbow_scored_once, {"order": 2}, "weight row 4 has fewer entries with a positive square (1) than order 2"),
     ("fuse --segments", list.clear, {}, "pose stream is empty"),
+    ("segment", _l_elbow_score_squares_to_zero, {}, "weight row 4 has fewer entries with a positive square (0) than order 1"),
 ])
 def test_pose_stream_the_solver_refuses_exits_3_before_out(tmp_path, capsys, command, edit, gfl, message):
     sess = _tiny_session(tmp_path)
@@ -1448,7 +1454,7 @@ def test_order_too_high_to_factor_exits_4_naming_gfl_order(tmp_path, capsys, com
         "pipeline": ["pipeline", "--session", sess],
     }[command]
     assert run(argv + ["--config", tmp_path / "c.json", "--out", tmp_path / "o"]) == 4
-    assert "gfl.order 30 is too high to factor the segmentation system" in capsys.readouterr().err
+    assert "cannot factor the segmentation system at gfl.order 30" in capsys.readouterr().err
 
 
 def test_hand_box_beyond_the_frame_exits_3_before_out(tmp_path, capsys):

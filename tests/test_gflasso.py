@@ -82,8 +82,13 @@ def test_weight_row_needs_order_scored_frames(order):
         if scored == order:
             assert np.isfinite(gflasso.solve(x, w, cfg).smoothed).all()
         else:
-            with pytest.raises(ValueError, match=rf"weight row 1 has fewer positive entries \({scored}\) than order {order}"):
+            with pytest.raises(ValueError, match=rf"weight row 1 has fewer entries with a positive square \({scored}\) than order {order}"):
                 gflasso.solve(x, w, cfg)
+    # a weight whose square underflows to 0 adds nothing to the diagonal, like a 0
+    w[1, [2, 5, 9, 10][:order]] = 0.8
+    w[1, 2] = 1e-200
+    with pytest.raises(ValueError, match=rf"weight row 1 has fewer entries with a positive square \({order - 1}\) than order {order}"):
+        gflasso.solve(x, w, cfg)
 
 
 def test_oracle_lambda_zero_returns_input():
