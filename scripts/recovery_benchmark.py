@@ -2,7 +2,8 @@
 """Sweep low-rank + sparse recovery across corruption levels.
 
 Prints per-setting recovery error and timing for the default solver
-configuration, flagging settings where exact recovery breaks down.
+configuration, flagging settings where exact recovery breaks down; exits 1
+if any setting breaks down.
 
 Example:
     python3 scripts/recovery_benchmark.py --size 200 --rank 10 --seeds 5
@@ -30,6 +31,7 @@ def main() -> int:
     args = ap.parse_args()
     cols = args.size if args.cols is None else args.cols
 
+    broke_down = False
     print(f"{'fraction':>9} {'low-rank err':>13} {'sparse err':>11} {'max iters':>9} {'iters/solve':>11} {'time':>7}")
     for frac in args.fractions:
         errs_l, errs_s, iters, times = [], [], [], []
@@ -43,11 +45,12 @@ def main() -> int:
             errs_s.append(np.linalg.norm(r.sparse - sp) / np.linalg.norm(sp))
             iters.append(r.iterations)
         flag = "" if max(errs_l) <= 1e-4 and max(errs_s) <= 1e-4 else "  <- breakdown"
+        broke_down = broke_down or bool(flag)
         print(
             f"{frac:>9.2f} {max(errs_l):>13.2e} {max(errs_s):>11.2e} "
             f"{max(iters):>9d} {np.mean(iters):>11.1f} {sum(times):>6.1f}s{flag}"
         )
-    return 0
+    return 1 if broke_down else 0
 
 
 if __name__ == "__main__":

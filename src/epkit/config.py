@@ -9,7 +9,8 @@ pixel limit for frames. The JSON key "lambda" maps to the attribute `lam`.
 `load_config` builds and range-checks every section once, fusion too without
 a wheel region, so a bad setting fails before any stage runs; a setting's
 default, or for a None default its field's metadata["number_rule"], also
-fixes its type (fusion.check_number).
+fixes its type (fusion.check_number), and its field's metadata bounds
+("min", "above", "max", "below") fix its range (fusion.check_ranges).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import dataclasses
 from dataclasses import dataclass, field
 
 from .fileio import ConfigError, InputFormatError, read_json
-from .fusion import DEFAULT_EPISODE_RULES, EpisodeRuleTable, FusionConfig, check_number
+from .fusion import DEFAULT_EPISODE_RULES, EpisodeRuleTable, FusionConfig, check_number, check_ranges
 from .gflasso import GflConfig
 from .optflow import FlowConfig
 from .rpca import RpcaConfig
@@ -34,7 +35,7 @@ class Config:
     (require_fusion); the other subcommands do not read it.
     """
 
-    downscale_limit: int = 80
+    downscale_limit: int = field(default=80, metadata={"min": 1})
     rpca: RpcaConfig = field(default_factory=RpcaConfig)
     gfl: GflConfig = field(default_factory=GflConfig)
     flow: FlowConfig = field(default_factory=FlowConfig)
@@ -42,8 +43,7 @@ class Config:
     episode_rules: EpisodeRuleTable = DEFAULT_EPISODE_RULES
 
     def __post_init__(self):
-        if self.downscale_limit < 1:
-            raise ConfigError(f"downscale_limit must be at least 1, got {self.downscale_limit!r}")
+        check_ranges(self, ConfigError)
 
     def require_fusion(self) -> None:
         if self.fusion.wheel_region is None:
@@ -106,7 +106,7 @@ def _build(cls, key: str, section: dict):
     try:
         return cls(**{fields[name].name: value for name, value in section.items()})
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad {cls.__name__} settings: {exc}") from None
+        raise ConfigError(f"{key}.{exc}") from None
 
 
 def _episode_rules(rules) -> EpisodeRuleTable:

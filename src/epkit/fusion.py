@@ -28,15 +28,19 @@ from __future__ import annotations
 
 import inspect
 import math
+import operator
 import sys
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from typing import Sequence
 
 ARM_JOINTS = ("r_shoulder", "r_elbow", "r_wrist", "l_shoulder", "l_elbow", "l_wrist")
 _DIAG = math.sqrt(2.0)
 _FLOAT_MAX = sys.float_info.max
+# a field's metadata bound key -> the test a value passes it by, and its wording
+_BOUNDS = {"min": (operator.ge, "at least"), "above": (operator.gt, "above"),
+           "max": (operator.le, "at most"), "below": (operator.lt, "below")}
 
 
 @dataclass(frozen=True)
@@ -84,25 +88,21 @@ class FusionConfig:
     """
 
     wheel_region: Sequence | None = None
-    pose_score_min: float = 0.5
-    hand_score_min: float = 0.5
-    hand_score_strict: float = 0.8
-    wrist_edge_dist_max: float = 0.05
-    wrist_edge_dist_strict: float = 0.02
-    elbow_angle_max_deg: float = 45.0
-    frame_rate: float = 10.0
-    consistency_frames: int | None = field(default=None, metadata={"number_rule": 1})
+    pose_score_min: float = field(default=0.5, metadata={"min": 0.0, "max": 1.0})
+    hand_score_min: float = field(default=0.5, metadata={"min": 0.0, "max": 1.0})
+    hand_score_strict: float = field(default=0.8, metadata={"min": 0.0, "max": 1.0})
+    wrist_edge_dist_max: float = field(default=0.05, metadata={"min": 0.0})
+    wrist_edge_dist_strict: float = field(default=0.02, metadata={"min": 0.0})
+    elbow_angle_max_deg: float = field(default=45.0, metadata={"min": 0.0, "max": 180.0})
+    frame_rate: float = field(default=10.0, metadata={"above": 0.0})
+    consistency_frames: int | None = field(default=None, metadata={"number_rule": 1, "min": 1})
 
     def __post_init__(self):
+        check_ranges(self)
         if self.hand_score_strict < self.hand_score_min:
             raise ValueError("hand_score_strict must be at least hand_score_min")
         if self.wrist_edge_dist_strict > self.wrist_edge_dist_max:
             raise ValueError("wrist_edge_dist_strict must not exceed wrist_edge_dist_max")
-        if self.frame_rate <= 0:
-            raise ValueError("frame_rate must be positive")
-        k = self.consistency_frames
-        if k is not None and k < 1:
-            raise ValueError(f"consistency_frames must be at least 1, got {k!r}")
         if self.wheel_region is not None:
             check_region("wheel_region", self.wheel_region)
 
@@ -174,6 +174,19 @@ def check_number(name: str, value, default, error=ValueError) -> None:
         raise error(f"{name} must be an integer, got {value!r}")
     if type(default) is float and not is_number(value):
         raise error(f"{name} must be {'finite' if type(value) in (int, float) else 'a number'}, got {value!r:.30}")
+
+
+def check_ranges(settings, error=ValueError) -> None:
+    """Raise *error* naming the first field of dataclass *settings* outside a bound its metadata declares.
+
+    The keys are "min" (>=), "above" (>), "max" (<=) and "below" (<); None passes.
+    Each test is the condition that passes, so NaN fails every bound.
+    """
+    for f in fields(settings):
+        value = getattr(settings, f.name)
+        for key, (passes, words) in _BOUNDS.items():
+            if key in f.metadata and value is not None and not passes(value, f.metadata[key]):
+                raise error(f"{f.name} must be {words} {f.metadata[key]}, got {value!r}")
 
 
 def check_box(name: str, box) -> None:

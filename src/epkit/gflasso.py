@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fusion import check_number
+from .fusion import check_number, check_ranges
 from .numkit import as_matrix
 
 
@@ -33,26 +33,17 @@ class GflConfig:
     threshold=None means threshold_fraction times the largest jump strength.
     """
 
-    lam: float = 3.0  # tuned for standardized pose rows; see README
-    order: int = 1
-    admm_penalty: float = 1.0
-    tolerance: float = 1e-7
-    max_iterations: int = 5000
+    lam: float = field(default=3.0, metadata={"min": 0.0})  # tuned for standardized pose rows; see README
+    order: int = field(default=1, metadata={"min": 1})
+    admm_penalty: float = field(default=1.0, metadata={"above": 0.0})
+    tolerance: float = field(default=1e-7, metadata={"above": 0.0})
+    max_iterations: int = field(default=5000, metadata={"min": 1})
     threshold: float | list[float] | None = None  # stored as a list of levels
-    threshold_fraction: float = 0.1
-    min_gap: int = 5
+    threshold_fraction: float = field(default=0.1, metadata={"min": 0.0})
+    min_gap: int = field(default=5, metadata={"min": 1})
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError(f"lam must be non-negative, got {self.lam}")
-        if self.order < 1:
-            raise ValueError(f"order must be at least 1, got {self.order}")
-        if self.admm_penalty <= 0:
-            raise ValueError("admm_penalty must be positive")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
+        check_ranges(self)
         if self.threshold is not None:
             levels = self.threshold if isinstance(self.threshold, (list, tuple)) else [self.threshold]
             for t in levels:
@@ -60,10 +51,6 @@ class GflConfig:
             if not levels or min(levels) < 0:
                 raise ValueError(f"threshold must be one or more non-negative numbers, got {self.threshold!r}")
             self.threshold = [float(t) for t in levels]
-        if self.threshold_fraction < 0:
-            raise ValueError(f"threshold_fraction must be non-negative, got {self.threshold_fraction!r}")
-        if self.min_gap < 1:
-            raise ValueError(f"min_gap must be at least 1, got {self.min_gap!r}")
 
 
 @dataclass

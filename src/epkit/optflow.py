@@ -36,7 +36,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .fusion import check_box
+from .fusion import check_box, check_ranges
 from .numkit import as_matrix
 
 # Forward feature points solved in one batch. On the 400-frame benchmark
@@ -52,36 +52,22 @@ BATCH_POINTS = 512
 @dataclass
 class FlowConfig:
     window: int = 9
-    eigen_floor: float | None = field(default=None, metadata={"number_rule": 0.0})  # None: 1e-4 * window area
-    max_refinements: int = 20
-    step_tol: float = 0.01
-    fb_max_error: float = 0.5
-    canonical_size: int = 64
-    max_features: int = 32
-    feature_quality: float = 0.05
-    gap_max: int = 2
+    # None: 1e-4 * window area
+    eigen_floor: float | None = field(default=None, metadata={"number_rule": 0.0, "min": 0.0})
+    max_refinements: int = field(default=20, metadata={"min": 1})
+    step_tol: float = field(default=0.01, metadata={"above": 0.0})
+    fb_max_error: float = field(default=0.5, metadata={"min": 0.0})
+    canonical_size: int = field(default=64, metadata={"min": 3})
+    max_features: int = field(default=32, metadata={"min": 1})
+    feature_quality: float = field(default=0.05, metadata={"above": 0.0, "max": 1.0})
+    gap_max: int = field(default=2, metadata={"min": 0})
     group_threshold: float = 0.5  # read by the pipeline's group_boxes call
     merge_threshold: float = 0.9  # read by the pipeline's merge_groups call on both sides' groups
 
     def __post_init__(self):
+        check_ranges(self)
         if self.window < 3 or self.window % 2 == 0:
             raise ValueError(f"window must be odd and >= 3, got {self.window}")
-        if not 0 < self.feature_quality <= 1:
-            raise ValueError("feature_quality must lie in (0, 1]")
-        if self.gap_max < 0:
-            raise ValueError("gap_max must be non-negative")
-        if self.max_features < 1:
-            raise ValueError(f"max_features must be at least 1, got {self.max_features}")
-        if self.canonical_size < 3:
-            raise ValueError(f"canonical_size must be at least 3, got {self.canonical_size}")
-        if self.max_refinements < 1:
-            raise ValueError(f"max_refinements must be at least 1, got {self.max_refinements}")
-        if not self.step_tol > 0:
-            raise ValueError(f"step_tol must be positive, got {self.step_tol}")
-        if not self.fb_max_error >= 0:
-            raise ValueError(f"fb_max_error must be non-negative, got {self.fb_max_error}")
-        if self.eigen_floor is not None and not self.eigen_floor >= 0:
-            raise ValueError(f"eigen_floor must be non-negative, got {self.eigen_floor}")
 
     def resolved_eigen_floor(self) -> float:
         if self.eigen_floor is not None:

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numkit
+from .fusion import check_ranges
 from .numkit import as_matrix, soft_threshold
 
 
@@ -40,24 +41,16 @@ class RpcaConfig:
     for the growing penalty; None means 1e7 times the initial penalty.
     """
 
-    lam: float | None = field(default=None, metadata={"number_rule": 1.0})
-    tolerance: float = 1e-7
-    max_iterations: int = 1000
-    penalty_growth: float = 1.5
-    penalty_cap: float | None = field(default=None, metadata={"number_rule": 1.0})
-    warn_factor: float = 2.0  # pipeline: flag frames above this times the median outlier energy
+    lam: float | None = field(default=None, metadata={"number_rule": 1.0, "above": 0.0})
+    tolerance: float = field(default=1e-7, metadata={"above": 0.0, "below": 1.0})
+    max_iterations: int = field(default=1000, metadata={"min": 1})
+    penalty_growth: float = field(default=1.5, metadata={"above": 1.0})
+    penalty_cap: float | None = field(default=None, metadata={"number_rule": 1.0, "above": 0.0})
+    # pipeline: flag frames above this times the median outlier energy
+    warn_factor: float = field(default=2.0, metadata={"min": 0.0})
 
     def __post_init__(self):
-        if self.lam is not None and self.lam <= 0:
-            raise ValueError(f"lam must be positive, got {self.lam}")
-        if not 0 < self.tolerance < 1:
-            raise ValueError(f"tolerance must lie in (0, 1), got {self.tolerance}")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
-        if self.penalty_growth <= 1:
-            raise ValueError(f"penalty_growth must exceed 1, got {self.penalty_growth}")
-        if self.penalty_cap is not None and self.penalty_cap <= 0:
-            raise ValueError("penalty_cap must be positive")
+        check_ranges(self)
 
 
 @dataclass

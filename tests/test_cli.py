@@ -915,6 +915,13 @@ def test_pipeline_bad_flow_setting_exits_4_before_any_stage(tmp_path, capsys, se
     ("fusion", {"consistency_frames": 2.5}, "fusion.consistency_frames must be an integer"),
     ("episode_rules", {"bogus": 1}, "'bogus'"),  # beside the session's own "rules"
     ("episode_rules", {"default": []}, "'default'"),
+    ("fusion", {"pose_score_min": 2.0}, "fusion.pose_score_min must be at most 1.0, got 2.0"),
+    ("fusion", {"hand_score_min": -0.1}, "fusion.hand_score_min must be at least 0.0, got -0.1"),
+    ("fusion", {"hand_score_strict": 1.5}, "fusion.hand_score_strict must be at most 1.0, got 1.5"),
+    ("fusion", {"wrist_edge_dist_max": -0.01}, "fusion.wrist_edge_dist_max must be at least 0.0, got -0.01"),
+    ("fusion", {"wrist_edge_dist_strict": -0.01}, "fusion.wrist_edge_dist_strict must be at least 0.0, got -0.01"),
+    ("fusion", {"elbow_angle_max_deg": -5}, "fusion.elbow_angle_max_deg must be at least 0.0, got -5"),
+    ("rpca", {"warn_factor": -1}, "rpca.warn_factor must be at least 0.0, got -1"),
 ])
 def test_pipeline_bad_setting_exits_4_before_any_stage(tmp_path, capsys, section, setting, message):
     sess = _tiny_session(tmp_path)
@@ -1116,7 +1123,7 @@ def test_fusion_section_is_checked_without_a_wheel_region(tmp_path, capsys):
     out = tmp_path / "o"
     assert run(["segment", "--detections", sess / "detections.jsonl", "--config", tmp_path / "c.json",
                 "--out", out]) == 4
-    assert "frame_rate must be positive" in capsys.readouterr().err
+    assert "fusion.frame_rate must be above 0.0, got -1" in capsys.readouterr().err
     assert not out.exists()
 
 

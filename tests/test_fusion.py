@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from epkit import fusion
-from epkit.fileio import canon_dumps
+from epkit.config import Config
+from epkit.fileio import ConfigError, canon_dumps
 from epkit.fusion import (
     _associate,
     FusionConfig,
@@ -24,7 +25,9 @@ from epkit.fusion import (
     relabel_hands,
     temporal_verdict,
 )
-from epkit.gflasso import SegmentLabeling
+from epkit.gflasso import GflConfig, SegmentLabeling
+from epkit.optflow import FlowConfig
+from epkit.rpca import RpcaConfig
 from epkit.synth import SESSION_LABELS, gen_driver_session, rng
 
 WHEEL = (0.28, 0.58, 0.64, 0.92)
@@ -629,6 +632,37 @@ def test_number_rule_is_one_predicate_for_settings_and_readers():
     with pytest.raises(ValueError, match="x must be finite, got 1000"):
         fusion.check_number("x", 10**400, 0.0)
     assert FusionConfig().wheel_region is None  # built, and range-checked, without a region
+
+
+_BOUNDED = {  # the fields whose range their metadata declares, by section
+    RpcaConfig: ["lam", "tolerance", "max_iterations", "penalty_growth", "penalty_cap", "warn_factor"],
+    GflConfig: ["lam", "order", "admm_penalty", "tolerance", "max_iterations", "threshold_fraction", "min_gap"],
+    FlowConfig: ["eigen_floor", "max_refinements", "step_tol", "fb_max_error", "canonical_size", "max_features",
+                 "feature_quality", "gap_max"],
+    FusionConfig: ["pose_score_min", "hand_score_min", "hand_score_strict", "wrist_edge_dist_max",
+                   "wrist_edge_dist_strict", "elbow_angle_max_deg", "frame_rate", "consistency_frames"],
+    Config: ["downscale_limit"],
+}
+# each pair's order rule holds when both take the same value
+_PAIRED = {"hand_score_min": "hand_score_strict", "hand_score_strict": "hand_score_min",
+           "wrist_edge_dist_max": "wrist_edge_dist_strict", "wrist_edge_dist_strict": "wrist_edge_dist_max"}
+
+
+@pytest.mark.parametrize("cls", list(_BOUNDED), ids=lambda cls: cls.__name__)
+def test_every_declared_bound_refuses_nan_and_holds_at_its_own_value(cls):
+    for name in _BOUNDED[cls]:
+        with pytest.raises((ValueError, ConfigError), match=f"^{name} must be (at least|above|at most|below) "):
+            cls(**{name: math.nan})
+    bounded = {f.name: f.metadata for f in dataclasses.fields(cls) if set(f.metadata) - {"number_rule"}}
+    assert list(bounded) == _BOUNDED[cls]
+    for name, bounds in bounded.items():
+        for key, value in bounds.items():
+            settings = {name: value, **({_PAIRED[name]: value} if name in _PAIRED else {})}
+            if key in ("min", "max"):
+                assert getattr(cls(**settings), name) == value
+            elif key in ("above", "below"):
+                with pytest.raises(ValueError, match=f"^{name} must be {key} {value}, got {value}$"):
+                    cls(**settings)
 
 
 def _classify_episode_by_group_ids(frames, verdicts, segments, rule_table):

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -346,3 +350,14 @@ def test_decompose_is_byte_identical_across_runs():
     first, second = rpca.decompose(x), rpca.decompose(x)
     assert first.low_rank.tobytes() == second.low_rank.tobytes()
     assert first.sparse.tobytes() == second.sparse.tobytes()
+
+
+@pytest.mark.parametrize("fraction, code", [("0.05", 0), ("0.3", 1)])
+def test_recovery_benchmark_exits_1_when_recovery_breaks_down(fraction, code):
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, str(root / "scripts" / "recovery_benchmark.py"), "--size", "60",
+                           "--rank", "3", "--seeds", "1", "--fractions", fraction],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == code, done.stderr
+    assert ("<- breakdown" in done.stdout) == bool(code)
