@@ -9,10 +9,8 @@ along time. The group penalty makes whole difference columns vanish
 jointly, so V is piecewise polynomial of degree p - 1 and the surviving
 column norms ("jump strengths") mark candidate change points.
 
-Two solvers are provided: `solve`, an ADMM splitting with one banded solve
-of all rows per iteration, and `oracle_solve`, a deliberately small-scale
-FISTA ascent on the dual that certifies its answer with the duality gap.
-They share nothing but the difference operator, so each checks the other.
+`solve` fits it by ADMM, with one banded solve of all rows per iteration;
+Q is never formed, its products are taken from the p-th difference stencil.
 """
 
 from __future__ import annotations
@@ -92,17 +90,6 @@ def _stencil(p: int) -> np.ndarray:
     return np.array([(-1) ** (p - k) * math.comb(p, k) for k in range(p + 1)], dtype=np.float64)
 
 
-def differencing_matrix(t: int, p: int) -> np.ndarray:
-    """Dense T x (T - p) operator whose columns take p-th differences."""
-    if not 1 <= p < t:
-        raise ValueError(f"order p must satisfy 1 <= p < t, got p={p}, t={t}")
-    c = _stencil(p)
-    q = np.zeros((t, t - p))
-    for j in range(t - p):
-        q[j : j + p + 1, j] = c
-    return q
-
-
 def _apply_q(x: np.ndarray, p: int) -> np.ndarray:
     # X (D x T) -> X Q (D x (T - p))
     c = _stencil(p)
@@ -139,7 +126,7 @@ def _objective(x, w, v, lam, p) -> float:
 
 
 def validate_inputs(x, w, cfg: GflConfig) -> tuple[np.ndarray, np.ndarray]:
-    """x and w as matrices; ValueError unless both solvers can take them."""
+    """x and w as matrices; ValueError unless `solve` can take them."""
     xa = as_matrix(x, "x")
     wa = as_matrix(w, "w")
     if xa.shape != wa.shape:
@@ -233,95 +220,18 @@ def solve(x, w, cfg: GflConfig) -> GflResult:
     )
 
 
-ORACLE_GAP_TOL = 1e-10  # duality gap, relative to 1 + |primal|, that certifies oracle_solve
-ORACLE_MAX_ITERATIONS = 1_000_000
-
-
-def oracle_solve(x, w, cfg: GflConfig) -> GflResult:
-    """Reference solver: FISTA ascent on the dual, certified by duality gap.
-
-    The dual variable Y has one column per difference column, constrained to
-    ||y_t||_2 <= lam; the primal is recovered as V = X - (Y Q^T) / W^2, so
-    the reported objective is guaranteed within the achieved gap of the true
-    optimum. Deliberately restricted to tiny instances (D*T <= 200) and to
-    strictly positive weights.
-    """
-    xa, wa = validate_inputs(x, w, cfg)
-    if xa.size > 200:
-        raise ValueError(f"oracle_solve is restricted to D*T <= 200, got {xa.size}")
-    if np.any(wa <= 0):
-        raise ValueError("oracle_solve requires strictly positive weights")
-    d, t = xa.shape
-    p = cfg.order
-    lam = cfg.lam
-
-    if lam == 0.0:
-        strengths = np.linalg.norm(_apply_q(xa, p), axis=0)
-        return GflResult(xa.copy(), strengths, _objective(xa, wa, xa, lam, p), True, 0)
-
-    winv2 = 1.0 / (wa * wa)
-    lip = (4.0**p) * float(winv2.max())
-
-    def clip_columns(y):
-        norms = np.linalg.norm(y, axis=0)
-        over = norms > lam
-        if np.any(over):
-            y = y.copy()
-            y[:, over] *= lam / norms[over]
-        return y
-
-    y = np.zeros((d, t - p))
-    y_prev = y.copy()
-    tk = 1.0
-    v = xa.copy()
-    converged = False
-    iterations = 0
-    for iterations in range(1, ORACLE_MAX_ITERATIONS + 1):
-        tk_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * tk * tk))
-        ym = y + ((tk - 1.0) / tk_next) * (y - y_prev)
-        v = xa - _apply_q_adjoint(ym, p, t) * winv2
-        y_new = clip_columns(ym + _apply_q(v, p) / lip)
-        # restart the momentum when the step opposes the travel direction
-        if float(np.sum((ym - y_new) * (y_new - y))) > 0:
-            tk_next = 1.0
-        y_prev, y, tk = y, y_new, tk_next
-
-        if iterations % 10 == 0 or iterations == ORACLE_MAX_ITERATIONS:
-            g = _apply_q_adjoint(y, p, t)
-            v_feas = xa - g * winv2
-            primal = _objective(xa, wa, v_feas, lam, p)
-            dual = float(np.sum(g * xa)) - 0.5 * float(np.sum(g * g * winv2))
-            if primal - dual <= ORACLE_GAP_TOL * (1.0 + abs(primal)):
-                v = v_feas
-                converged = True
-                break
-
-    if not converged:
-        g = _apply_q_adjoint(y, p, t)
-        v = xa - g * winv2
-    strengths = np.linalg.norm(_apply_q(v, p), axis=0)
-    return GflResult(v, strengths, _objective(xa, wa, v, lam, p), converged, iterations)
-
-
-def extract_change_points(
-    strengths,
-    threshold: float,
-    min_gap: int,
-    n_frames: int | None = None,
-) -> SegmentLabeling:
+def extract_change_points(strengths, threshold: float, min_gap: int, n_frames: int) -> SegmentLabeling:
     """Threshold jump strengths into change points and segment ids.
 
     Indices above *threshold* are kept greedily in decreasing strength order
     (ties: earlier index wins) subject to pairwise distance >= min_gap.
-    n_frames defaults to len(strengths) + 1, the first-order case.
+    At order p a fit over n_frames frames has n_frames - p strengths.
     """
     s = np.asarray(strengths, dtype=np.float64).ravel()
     if threshold < 0:
         raise ValueError(f"threshold must be non-negative, got {threshold}")
     if min_gap < 1:
         raise ValueError(f"min_gap must be at least 1, got {min_gap}")
-    if n_frames is None:
-        n_frames = s.size + 1
 
     candidates = [i for i in range(s.size) if s[i] > threshold]
     candidates.sort(key=lambda i: (-s[i], i))

@@ -61,8 +61,10 @@ class FlowConfig:
     max_features: int = field(default=32, metadata={"min": 1})
     feature_quality: float = field(default=0.05, metadata={"above": 0.0, "max": 1.0})
     gap_max: int = field(default=2, metadata={"min": 0})
-    group_threshold: float = 0.5  # read by the pipeline's group_boxes call
-    merge_threshold: float = 0.9  # read by the pipeline's merge_groups call on both sides' groups
+    # read by the pipeline's group_boxes call; a box similarity lies in [0, 1]
+    group_threshold: float = field(default=0.5, metadata={"min": 0.0, "below": 1.0})
+    # read by the pipeline's merge_groups call on both sides' groups; a correlation lies in [-1, 1]
+    merge_threshold: float = field(default=0.9, metadata={"min": -1.0, "below": 1.0})
 
     def __post_init__(self):
         check_ranges(self)
@@ -490,7 +492,9 @@ def _fb_scores(planes: np.ndarray, win: _Windows, counts, src, dst, cfg: FlowCon
     """Forward-backward score of each pair (src[k], dst[k]) of images of planes.
 
     Image i's features are the counts[i] consecutive windows of win starting
-    after those of images 0 .. i - 1.
+    after those of images 0 .. i - 1. A score is n_kept / n_valid, the share
+    of the features tracked validly forward that also come back within
+    fb_max_error, and 0 when none is tracked: it lies in [0, 1].
     """
     _p, _n, h, w = planes.shape
     per_pair = counts[src]

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from epkit import cli, fileio, fusion, gflasso, optflow, rpca, synth
+from gfl_reference import oracle_solve
 
 
 def _report(n, detail):
@@ -77,7 +78,7 @@ def test_criterion_3_gfl_oracle_agreement():
         p = 1 if t < 4 else int(g.integers(1, 3))
         cfg = gflasso.GflConfig(lam=float(g.uniform(0.05, 2.0)), order=p)
         ra = gflasso.solve(x, w, cfg)
-        ro = gflasso.oracle_solve(x, w, cfg)
+        ro = oracle_solve(x, w, cfg)
         gap = abs(ra.objective - ro.objective) / (1.0 + abs(ro.objective))
         assert gap <= 1e-6, (i, gap)
         worst = max(worst, gap)
@@ -113,8 +114,8 @@ def test_criterion_5_threshold_nesting():
         s = g.uniform(0.0, 5.0, size=int(g.integers(1, 50)))
         t1 = float(g.uniform(0.0, 5.0))
         t2 = float(g.uniform(0.0, t1)) if t1 > 0 else 0.0
-        hi = set(gflasso.extract_change_points(s, t1, 1).change_points)
-        lo = set(gflasso.extract_change_points(s, t2, 1).change_points)
+        hi = set(gflasso.extract_change_points(s, t1, 1, s.size + 1).change_points)
+        lo = set(gflasso.extract_change_points(s, t2, 1, s.size + 1).change_points)
         assert hi <= lo
     _report(5, "1000 random sequences: higher-threshold sets always nested")
 

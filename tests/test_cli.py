@@ -864,6 +864,8 @@ def test_config_unknown_key_exits_4(tmp_path, capsys):
     {"step_tol": 0},
     {"fb_max_error": -0.1},
     {"eigen_floor": -1e-3},
+    {"group_threshold": 1.0},
+    {"merge_threshold": -1.5},
 ])
 def test_pipeline_bad_flow_setting_exits_4_before_any_stage(tmp_path, capsys, setting):
     sess = tmp_path / "sess"

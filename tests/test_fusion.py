@@ -638,7 +638,7 @@ _BOUNDED = {  # the fields whose range their metadata declares, by section
     RpcaConfig: ["lam", "tolerance", "max_iterations", "penalty_growth", "penalty_cap", "warn_factor"],
     GflConfig: ["lam", "order", "admm_penalty", "tolerance", "max_iterations", "threshold_fraction", "min_gap"],
     FlowConfig: ["eigen_floor", "max_refinements", "step_tol", "fb_max_error", "canonical_size", "max_features",
-                 "feature_quality", "gap_max"],
+                 "feature_quality", "gap_max", "group_threshold", "merge_threshold"],
     FusionConfig: ["pose_score_min", "hand_score_min", "hand_score_strict", "wrist_edge_dist_max",
                    "wrist_edge_dist_strict", "elbow_angle_max_deg", "frame_rate", "consistency_frames"],
     Config: ["downscale_limit"],

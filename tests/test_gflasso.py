@@ -6,15 +6,16 @@ from scipy.linalg import solveh_banded
 from epkit import gflasso
 from epkit.fusion import PoseFrame
 from epkit.synth import gen_driver_session, gen_piecewise, rng
+from gfl_reference import differencing_matrix, oracle_solve
 
 
 def test_differencing_matrix_first_order():
-    q = gflasso.differencing_matrix(3, 1)
+    q = differencing_matrix(3, 1)
     assert np.array_equal(q, np.array([[-1.0, 0.0], [1.0, -1.0], [0.0, 1.0]]))
 
 
 def test_differencing_matrix_second_order():
-    q = gflasso.differencing_matrix(4, 2)
+    q = differencing_matrix(4, 2)
     v = rng(1).standard_normal((3, 4))
     vq = v @ q
     expected = v[:, 2:] - 2 * v[:, 1:-1] + v[:, :-2]
@@ -22,13 +23,13 @@ def test_differencing_matrix_second_order():
 
 
 def test_differencing_matrix_annihilates_constants():
-    q = gflasso.differencing_matrix(10, 1)
+    q = differencing_matrix(10, 1)
     assert np.allclose(np.ones(10) @ q, 0.0)
 
 
 def test_differencing_matrix_rejects_bad_order():
     with pytest.raises(ValueError):
-        gflasso.differencing_matrix(3, 3)
+        differencing_matrix(3, 3)
 
 
 def test_solve_constant_signal_is_fixed_point():
@@ -52,7 +53,7 @@ def test_solve_agrees_with_oracle_on_two_row_example():
     w = np.ones_like(x)
     cfg = gflasso.GflConfig(lam=1.0)
     ra = gflasso.solve(x, w, cfg)
-    ro = gflasso.oracle_solve(x, w, cfg)
+    ro = oracle_solve(x, w, cfg)
     assert abs(ra.objective - ro.objective) <= 1e-6 * (1 + abs(ro.objective))
     # the only jump sits between frames 2 and 3
     assert int(np.argmax(ra.jump_strengths)) == 2
@@ -72,7 +73,7 @@ def test_solve_rejects_bad_weights():
 def test_weight_row_needs_order_scored_frames(order):
     # diag(w^2) + Q Q^T is nonsingular exactly when the row is scored in at least order frames
     x = rng(order).standard_normal((2, 12))
-    q = gflasso.differencing_matrix(12, order)
+    q = differencing_matrix(12, order)
     cfg = gflasso.GflConfig(lam=1.0, order=order)
     for scored in (order, order - 1):
         w = np.ones_like(x)
@@ -93,13 +94,13 @@ def test_weight_row_needs_order_scored_frames(order):
 
 def test_oracle_lambda_zero_returns_input():
     x = rng(4).standard_normal((2, 6))
-    r = gflasso.oracle_solve(x, np.ones_like(x), gflasso.GflConfig(lam=0.0))
+    r = oracle_solve(x, np.ones_like(x), gflasso.GflConfig(lam=0.0))
     assert np.array_equal(r.smoothed, x)
 
 
 def test_oracle_one_dimensional_analytic_solution():
     # 1/2 (v1-0)^2 + 1/2 (v2-1)^2 + lam |v2-v1| with lam=0.4 -> (0.4, 0.6)
-    r = gflasso.oracle_solve(
+    r = oracle_solve(
         np.array([[0.0, 1.0]]), np.ones((1, 2)), gflasso.GflConfig(lam=0.4)
     )
     assert np.allclose(r.smoothed, [[0.4, 0.6]], atol=1e-7)
@@ -108,13 +109,13 @@ def test_oracle_one_dimensional_analytic_solution():
 
 def test_oracle_rejects_large_instances_and_zero_weights():
     with pytest.raises(ValueError):
-        gflasso.oracle_solve(
+        oracle_solve(
             np.ones((20, 20)), np.ones((20, 20)), gflasso.GflConfig(lam=1.0)
         )
     w = np.ones((1, 4))
     w[0, 2] = 0.0
     with pytest.raises(ValueError):
-        gflasso.oracle_solve(np.ones((1, 4)), w, gflasso.GflConfig(lam=1.0))
+        oracle_solve(np.ones((1, 4)), w, gflasso.GflConfig(lam=1.0))
 
 
 def test_solve_oracle_agreement_random_instances():
@@ -126,7 +127,7 @@ def test_solve_oracle_agreement_random_instances():
         p = 1 if t < 4 else int(g.integers(1, 3))
         cfg = gflasso.GflConfig(lam=float(g.uniform(0.05, 2.0)), order=p)
         ra = gflasso.solve(x, w, cfg)
-        ro = gflasso.oracle_solve(x, w, cfg)
+        ro = oracle_solve(x, w, cfg)
         assert abs(ra.objective - ro.objective) <= 1e-6 * (1 + abs(ro.objective))
 
 
@@ -195,18 +196,18 @@ def test_lambda_path_endpoints():
 
 def test_extract_change_points_examples():
     s = [0.1, 5.0, 0.2, 3.0]
-    lab = gflasso.extract_change_points(s, 4.0, 1)
+    lab = gflasso.extract_change_points(s, 4.0, 1, 5)
     assert lab.change_points == [1]
-    lab2 = gflasso.extract_change_points(s, 2.0, 1)
+    lab2 = gflasso.extract_change_points(s, 2.0, 1, 5)
     assert lab2.change_points == [1, 3]
     assert set(lab.change_points) <= set(lab2.change_points)
-    lab3 = gflasso.extract_change_points([0.0, 0.0, 0.0], 0.0, 1)
+    lab3 = gflasso.extract_change_points([0.0, 0.0, 0.0], 0.0, 1, 4)
     assert lab3.change_points == []
     assert lab3.group_ids == [0, 0, 0, 0]
 
 
 def test_extract_change_points_group_ids():
-    lab = gflasso.extract_change_points([0.1, 5.0, 0.2, 3.0], 2.0, 1)
+    lab = gflasso.extract_change_points([0.1, 5.0, 0.2, 3.0], 2.0, 1, 5)
     # boundaries after frames 1 and 3
     assert lab.group_ids == [0, 0, 1, 1, 2]
 
@@ -222,13 +223,13 @@ def test_segment_labeling_rule_and_group_ids():
 
 def test_extract_change_points_min_gap_and_ties():
     # equal strengths: earlier index wins under min_gap suppression
-    lab = gflasso.extract_change_points([3.0, 0.0, 3.0], 1.0, 3)
+    lab = gflasso.extract_change_points([3.0, 0.0, 3.0], 1.0, 3, 4)
     assert lab.change_points == [0]
     # higher strength wins regardless of position
-    lab2 = gflasso.extract_change_points([2.0, 0.0, 5.0], 1.0, 3)
+    lab2 = gflasso.extract_change_points([2.0, 0.0, 5.0], 1.0, 3, 4)
     assert lab2.change_points == [2]
     with pytest.raises(ValueError):
-        gflasso.extract_change_points([1.0], 0.5, 0)
+        gflasso.extract_change_points([1.0], 0.5, 0, 2)
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -237,8 +238,8 @@ def test_threshold_nesting_property(seed):
     s = g.uniform(0.0, 4.0, size=int(g.integers(1, 40)))
     t1 = float(g.uniform(0.0, 4.0))
     t2 = float(g.uniform(0.0, t1)) if t1 > 0 else 0.0
-    hi = set(gflasso.extract_change_points(s, t1, 1).change_points)
-    lo = set(gflasso.extract_change_points(s, t2, 1).change_points)
+    hi = set(gflasso.extract_change_points(s, t1, 1, s.size + 1).change_points)
+    lo = set(gflasso.extract_change_points(s, t2, 1, s.size + 1).change_points)
     assert hi <= lo
 
 
@@ -312,12 +313,18 @@ def test_session_boundaries_recovered_end_to_end():
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
 def test_qqt_band_is_the_banded_gram_of_the_differencing_matrix(p):
     for t in (p + 1, p + 2, p + 7, 40):
-        q = gflasso.differencing_matrix(t, p)
+        q = differencing_matrix(t, p)
         gram = q @ q.T
         expected = np.zeros((p + 1, t))
         for off in range(p + 1):  # upper banded storage: row p - off holds the off-th superdiagonal
             expected[p - off, off:] = np.diagonal(gram, off)
         assert np.array_equal(gflasso._qqt_band_upper(t, p), expected)  # integer stencils: exact
+        # the banded products against the dense ones, on integers so that both are exact
+        g = rng(100 * p + t)
+        x = g.integers(-9, 10, size=(3, t)).astype(np.float64)
+        y = g.integers(-9, 10, size=(3, t - p)).astype(np.float64)
+        assert np.array_equal(gflasso._apply_q(x, p), x @ q)
+        assert np.array_equal(gflasso._apply_q_adjoint(y, p, t), y @ q.T)
 
 
 def _normalize_and_weight_per_frame(pose_stream):

@@ -795,6 +795,7 @@ def test_generated_scenes_group_and_merge_like_the_oracles(scene, budget, data):
     # a scene's point counts fall on either side of the budget its chunks and batches close at
     with mock.patch.object(optflow, "BATCH_POINTS", budget):
         assert _batched_sims(frames, boxes, cfg) == sims
+        assert all(0.0 <= sim <= 1.0 for sim in sims.values())  # the range _fb_scores states
         # a front/back split as the pipeline's two processes take the chunks, the back in either order
         chunks = list(optflow._chunks(boxes, cfg))
         n = len(chunks)
