@@ -21,7 +21,11 @@ pipeline splits the chunks between two processes). Each box's state is
 built once per run of consecutive chunks, in batched calls per chunk: its
 canonical crop (`_frame_crops`, one gather over the chunk's frames), gradient
 planes (`_planes`), corners (`_corners`) and the source windows of those
-corners (`_lk_windows`), which every pair the box starts shares. The union-find
+corners (`_lk_windows`), which every pair the box starts shares. The live
+boxes' planes sit in one buffer, sized for the largest chunk window and
+allocated once per call; a chunk's kept planes shift to its front. Crops and
+windows are sampled at per-axis coordinates, columns and rows (`_bilinear`),
+so only the sample index and its gathers are full-size. The union-find
 sums the crops per set, so `merge_groups` reads no frame; it joins groups that
 share a member, such as those of two runs over disjoint chunks, and compares no
 two groups already merged. Frames are checked as their boxes are cropped; all
@@ -95,35 +99,43 @@ class BoxTrackGroup:
     crop_sum: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
-def as_frame(f, name: str = "frame") -> np.ndarray:
-    """f as a float frame in [0, 1]; uint8 input is an 8-bit image, mapped by / 255.
+def as_frame(f, name: str = "frame", out: np.ndarray | None = None) -> np.ndarray:
+    """f as a float frame in [0, 1], written into *out* (a float array of f's shape) if given.
 
-    Other input must pass as_matrix (2-D, non-empty, finite) and lie in [0, 1].
+    uint8 input is an 8-bit image, mapped by / 255. Other input must pass
+    as_matrix (2-D, non-empty, finite) and lie in [0, 1]; it is checked before
+    out is written.
     """
     if getattr(f, "dtype", None) == np.uint8 and f.ndim == 2 and f.size:
-        return f / 255.0  # finite and in [0, 1] by its type
+        return np.divide(f, 255.0, out=out)  # finite and in [0, 1] by its type
     a = as_matrix(f, name)
     if a.min() < -1e-9 or a.max() > 1 + 1e-9:
         raise ValueError(f"{name} values must lie in [0, 1]")
-    return np.clip(a, 0.0, 1.0)
+    return np.clip(a, 0.0, 1.0, out=out)
 
 
-def _planes(images: np.ndarray) -> np.ndarray:
-    """Image, x-gradient and y-gradient stacks (3, n, h, w) of images (n, h, w).
+def _planes(images: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Image, x-gradient and y-gradient stacks (3, n, h, w) of images (n, h, w), written into *out* if given.
 
     Central differences, one-sided at the borders; ValueError unless h, w >= 3.
     """
     if min(images.shape[1:]) < 3:
         raise ValueError(f"frame too small for gradients: {images.shape[1:]}")
-    iy, ix = np.gradient(images, axis=(1, 2))
-    return np.stack([images, ix, iy])
+    if out is None:
+        out = np.empty((3,) + images.shape)
+    out[0] = images
+    out[2], out[1] = np.gradient(images, axis=(1, 2))
+    return out
 
 
 def _bilinear(img: np.ndarray, xs, ys, base) -> np.ndarray:
-    """Samples at (xs, ys) of the plane of the stack img (..., h, w) that starts at flat index base.
+    """Samples at columns xs and rows ys of the plane of the stack img (..., h, w) that starts at flat index base.
 
-    The points must lie inside the image. xs and ys are scratch: they are
-    overwritten.
+    xs varies along the last axis only and ys along the second-to-last, and
+    both broadcast against base; the samples take the broadcast shape. So the
+    truncation, the clip and the weights run once per sample column or row,
+    and only the index and the four gathers are full-size. The points must
+    lie inside the image. xs and ys are scratch: they are overwritten.
     """
     h, w = img.shape[-2:]
     flat = img.reshape(-1)
@@ -135,9 +147,7 @@ def _bilinear(img: np.ndarray, xs, ys, base) -> np.ndarray:
     fx = np.subtract(xs, x0, out=xs)
     fy = np.subtract(ys, y0, out=ys)
     y0 *= w
-    y0 += x0
-    # a base with one more axis (a stack of planes per point) widens the index
-    i = np.add(y0, base, out=y0 if np.ndim(base) <= y0.ndim else None)
+    i = np.add(y0 + base, x0)  # the flat index of each sample's top-left neighbour
     wx = 1 - fx
     # the four neighbours of flat index i are i, i + 1, i + w and i + w + 1
     top = flat[i]
@@ -147,7 +157,8 @@ def _bilinear(img: np.ndarray, xs, ys, base) -> np.ndarray:
     top += right
     bot = flat[w:][i]
     bot *= wx
-    right = flat[w + 1 :][i]
+    # into right's memory: the indices lie inside, so the clip changes none and take makes no copy
+    np.take(flat[w + 1 :], i, out=right, mode="clip")
     right *= fx
     bot += right
     bot *= fy
@@ -177,11 +188,8 @@ def _crops(stack: np.ndarray, slot, boxes, out_h: int, out_w: int) -> np.ndarray
     vs = y0[:, None] + (y1 - y0)[:, None] * (np.arange(out_h) + 0.5) / out_h
     np.clip(us, 0, w - 1, out=us)
     np.clip(vs, 0, h - 1, out=vs)
-    shape = (us.shape[0], out_h, out_w)
-    gx = np.broadcast_to(us[:, None, :], shape).copy()
-    gy = np.broadcast_to(vs[:, :, None], shape).copy()
     base = np.asarray(slot, dtype=np.int64)[:, None, None] * (h * w)
-    return _bilinear(stack, gx, gy, base)
+    return _bilinear(stack, us[:, None, :], vs[:, :, None], base)
 
 
 def canonical_crop(frame, box, size: int) -> np.ndarray:
@@ -202,17 +210,26 @@ def _corners(planes: np.ndarray, max_count: int, quality: float, window: int) ->
     # size 1 along the stack axis: each image is filtered exactly as on its own
     size = (1, window, window)
     area = window * window
-    sxx = uniform_filter(ix * ix, size=size, mode="constant") * area
-    sxy = uniform_filter(ix * iy, size=size, mode="constant") * area
-    syy = uniform_filter(iy * iy, size=size, mode="constant") * area
-    trace = sxx + syy
-    root = np.sqrt((sxx - syy) ** 2 + 4.0 * sxy * sxy)
-    resp = 0.5 * (trace - root)
-    inner = np.zeros_like(resp)
-    inner[:, margin : h - margin, margin : w - margin] = resp[:, margin : h - margin, margin : w - margin]
+    sxx, sxy, syy = ix * ix, ix * iy, iy * iy
+    for s in (sxx, sxy, syy):
+        uniform_filter(s, size=size, output=s, mode="constant")
+        s *= area
+    # 0.5 * ((sxx + syy) - sqrt((sxx - syy) ** 2 + 4.0 * sxy * sxy)), formed in place in that order
+    root = sxx - syy
+    inner = np.add(sxx, syy, out=sxx)
+    np.multiply(sxy, 4.0, out=syy)
+    syy *= sxy
+    root **= 2
+    root += syy
+    np.sqrt(root, out=root)
+    inner -= root
+    inner *= 0.5
+    # the response inside the margin; zero beyond it
+    for edge in (np.s_[:, :margin], np.s_[:, h - margin :], np.s_[:, :, :margin], np.s_[:, :, w - margin :]):
+        inner[edge] = 0.0
     best = inner.max(axis=(1, 2))
     # local maxima prefilter keeps the greedy suppression loop short; flat images have none
-    peaks = (inner >= (quality * best)[:, None, None]) & (inner == maximum_filter(inner, size=size))
+    peaks = (inner >= (quality * best)[:, None, None]) & (inner == maximum_filter(inner, size=size, output=root))
     peaks &= (best > 0)[:, None, None]
     ks, ys, xs = np.nonzero(peaks)
     order = np.lexsort((xs, ys, -inner[ks, ys, xs], ks))
@@ -240,12 +257,12 @@ def good_features(frame, max_count: int, quality: float, window: int = 9) -> np.
 
 
 class _Windows(NamedTuple):
-    """Source windows of m points: sample coordinates, samples and structure tensor."""
+    """Source windows of m points: per-axis sample coordinates, samples and structure tensor."""
 
     pts: np.ndarray  # (m, 2)
-    gx: np.ndarray  # (m, window area) sample coordinates
-    gy: np.ndarray
-    patch: np.ndarray  # (m, window area) image, x-gradient and y-gradient samples
+    gx: np.ndarray  # (m, window) sample columns; window row r, column c samples (gx[:, c], gy[:, r])
+    gy: np.ndarray  # (m, window) sample rows
+    patch: np.ndarray  # (m, window area) image, x-gradient and y-gradient samples, row by row
     gxv: np.ndarray
     gyv: np.ndarray
     sxx: np.ndarray  # (m,) structure tensor
@@ -265,9 +282,8 @@ def _lk_windows(planes: np.ndarray, src, pts: np.ndarray, cfg: FlowConfig) -> _W
     _p, _n, h, w = planes.shape
     half = cfg.window // 2
     offs = np.arange(-half, half + 1, dtype=np.float64)
-    ox, oy = np.meshgrid(offs, offs)
-    gx = pts[:, 0:1] + ox.ravel()[None, :]
-    gy = pts[:, 1:2] + oy.ravel()[None, :]
+    gx = pts[:, 0:1] + offs
+    gy = pts[:, 1:2] + offs
     inb = (
         (pts[:, 0] - half >= 0)
         & (pts[:, 0] + half <= w - 1)
@@ -275,9 +291,10 @@ def _lk_windows(planes: np.ndarray, src, pts: np.ndarray, cfg: FlowConfig) -> _W
         & (pts[:, 1] + half <= h - 1)
     )
     # image, x gradient and y gradient of every window in one gather
-    base = np.asarray(src)[:, None] * (h * w) + np.arange(3)[:, None, None] * planes[0].size
-    sampled = np.zeros((3,) + gx.shape)
-    sampled[:, inb] = _bilinear(planes, gx[inb], gy[inb], base[:, inb])
+    # src is masked before the plane axis is added, so the base, the index and the samples are in C order
+    base = np.asarray(src)[inb, None, None] * (h * w) + np.arange(3)[:, None, None, None] * planes[0].size
+    sampled = np.zeros((3, pts.shape[0], offs.size**2))
+    sampled[:, inb] = _bilinear(planes, gx[inb][:, None, :], gy[inb][:, :, None], base).reshape(3, -1, offs.size**2)
     patch, gxv, gyv = sampled
 
     sxx = np.sum(gxv * gxv, axis=1)
@@ -300,7 +317,7 @@ def _lk_refine(images: np.ndarray, win: _Windows, rows, dst, cfg: FlowConfig):
     _n, h, w = images.shape
     valid = win.valid[rows]
     disp = np.zeros((rows.size, 2))
-    dst_base = np.asarray(dst)[:, None] * (h * w)
+    dst_base = np.asarray(dst)[:, None, None] * (h * w)
     active = valid.copy()
     for _ in range(cfg.max_refinements):
         idx = np.nonzero(active)[0]
@@ -311,7 +328,7 @@ def _lk_refine(images: np.ndarray, win: _Windows, rows, dst, cfg: FlowConfig):
         tx += disp[idx, 0:1]
         ty = win.gy[r]
         ty += disp[idx, 1:2]
-        # rounding is monotonic, so the window's first and last samples are its extremes
+        # rounding is monotonic, so the first and last column and row are the window's extremes
         out = (tx[:, 0] < 0) | (tx[:, -1] > w - 1) | (ty[:, 0] < 0) | (ty[:, -1] > h - 1)
         if np.any(out):
             gone = idx[out]
@@ -322,7 +339,7 @@ def _lk_refine(images: np.ndarray, win: _Windows, rows, dst, cfg: FlowConfig):
             idx, r, tx, ty = idx[keep], r[keep], tx[keep], ty[keep]
             if idx.size == 0:
                 break
-        it = _bilinear(images, tx, ty, dst_base[idx])
+        it = _bilinear(images, tx[:, None, :], ty[:, :, None], dst_base[idx]).reshape(idx.size, -1)
         it -= win.patch[r]
         prod = win.gxv[r]
         prod *= it
@@ -406,16 +423,19 @@ def _frame_crops(frames: Sequence, boxes_per_frame: Sequence[Sequence], t0: int,
     Validates each of these frames that has boxes, and its boxes.
     """
     ts = [t for t in range(t0, t1) if boxes_per_frame[t]]
-    stack = [as_frame(frames[t], f"frame {t}") for t in ts]
+    if not ts:
+        return [], np.empty((0, size, size))
+    # one float stack, filled in place; _check_frames gave these frames one shape
+    stack = np.empty((len(ts),) + np.shape(frames[ts[0]]))
+    for s, t in enumerate(ts):
+        as_frame(frames[t], f"frame {t}", stack[s])
     keys, slots, boxes = [], [], []
     for s, t in enumerate(ts):
         for i, box in enumerate(boxes_per_frame[t]):
             keys.append((t, i))
             slots.append(s)
-            boxes.append(_check_box(box, stack[s].shape, f"box {i} of frame {t}"))
-    if not keys:
-        return keys, np.empty((0, size, size))
-    return keys, _crops(np.stack(stack), slots, boxes, size, size)
+            boxes.append(_check_box(box, stack.shape[1:], f"box {i} of frame {t}"))
+    return keys, _crops(stack, slots, boxes, size, size)
 
 
 def _scored_pairs(
@@ -434,25 +454,36 @@ def _scored_pairs(
     when its wave starts is skipped: the generator resumes only after the
     caller has handled every pair yielded before. Each chunk adds its boxes'
     crops to uf. Without uf, every pair is scored exactly once. Only the pairs
-    whose first box lies in *chunks* (default: all of _chunks, in any order,
-    taken one at a time once the last one's pairs are yielded) are compared.
+    whose first box lies in *chunks*, ranges of _chunks (default: all of them,
+    in any order, taken one at a time once the last one's pairs are yielded),
+    are compared.
     """
     _check_frames(frames, boxes_per_frame)
     n = len(frames)
+    size = cfg.canonical_size
+    # the planes of the live boxes, keys[k] in slot k: at most those of one chunk's frames and the compared ones after
+    cap = max(
+        (sum(map(len, boxes_per_frame[t0 : t1 + cfg.gap_max + 1])) for t0, t1 in _chunks(boxes_per_frame, cfg)),
+        default=0,
+    )
+    planes = np.empty((3, cap, size, size))
     keys: list[tuple[int, int]] = []
-    planes = np.empty((3, 0, cfg.canonical_size, cfg.canonical_size))
     built = end = 0
     for t0, t1 in _chunks(boxes_per_frame, cfg) if chunks is None else chunks:
         if t0 != end:  # a chunk that does not follow the last one shares no boxes with it
-            keys, planes, built = [], planes[:, :0], t0
+            keys, built = [], t0
         end = t1
         # keep the boxes of frames t0 and later, add those up to the last compared frame
         stale = sum(1 for t, _i in keys if t < t0)
         last = min(t1 + cfg.gap_max + 1, n)
-        new_keys, new_crops = _frame_crops(frames, boxes_per_frame, built, last, cfg.canonical_size)
+        new_keys, new_crops = _frame_crops(frames, boxes_per_frame, built, last, size)
         built = max(built, last)
+        kept = len(keys) - stale
+        for plane in planes.reshape(3, -1):  # 1-D moves to the front, which numpy makes without a temporary
+            plane[: kept * size * size] = plane[stale * size * size : len(keys) * size * size]
         keys = keys[stale:] + new_keys
-        planes = np.concatenate([planes[:, stale:], _planes(new_crops)], axis=1)
+        _planes(new_crops, planes[:, kept : len(keys)])
+        del new_crops  # held in the buffer now, so not kept while the next chunk is cropped
         n_src = sum(1 for t, _i in keys if t < t1)
         if uf is not None:
             for key, crop in zip(keys[:n_src], planes[0]):
@@ -486,6 +517,7 @@ def _scored_pairs(
                     sims = _fb_scores(planes, win, counts, src[lo:hi], dst[lo:hi], cfg)
                     for (a, b), sim in zip(pairs[lo:hi], sims.tolist()):
                         yield a, b, sim
+        del win  # not kept while the next chunk's state is built
 
 
 def _fb_scores(planes: np.ndarray, win: _Windows, counts, src, dst, cfg: FlowConfig) -> np.ndarray:

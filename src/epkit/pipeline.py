@@ -138,6 +138,10 @@ class _Claims:
             os.close(fd)
 
 
+# bytes of float frames and sample indices that frames_to_matrix resamples in one gather
+RESAMPLE_BLOCK_BYTES = 1 << 20
+
+
 def frames_to_matrix(frames, limit: int) -> np.ndarray:
     """Frames of one shape as columns, one pixel per row, resized (bilinear) to a longest side of at most *limit*."""
     h, w = np.shape(frames[0])
@@ -147,10 +151,17 @@ def frames_to_matrix(frames, limit: int) -> np.ndarray:
         return np.stack([optflow.as_frame(f).ravel() for f in frames], axis=1)
     scale = limit / max(h, w)
     out_h, out_w = max(1, round(h * scale)), max(1, round(w * scale))
-    whole = [(0.0, 0.0, float(w), float(h))]
-    return np.stack(
-        [optflow._crops(optflow.as_frame(f)[None], [0], whole, out_h, out_w).ravel() for f in frames], axis=1
-    )
+    # one gather per block of frames, whose float frames and sample indices take about RESAMPLE_BLOCK_BYTES
+    block = max(1, RESAMPLE_BLOCK_BYTES // (8 * (h * w + out_h * out_w)))
+    stack = np.empty((min(block, len(frames)), h, w))
+    mat = np.empty((out_h * out_w, len(frames)))
+    for lo in range(0, len(frames), block):
+        part = frames[lo : lo + block]
+        for k, f in enumerate(part):
+            optflow.as_frame(f, out=stack[k])
+        crops = optflow._crops(stack, range(len(part)), [(0.0, 0.0, float(w), float(h))] * len(part), out_h, out_w)
+        mat[:, lo : lo + len(part)] = crops.reshape(len(part), -1).T
+    return mat
 
 
 def warning_frames(energy: np.ndarray, warn_factor: float) -> list[int]:

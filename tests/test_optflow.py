@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -329,6 +330,42 @@ def _bilinear_reference(img, xs, ys):
     return (1 - fy) * top + fy * bot
 
 
+def _assert_bilinear_matches_reference(img, xs, ys):
+    """_bilinear at columns xs (w_out,) and rows ys (h_out,) of img (h, w) equals the reference on their grid."""
+    gx, gy = np.meshgrid(xs, ys)
+    got = optflow._bilinear(img, xs.copy(), ys[:, None].copy(), 0)
+    assert got.shape == gx.shape and np.array_equal(got, _bilinear_reference(img, gx, gy))
+
+
+def test_bilinear_matches_reference_at_random_interior_points():
+    g = rng(7)
+    img = g.random((13, 17))
+    _assert_bilinear_matches_reference(img, g.uniform(0, 16, 11), g.uniform(0, 12, 7))
+
+
+def test_bilinear_matches_reference_where_the_upper_clip_binds():
+    # on the last row and column truncation gives h - 1 or w - 1, clipped to h - 2 or w - 2 with weight 1
+    img = rng(8).random((13, 17))
+    _assert_bilinear_matches_reference(img, np.array([0.0, 15.5, 16.0]), np.array([0.0, 11.25, 12.0]))
+
+
+def test_bilinear_matches_reference_on_a_base_with_a_plane_axis():
+    # as _lk_windows passes it: base (3, m, 1, 1) picks plane p of image src[k] for point k
+    g = rng(9)
+    planes = g.random((3, 4, 12, 15))
+    _p, n, h, w = planes.shape
+    src = g.integers(0, n, 6)
+    xs, ys = g.uniform(0, w - 1, (6, 5)), g.uniform(0, h - 1, (6, 5))
+    xs[0, -1], ys[-1, -1] = w - 1, h - 1
+    base = src[:, None, None] * (h * w) + np.arange(3)[:, None, None, None] * planes[0].size
+    got = optflow._bilinear(planes, xs[:, None, :].copy(), ys[:, :, None].copy(), base)
+    assert got.shape == (3, 6, 5, 5)
+    for p in range(3):
+        for k in range(6):
+            gx, gy = np.meshgrid(xs[k], ys[k])
+            assert np.array_equal(got[p, k], _bilinear_reference(planes[p, src[k]], gx, gy)), (p, k)
+
+
 def _lk_flow_reference(a, b, points, cfg):
     """lk_flow as one solve per frame pair, written apart from the batched kernel."""
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
@@ -593,6 +630,21 @@ def _driver_session_scene(frames_per_episode=20, seed=21):
     # the settings driver_session writes to session_config.json
     cfg = optflow.FlowConfig(gap_max=1, max_features=16, max_refinements=10)
     return frames, boxes, cfg
+
+
+def test_group_boxes_traced_peak_stays_under_three_chunk_window_plane_stacks():
+    # the plane buffer is one chunk window's stack (3 planes of its boxes, for the largest window); a chunk's
+    # crops, corner response or window gathers add less than one more, and the groups' crop sums the rest
+    frames, boxes, cfg = _driver_session_scene()
+    cap = max(sum(map(len, boxes[t0 : t1 + cfg.gap_max + 1])) for t0, t1 in optflow._chunks(boxes, cfg))
+    stack = 3 * cap * cfg.canonical_size**2 * 8
+    tracemalloc.start()
+    try:
+        optflow.group_boxes(frames, boxes, cfg.group_threshold, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * stack, peak / stack
 
 
 def test_batched_grouping_matches_oracle_on_driver_session():
