@@ -25,15 +25,19 @@ corners (`_lk_windows`), which every pair the box starts shares. The live
 boxes' planes sit in one buffer, sized for the largest chunk window and
 allocated once per call; a chunk's kept planes shift to its front. Crops and
 windows are sampled at per-axis coordinates, columns and rows (`_bilinear`),
-so only the sample index and its gathers are full-size. The union-find
-sums the crops per set, so `merge_groups` reads no frame; it joins groups that
-share a member, such as those of two runs over disjoint chunks, and compares no
-two groups already merged. Frames are checked as their boxes are cropped; all
-frames with boxes must share one shape.
+so only the sample index and its gathers are full-size. Corners are local
+maxima of the Shi–Tomasi minimum-eigenvalue response; its window means of the
+gradient products (`_box_means`) and its local maxima (`_window_max`) are
+numpy that gives `scipy.ndimage`'s bits, so flow grouping imports no scipy.
+The union-find sums the crops per set, so `merge_groups` reads no frame; it
+joins groups that share a member, such as those of two runs over disjoint
+chunks, and compares no two groups already merged. Frames are checked as their
+boxes are cropped; all frames with boxes must share one shape.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
@@ -198,24 +202,88 @@ def canonical_crop(frame, box, size: int) -> np.ndarray:
     return _crops(f[None], [0], [_check_box(box, f.shape)], size, size)[0]
 
 
+def _running_means(padded: np.ndarray, out: np.ndarray, window: int) -> None:
+    """out[i] = the mean of padded[i : i + window] along the first axis, summed as scipy.ndimage sums it.
+
+    uniform_filter1d keeps a running sum: it adds the first window's entries in
+    order, then adds (entering - leaving) at each step, and divides each sum by
+    the window. With the lines between window // 2 zeros at each end, this is
+    its mode="constant" filter bit for bit. Each step adds one whole row.
+    """
+    m = out.shape[0]
+    np.add(padded[0], padded[1], out=out[0])
+    for i in range(2, window):
+        out[0] += padded[i]
+    np.subtract(padded[window : window + m - 1], padded[: m - 1], out=out[1:])
+    for i in range(1, m):
+        out[i] += out[i - 1]
+    out /= window
+
+
+def _box_means(ix: np.ndarray, iy: np.ndarray, window: int, scratch: np.ndarray) -> np.ndarray:
+    """The window x window means of ix * ix, ix * iy and iy * iy (n, h, w), laid out (3, w, n, h).
+
+    scipy.ndimage.uniform_filter(p, (1, window, window), mode="constant") bit
+    for bit: a pass along the rows' axis, then one along the columns', each
+    with the summed axis outermost. scratch is a flat float array of at least
+    (max(h, w) + 2 * (window // 2)) * n * max(h, w) entries; it is written.
+    """
+    n, h, w = ix.shape
+    r = window // 2
+    means = np.empty((3, w, n, h))
+    for mean, (a, b) in zip(means, ((ix, ix), (ix, iy), (iy, iy))):
+        rows = scratch[: (h + 2 * r) * n * w].reshape(h + 2 * r, n, w)
+        rows[:r] = rows[r + h :] = 0.0
+        np.multiply(a.transpose(1, 0, 2), b.transpose(1, 0, 2), out=rows[r : r + h])
+        first = mean.reshape(h, n, w)  # the row pass goes into the product's own memory, laid out (h, n, w)
+        _running_means(rows, first, window)
+        cols = scratch[: (w + 2 * r) * n * h].reshape(w + 2 * r, n, h)
+        cols[:r] = cols[r + w :] = 0.0
+        cols[r : r + w] = first.transpose(2, 1, 0)
+        _running_means(cols, mean, window)
+    return means
+
+
+def _window_max(a: np.ndarray, window: int, spare) -> np.ndarray:
+    """Maximum over each window x window block of a (p, n, q) along axes 0 and 2, where the block fits.
+
+    Returns (p - window + 1, n, q - window + 1). Spans double (1, 2, 4, ...)
+    by np.maximum over shifted slices, and a last step closes the span at the
+    window. The steps alternate between the two flat float arrays *spare*, of
+    at least a.size entries each.
+    """
+    bufs = itertools.cycle(spare)
+    for axis in (0, 2):
+        span = 1
+        while span < window:
+            step = min(span, window - span)
+            shape = list(a.shape)
+            shape[axis] -= step
+            lead = (slice(None),) * axis
+            out = next(bufs)[: np.prod(shape)].reshape(shape)
+            np.maximum(a[lead + (slice(0, shape[axis]),)], a[lead + (slice(step, None),)], out=out)
+            a, span = out, span + step
+    return a
+
+
 def _corners(planes: np.ndarray, max_count: int, quality: float, window: int) -> list[np.ndarray]:
-    """good_features of each image of planes (3, n, h, w), with batched filters."""
+    """good_features of each image of planes (3, n, h, w), with batched filters.
+
+    The filters give scipy.ndimage's bits (_box_means, _window_max). The
+    response and its local maxima are laid out (w, n, h).
+    """
     images, ix, iy = planes
     n, h, w = images.shape
-    margin = window // 2 + 1
+    r = window // 2
+    margin = r + 1
     if 2 * margin >= min(h, w):
         return [np.empty((0, 2)) for _ in range(n)]
-    from scipy.ndimage import maximum_filter, uniform_filter
-
-    # size 1 along the stack axis: each image is filtered exactly as on its own
-    size = (1, window, window)
-    area = window * window
-    sxx, sxy, syy = ix * ix, ix * iy, iy * iy
-    for s in (sxx, sxy, syy):
-        uniform_filter(s, size=size, output=s, mode="constant")
-        s *= area
+    scratch = np.empty((max(h, w) + 2 * r) * n * max(h, w))
+    sums = _box_means(ix, iy, window, scratch)
+    sums *= window * window
+    sxx, sxy, syy = sums
     # 0.5 * ((sxx + syy) - sqrt((sxx - syy) ** 2 + 4.0 * sxy * sxy)), formed in place in that order
-    root = sxx - syy
+    root = np.subtract(sxx, syy, out=scratch[: sxx.size].reshape(sxx.shape))
     inner = np.add(sxx, syy, out=sxx)
     np.multiply(sxy, 4.0, out=syy)
     syy *= sxy
@@ -225,20 +293,32 @@ def _corners(planes: np.ndarray, max_count: int, quality: float, window: int) ->
     inner -= root
     inner *= 0.5
     # the response inside the margin; zero beyond it
-    for edge in (np.s_[:, :margin], np.s_[:, h - margin :], np.s_[:, :, :margin], np.s_[:, :, w - margin :]):
+    for edge in (np.s_[:margin], np.s_[w - margin :], np.s_[:, :, :margin], np.s_[:, :, h - margin :]):
         inner[edge] = 0.0
-    best = inner.max(axis=(1, 2))
-    # local maxima prefilter keeps the greedy suppression loop short; flat images have none
-    peaks = (inner >= (quality * best)[:, None, None]) & (inner == maximum_filter(inner, size=size, output=root))
-    peaks &= (best > 0)[:, None, None]
-    ks, ys, xs = np.nonzero(peaks)
-    order = np.lexsort((xs, ys, -inner[ks, ys, xs], ks))
+    best = inner.max(axis=(0, 2))
+    least = quality * best
+    # local maxima prefilter keeps the greedy suppression loop short; flat images have none. A candidate
+    # (response >= least > 0) lies inside the margin, so its window fits in the image and the maximum is
+    # needed only where windows fit. Where least underflows to 0, the margin's zeros qualify too: their
+    # maximum is then taken over the response padded with zeros, which equals scipy's reflected one there.
+    pad = 0 if np.all(least[best > 0] > 0) else r
+    if pad:
+        src = np.pad(inner, ((pad, pad), (0, 0), (pad, pad)))
+        top = _window_max(src, window, (np.empty(src.size), np.empty(src.size)))
+    else:  # into the spent products' memory
+        top = _window_max(inner, window, (sxy.reshape(-1), syy.reshape(-1)))
+    fit = inner[r - pad : w - r + pad, :, r - pad : h - r + pad]
+    peaks = (fit >= least[:, None]) & (fit == top)
+    peaks &= (best > 0)[:, None]
+    xs, ks, ys = np.nonzero(peaks)
+    xs += r - pad
+    ys += r - pad
+    order = np.lexsort((xs, ys, -inner[xs, ks, ys], ks))
     ks, ys, xs = ks[order].tolist(), ys[order].tolist(), xs[order].tolist()
-    radius = window // 2
     kept: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for k, y, x in zip(ks, ys, xs):
         got = kept[k]
-        if len(got) < max_count and all(max(abs(x - kx), abs(y - ky)) > radius for kx, ky in got):
+        if len(got) < max_count and all(max(abs(x - kx), abs(y - ky)) > r for kx, ky in got):
             got.append((x, y))
     return [np.array(got, dtype=np.float64).reshape(-1, 2) for got in kept]
 

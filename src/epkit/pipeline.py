@@ -138,7 +138,7 @@ class _Claims:
             os.close(fd)
 
 
-# bytes of float frames and sample indices that frames_to_matrix resamples in one gather
+# bytes of float frames and sample indices that frames_to_matrix takes in one block
 RESAMPLE_BLOCK_BYTES = 1 << 20
 
 
@@ -147,11 +147,12 @@ def frames_to_matrix(frames, limit: int) -> np.ndarray:
     h, w = np.shape(frames[0])
     if any(np.shape(f) != (h, w) for f in frames):  # one output size for all, from the first frame
         raise ValueError(f"frames differ in shape from the first frame's {(h, w)}")
-    if max(h, w) <= limit:
-        return np.stack([optflow.as_frame(f).ravel() for f in frames], axis=1)
-    scale = limit / max(h, w)
-    out_h, out_w = max(1, round(h * scale)), max(1, round(w * scale))
-    # one gather per block of frames, whose float frames and sample indices take about RESAMPLE_BLOCK_BYTES
+    out_h, out_w = h, w
+    if max(h, w) > limit:
+        scale = limit / max(h, w)
+        out_h, out_w = max(1, round(h * scale)), max(1, round(w * scale))
+    # a block of frames at a time into the matrix, resized in one gather; a block's float frames and sample
+    # indices take about RESAMPLE_BLOCK_BYTES
     block = max(1, RESAMPLE_BLOCK_BYTES // (8 * (h * w + out_h * out_w)))
     stack = np.empty((min(block, len(frames)), h, w))
     mat = np.empty((out_h * out_w, len(frames)))
@@ -159,7 +160,9 @@ def frames_to_matrix(frames, limit: int) -> np.ndarray:
         part = frames[lo : lo + block]
         for k, f in enumerate(part):
             optflow.as_frame(f, out=stack[k])
-        crops = optflow._crops(stack, range(len(part)), [(0.0, 0.0, float(w), float(h))] * len(part), out_h, out_w)
+        crops = stack[: len(part)]
+        if (out_h, out_w) != (h, w):
+            crops = optflow._crops(stack, range(len(part)), [(0.0, 0.0, float(w), float(h))] * len(part), out_h, out_w)
         mat[:, lo : lo + len(part)] = crops.reshape(len(part), -1).T
     return mat
 
@@ -388,8 +391,6 @@ def run_pipeline(session_dir: str, cfg: Config, out_dir: str) -> dict:
 
     report: dict = {"stages": {}, "frames": []}
 
-    if len(frames):  # before the fork, so a worker that takes flow chunks does not import it while the parent waits
-        import scipy.ndimage  # noqa: F401
     # the worker holds a CPU: this process keeps one BLAS thread until it is reaped
     with contextlib.closing(_Claims(optflow._chunks(boxes_per_frame, cfg.flow))) as claims, blas_threads(1):
         worker = in_worker(_flow_job, frames, boxes_per_frame, cfg, out_dir, claims) if len(frames) else None

@@ -1,9 +1,10 @@
 """Which commands load scipy, each checked in a fresh interpreter.
 
 scipy is imported only inside the functions that call it, so importing
-epkit, `rpca.decompose` and `epkit rpca` load none of it. `run_pipeline`
-imports `scipy.ndimage` before it forks the rpca worker, so a worker that
-takes flow chunks inherits the module instead of importing it.
+epkit, `rpca.decompose`, `epkit rpca` and `epkit flow-group` load none of it.
+`epkit pipeline` loads `scipy.linalg` for segmentation's banded solve, and
+neither `scipy.ndimage` nor `scipy.special`: flow grouping's corner filters
+are numpy.
 """
 
 import json
@@ -43,26 +44,31 @@ print(json.dumps(sorted(name for name in sys.modules if name.split(".")[0] == "s
     assert (tmp_path / "o" / "low_rank.mat").exists()
 
 
-def test_pipeline_loads_ndimage_before_it_forks(tmp_path):
+def test_flow_group_loads_no_scipy_and_pipeline_no_ndimage(tmp_path):
     sess = tmp_path / "sess"
     assert cli.main(["synth", "--generator", "driver_session", "--seed", "4",
                      "--params", json.dumps({"episode_schedule": [["safe_driving", 6]]}), "--out", str(sess)]) == 0
+    # each frame's hand boxes, as flow-group reads them
+    with open(sess / "detections.jsonl") as src, open(tmp_path / "boxes.jsonl", "w") as out:
+        for line in src:
+            rec = json.loads(line)
+            out.write(json.dumps({"frame": rec["frame"], "boxes": [h["box"] for h in rec["hands"]]}) + "\n")
+    config = str(sess / "session_config.json")
     code = f"""
 import json, sys
-from epkit import cli, pipeline
+from epkit import cli
 
-before = "scipy.ndimage" in sys.modules
-at_fork = []
-real = pipeline.in_worker
+def loaded():
+    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
 
-def spy(*args):
-    at_fork.append("scipy.ndimage" in sys.modules)
-    return real(*args)
-
-pipeline.in_worker = spy
-assert cli.main(["pipeline", "--session", {str(sess)!r}, "--config", {str(sess / "session_config.json")!r},
-                 "--out", "o"]) == 0
-print(json.dumps([before, at_fork]))
+assert cli.main(["flow-group", "--frames", {str(sess / "frames")!r}, "--boxes", "boxes.jsonl", "--config", {config!r},
+                 "--out", "flow"]) == 0
+after_flow = loaded()
+assert cli.main(["pipeline", "--session", {str(sess)!r}, "--config", {config!r}, "--out", "o"]) == 0
+print(json.dumps([after_flow, loaded()]))
 """
-    assert fresh(code, tmp_path) == [False, [True]]
-    assert (tmp_path / "o" / "report.json").exists()
+    after_flow, after_pipeline = fresh(code, tmp_path)
+    assert after_flow == []
+    assert "scipy.linalg" in after_pipeline
+    assert not [name for name in after_pipeline if name.startswith(("scipy.ndimage", "scipy.special"))]
+    assert (tmp_path / "flow" / "flow_groups.json").exists() and (tmp_path / "o" / "report.json").exists()

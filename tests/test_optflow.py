@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.ndimage import gaussian_filter, maximum_filter, uniform_filter
 
@@ -889,6 +889,21 @@ def test_frames_to_matrix_refuses_frames_of_two_shapes():
             pipeline.frames_to_matrix(frames, limit)
 
 
+
+def test_frames_to_matrix_at_full_size_holds_one_block_beside_the_matrix():
+    # 200 uint8 frames of 72 x 96 kept at full size: a 10.5 MiB matrix, filled a block of frames at a time
+    frames = np.random.default_rng(3).integers(0, 256, (200, 72, 96), dtype=np.uint8)
+    want = np.stack([f.ravel() / 255.0 for f in frames], axis=1)
+    tracemalloc.start()
+    try:
+        mat = pipeline.frames_to_matrix(frames, 200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(mat, want)
+    assert peak <= mat.nbytes + pipeline.RESAMPLE_BLOCK_BYTES, peak / mat.nbytes
+
+
 def test_box_similarity_matches_oracle():
     cfg = optflow.FlowConfig()
     patch = _noise_patch(3)
@@ -968,6 +983,53 @@ def test_corners_break_ties_like_reference():
             for max_count in (1, 2, 5, 100):
                 got = optflow.good_features(img, max_count, 0.1, window)
                 assert np.array_equal(got, _good_features_reference(img, max_count, 0.1, window))
+
+
+
+# exact zeros of both signs and repeated values, so ties and signed zeros reach the filters
+_FILTER_VALUES = st.sampled_from([0.0, -0.0, 0.25, 1.0]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def _filter_stacks(draw, elements=_FILTER_VALUES):
+    """A stack (n, h, w) of 1 to 4 images from 3 to 40 pixels a side, square or not, and an odd window 3-11."""
+    n, h, w = draw(st.integers(1, 4)), draw(st.integers(3, 40)), draw(st.integers(3, 40))
+    values = draw(st.lists(elements, min_size=n * h * w, max_size=n * h * w))
+    return np.array(values).reshape(n, h, w), draw(st.sampled_from([3, 5, 7, 9, 11]))
+
+
+@settings(max_examples=100)
+@given(
+    stack=_filter_stacks(),
+    signs=st.lists(st.sampled_from([1.0, -1.0]), min_size=2, max_size=2),
+    max_count=st.integers(1, 40),
+    # 5e-324 makes quality * best underflow to 0, so the margin's zeros qualify as corners
+    quality=st.sampled_from([5e-324, 0.01, 0.1, 0.5, 1.0]),
+)
+# one faint dot: its best response underflows, and zeros all along the border are kept
+@example(stack=(np.pad([[[0.5]]], ((0, 0), (6, 5), (8, 7))), 3), signs=[1.0, -1.0], max_count=40, quality=5e-324)
+def test_corner_filters_give_scipys_bits(stack, signs, max_count, quality):
+    images, window = stack
+    n, h, w = images.shape
+    r = window // 2
+    # box means of two signed stacks, against uniform_filter's bits
+    ix, iy = signs[0] * images, signs[1] * images[:, ::-1]
+    means = optflow._box_means(ix, iy, window, np.empty((max(h, w) + 2 * r) * n * max(h, w)))
+    for got, product in zip(means, (ix * ix, ix * iy, iy * iy)):
+        want = uniform_filter(product, size=(1, window, window), mode="constant")
+        assert np.array_equal(got.transpose(1, 2, 0).view(np.int64), want.view(np.int64))
+    # maxima where the window fits, against maximum_filter
+    if min(h, w) >= window:
+        laid = np.ascontiguousarray(images.transpose(2, 0, 1))
+        got = optflow._window_max(laid, window, (np.empty(images.size), np.empty(images.size)))
+        want = maximum_filter(images, size=(1, window, window))[:, r : h - r, r : w - r]
+        assert np.array_equal(got.transpose(1, 2, 0), want)
+    # the corners of the batch and of each image, against the per-image reference on scipy
+    batch = optflow._corners(optflow._planes(images), max_count, quality, window)
+    for img, got in zip(images, batch):
+        want = _good_features_reference(img, max_count, quality, window)
+        assert np.array_equal(got, want)
+        assert np.array_equal(optflow.good_features(img, max_count, quality, window), want)
 
 
 def _pearson(a, b):
