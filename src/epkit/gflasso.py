@@ -9,8 +9,11 @@ along time. The group penalty makes whole difference columns vanish
 jointly, so V is piecewise polynomial of degree p - 1 and the surviving
 column norms ("jump strengths") mark candidate change points.
 
-`solve` fits it by ADMM, with one banded solve of all rows per iteration;
-Q is never formed, its products are taken from the p-th difference stencil.
+`solve` fits it by ADMM. Its V-update is one banded solve of all rows per
+iteration, against a Cholesky factor made once each time the ADMM penalty
+changes (Boyd et al., "Distributed Optimization and Statistical Learning via
+ADMM", 2011, section 4.2.3) on numpy's LAPACK (numkit.BandCholesky). Q is never
+formed, its products are taken from the p-th difference stencil.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fusion import check_number, check_ranges
-from .numkit import as_matrix
+from .numkit import BandCholesky, as_matrix
 
 
 @dataclass
@@ -158,13 +161,12 @@ def solve(x, w, cfg: GflConfig) -> GflResult:
     (diag(w_d^2) + rho Q Q^T) v_d = w_d^2 o x_d + Q (rho z_d - y_d); the
     Z-update is a columnwise group soft-threshold; the penalty is rebalanced
     deterministically from the residual ratio. The row systems are solved
-    in one `solveh_banded` call, as the block diagonal of the D rows on a
-    (D * T)-long band whose entries between rows are zero, so the Cholesky
-    factorisation gives each row exactly what it would give that row alone.
-    The band is rebuilt only when rho changes.
+    as one system, the block diagonal of the D rows on a (D * T)-long band
+    whose entries between rows are zero, so the Cholesky factor gives each
+    row exactly what it would give that row alone. The band is rebuilt and
+    factored only when rho changes, and every solve gives
+    `scipy.linalg.solveh_banded`'s bits on it.
     """
-    from scipy.linalg import solveh_banded
-
     xa, wa = validate_inputs(x, w, cfg)
     d, t = xa.shape
     p = cfg.order
@@ -187,8 +189,9 @@ def solve(x, w, cfg: GflConfig) -> GflResult:
             # row blocks side by side; band leaves the entries coupling two rows zero
             ab = np.tile(rho * band, d)
             ab[p] += w2.ravel()
+            factor = BandCholesky(ab)
             ab_rho = rho
-        v = solveh_banded(ab, rhs.ravel(), lower=False).reshape(d, t)
+        v = factor.solve(rhs.ravel()).reshape(d, t)
 
         vq = _apply_q(v, p)
         a = vq + y / rho

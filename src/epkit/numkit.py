@@ -1,15 +1,28 @@
-"""Dense matrix primitives shared by the decomposition solvers.
+"""Dense and banded matrix primitives shared by the solvers.
 
-Everything here operates on plain 2-D float64 numpy arrays. Inputs are
+Everything here operates on plain float64 numpy arrays. Inputs are
 validated for shape and finiteness once, at the boundary; the solvers built
 on top assume clean data. All functions are pure.
+
+OPENBLAS is the one handle on numpy's bundled OpenBLAS (scipy-openblas64:
+64-bit integers, symbols named scipy_<routine>_64_), or None where numpy
+cannot be loaded through ctypes. BandCholesky calls its band LAPACK routines
+through it, and pipeline.blas_threads its thread-count calls; where numpy does
+not export them (numpy on Accelerate or MKL), the same band routines come from
+scipy.linalg.lapack.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 from dataclasses import dataclass
 
 import numpy as np
+
+OPENBLAS = None
+with contextlib.suppress(AttributeError, OSError):
+    OPENBLAS = ctypes.CDLL(np.linalg._umath_linalg.__file__)
 
 
 def as_matrix(m, name: str = "matrix") -> np.ndarray:
@@ -67,6 +80,107 @@ def svd(m) -> SvdFactors:
                 f"SVD did not converge for a {a.shape[0]}x{a.shape[1]} matrix"
             ) from exc
     return SvdFactors(left=u, singular_values=s, right=vt.T)
+
+
+def _ref(n: int):
+    return ctypes.byref(ctypes.c_int64(n))
+
+
+class _OpenblasBand:
+    """LAPACK's dpttrf, dpttrs, dpbtrf and dpbtrs in numpy's OpenBLAS, called through ctypes.
+
+    Each takes and returns what scipy.linalg.lapack's wrapper of the same name
+    does for BandCholesky's calls: upper storage, one right-hand side, inputs
+    copied, LAPACK's info last.
+    """
+
+    def __init__(self, lib):
+        ints = ctypes.POINTER(ctypes.c_int64)
+        arr = np.ctypeslib.ndpointer(np.float64, flags="F_CONTIGUOUS,WRITEABLE")
+        uplo, uplo_len = ctypes.c_char_p, ctypes.c_size_t  # gfortran passes a CHARACTER's length last, by value
+        self._pttrf = lib.scipy_dpttrf_64_
+        self._pttrf.argtypes = [ints, arr, arr, ints]
+        self._pttrs = lib.scipy_dpttrs_64_
+        self._pttrs.argtypes = [ints, ints, arr, arr, arr, ints, ints]
+        self._pbtrf = lib.scipy_dpbtrf_64_
+        self._pbtrf.argtypes = [uplo, ints, ints, arr, ints, ints, uplo_len]
+        self._pbtrs = lib.scipy_dpbtrs_64_
+        self._pbtrs.argtypes = [uplo, ints, ints, ints, arr, ints, arr, ints, ints, uplo_len]
+        for fn in (self._pttrf, self._pttrs, self._pbtrf, self._pbtrs):
+            fn.restype = None
+
+    def dpttrf(self, d, e):
+        d, e, info = np.array(d, np.float64), np.array(e, np.float64), ctypes.c_int64()
+        self._pttrf(_ref(d.size), d, e, ctypes.byref(info))
+        return d, e, info.value
+
+    def dpttrs(self, d, e, b):
+        x, info = np.array(b, np.float64), ctypes.c_int64()
+        self._pttrs(_ref(d.size), _ref(1), d, e, x, _ref(max(1, d.size)), ctypes.byref(info))
+        return x, info.value
+
+    def dpbtrf(self, ab):
+        c, info = np.array(ab, np.float64, order="F"), ctypes.c_int64()
+        ldab, n = c.shape
+        self._pbtrf(b"U", _ref(n), _ref(ldab - 1), c, _ref(ldab), ctypes.byref(info), 1)
+        return c, info.value
+
+    def dpbtrs(self, c, b):
+        x, info = np.array(b, np.float64), ctypes.c_int64()
+        ldab, n = c.shape
+        self._pbtrs(b"U", _ref(n), _ref(ldab - 1), _ref(1), c, _ref(ldab), x, _ref(max(1, n)), ctypes.byref(info), 1)
+        return x, info.value
+
+
+_BAND_LAPACK = None  # _OpenblasBand where numpy exports the routines; BandCholesky imports scipy's otherwise
+with contextlib.suppress(AttributeError):
+    _BAND_LAPACK = _OpenblasBand(OPENBLAS)
+
+
+def _finite(a) -> np.ndarray:
+    a = np.asarray(a, dtype=np.float64)
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
+    return a
+
+
+class BandCholesky:
+    """The Cholesky factor of a symmetric positive definite band matrix, made once to solve many systems.
+
+    *ab* is the band in LAPACK's upper storage, main diagonal last
+    (ab[u + i - j, j] = A[i, j] for j - u <= i <= j), as scipy.linalg.solveh_banded
+    takes it, and solve(b) returns solveh_banded(ab, b)'s bits: a two-row band
+    is factored by pttrf and solved by pttrs (solveh_banded's ptsv runs those
+    two), a wider one by pbtrf and pbtrs (pbsv's). As there, a non-finite band
+    or right-hand side raises ValueError, and a band that is not positive
+    definite LinAlgError naming the leading minor that failed.
+    """
+
+    def __init__(self, ab):
+        lapack = _BAND_LAPACK
+        if lapack is None:
+            import scipy.linalg.lapack as lapack
+        ab = _finite(ab)
+        if ab.shape[0] == 2:
+            *self._factor, info = lapack.dpttrf(ab[1], ab[0, 1:])
+            self._solve = lapack.dpttrs
+        else:
+            *self._factor, info = lapack.dpbtrf(ab)
+            self._solve = lapack.dpbtrs
+        _check_info(info)
+
+    def solve(self, b) -> np.ndarray:
+        x, info = self._solve(*self._factor, _finite(b))
+        _check_info(info)
+        return x
+
+
+def _check_info(info: int) -> None:
+    """solveh_banded's errors for a LAPACK info."""
+    if info > 0:
+        raise np.linalg.LinAlgError(f"{info}th leading minor not positive definite")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}th argument of internal pbsv")
 
 
 def soft_threshold(m, tau: float, out: np.ndarray | None = None) -> np.ndarray:

@@ -298,21 +298,14 @@ def _corners(planes: np.ndarray, max_count: int, quality: float, window: int) ->
     best = inner.max(axis=(0, 2))
     least = quality * best
     # local maxima prefilter keeps the greedy suppression loop short; flat images have none. A candidate
-    # (response >= least > 0) lies inside the margin, so its window fits in the image and the maximum is
-    # needed only where windows fit. Where least underflows to 0, the margin's zeros qualify too: their
-    # maximum is then taken over the response padded with zeros, which equals scipy's reflected one there.
-    pad = 0 if np.all(least[best > 0] > 0) else r
-    if pad:
-        src = np.pad(inner, ((pad, pad), (0, 0), (pad, pad)))
-        top = _window_max(src, window, (np.empty(src.size), np.empty(src.size)))
-    else:  # into the spent products' memory
-        top = _window_max(inner, window, (sxy.reshape(-1), syy.reshape(-1)))
-    fit = inner[r - pad : w - r + pad, :, r - pad : h - r + pad]
-    peaks = (fit >= least[:, None]) & (fit == top)
-    peaks &= (best > 0)[:, None]
+    # (a positive response >= least) lies inside the margin, so its window fits in the image and the
+    # maximum is needed only where windows fit; it goes into the spent products' memory
+    top = _window_max(inner, window, (sxy.reshape(-1), syy.reshape(-1)))
+    fit = inner[r : w - r, :, r : h - r]
+    peaks = (fit >= least[:, None]) & (fit > 0) & (fit == top)
     xs, ks, ys = np.nonzero(peaks)
-    xs += r - pad
-    ys += r - pad
+    xs += r
+    ys += r
     order = np.lexsort((xs, ys, -inner[xs, ks, ys], ks))
     ks, ys, xs = ks[order].tolist(), ys[order].tolist(), xs[order].tolist()
     kept: list[list[tuple[int, int]]] = [[] for _ in range(n)]
@@ -326,7 +319,7 @@ def _corners(planes: np.ndarray, max_count: int, quality: float, window: int) ->
 def good_features(frame, max_count: int, quality: float, window: int = 9) -> np.ndarray:
     """Trackable points ranked by the smaller structure-tensor eigenvalue.
 
-    Keeps responses >= quality * best, suppresses non-maxima within the
+    Keeps positive responses >= quality * best, suppresses non-maxima within the
     window radius, truncates to max_count. Returns an (n, 2) array of
     (x, y); empty on flat frames. window, max_count and quality are checked
     by FlowConfig's rules for window, max_features and feature_quality.

@@ -13,7 +13,6 @@ and every output byte, do not depend on which side took a chunk.
 from __future__ import annotations
 
 import contextlib
-import ctypes
 import dataclasses
 import functools
 import itertools
@@ -23,7 +22,7 @@ import pickle
 
 import numpy as np
 
-from . import fileio, fusion, gflasso, optflow, rpca, svgplot
+from . import fileio, fusion, gflasso, numkit, optflow, rpca, svgplot
 from .config import Config
 
 
@@ -43,9 +42,8 @@ def _stage(name: str, fn, *args):
 
 
 _OPENBLAS = None  # numpy's bundled OpenBLAS (set, get) thread-count calls, where it exports them
-with contextlib.suppress(AttributeError, OSError):
-    _lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-    _OPENBLAS = _lib.scipy_openblas_set_num_threads64_, _lib.scipy_openblas_get_num_threads64_
+with contextlib.suppress(AttributeError):
+    _OPENBLAS = numkit.OPENBLAS.scipy_openblas_set_num_threads64_, numkit.OPENBLAS.scipy_openblas_get_num_threads64_
 
 
 @contextlib.contextmanager

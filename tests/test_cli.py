@@ -655,7 +655,7 @@ def test_pipeline_rpca_bytes_do_not_depend_on_blas_threads(tmp_path, session_400
         subprocess.run([sys.executable, "-m", "epkit.cli", "pipeline", "--session", str(session_400),
                         "--config", str(session_400 / "session_config.json"), "--out", str(tmp_path / f"t{threads}")],
                        env=env, check=True, capture_output=True, timeout=300)
-    for name in ("low_rank.mat", "sparse.mat", "rpca_summary.json"):
+    for name in ("low_rank.mat", "sparse.mat", "rpca_summary.json", "strengths.csv", "change_points.json"):
         assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "tNone" / name).read_bytes(), name
 
 

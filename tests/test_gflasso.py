@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 from hypothesis import given, strategies as st
 from scipy.linalg import solveh_banded
 
-from epkit import gflasso
+from epkit import gflasso, numkit
 from epkit.fusion import PoseFrame
 from epkit.synth import gen_driver_session, gen_piecewise, rng
 from gfl_reference import differencing_matrix, oracle_solve
@@ -157,22 +160,29 @@ def test_zero_weight_entries_never_matter():
 
 
 def test_block_banded_solve_matches_per_row_solves(monkeypatch):
-    # solve's one banded call on all rows, checked against one call per row of the same band
+    # solve's one factor of all rows, checked against one factor per row of the same band
     g = rng(67)
     d, t = 4, 30
-    bands = set()
+    bands, solves = [], []
 
-    def per_row_checked(ab, b, lower=False):
-        got = solveh_banded(ab, b, lower=lower)
-        bands.add(ab.tobytes())
-        for lo in range(0, b.size, t):
-            row = solveh_banded(ab[:, lo : lo + t].copy(), b[lo : lo + t], lower=lower)
-            assert np.array_equal(got[lo : lo + t], row)
-        return got
+    class PerRowChecked(numkit.BandCholesky):
+        def __init__(self, ab):
+            super().__init__(ab)
+            self.ab = ab
+            bands.append(ab.tobytes())
 
-    monkeypatch.setattr("scipy.linalg.solveh_banded", per_row_checked)  # the name solve imports when called
+        def solve(self, b):
+            solves.append(b)
+            got = super().solve(b)
+            for lo in range(0, b.size, t):
+                row = numkit.BandCholesky(self.ab[:, lo : lo + t].copy()).solve(b[lo : lo + t])
+                assert np.array_equal(got[lo : lo + t], row)
+            return got
+
+    monkeypatch.setattr(gflasso, "BandCholesky", PerRowChecked)
     for order in (1, 2, 3):
         bands.clear()
+        solves.clear()
         penalties = (0.01, 1.0, 100.0)
         for penalty in penalties:
             x = g.standard_normal((d, t))
@@ -181,7 +191,62 @@ def test_block_banded_solve_matches_per_row_solves(monkeypatch):
             w[:, 0] = 1.0  # no row without a positive weight
             cfg = gflasso.GflConfig(lam=0.8, order=order, admm_penalty=penalty, max_iterations=300)
             gflasso.solve(x, w, cfg)
-        assert len(bands) > len(penalties), order  # rho changed within a solve, and the patch was reached
+        assert len(set(bands)) > len(penalties), order  # rho changed within a solve, and the patch was reached
+        assert len(bands) < len(solves) / 10, order  # factored when rho changes, not at every solve
+
+
+def _outcome(solve, ab, b):
+    """solve(ab, b)'s bits, or the text of the LinAlgError it raised."""
+    try:
+        return solve(ab, b).tobytes()
+    except np.linalg.LinAlgError as exc:
+        return str(exc)
+
+
+def _elbow_scored(poses, score):
+    return [dataclasses.replace(p, joints={**p.joints, "l_elbow": (*p.joints["l_elbow"][:2], score)}) for p in poses]
+
+
+@pytest.mark.parametrize("binding", [
+    pytest.param(numkit._BAND_LAPACK, id="numpy-openblas",
+                 marks=pytest.mark.skipif(numkit._BAND_LAPACK is None, reason="numpy exports no band routines")),
+    pytest.param(scipy.linalg.lapack, id="scipy-lapack"),
+])
+def test_band_factor_gives_solveh_bandeds_bits_and_errors(monkeypatch, binding):
+    monkeypatch.setattr(numkit, "_BAND_LAPACK", binding)
+
+    def factored(ab, b):
+        return numkit.BandCholesky(ab).solve(b)
+
+    g = rng(68)
+    # a 6-frame session whose l_elbow scores vanish next to rho Q Q^T
+    poses = [p for p, _h, _o in gen_driver_session([("safe_driving", 6)], seed=4).payload["frames"]]
+    faint_x, faint_w = gflasso.normalize_and_weight(_elbow_scored(poses, 1e-7))
+    for order in (1, 2, 3, 4):
+        failed = []
+        for rho in (0.01, 1.0, 100.0):
+            for w in (g.uniform(0.3, 1.0, size=(4, 30)) * (g.random((4, 30)) > 0.2), faint_w):
+                d, t = w.shape
+                ab = np.tile(rho * gflasso._qqt_band_upper(t, order), d)
+                ab[order] += (w * w).ravel()
+                b = g.standard_normal(d * t)
+                want = _outcome(solveh_banded, ab, b)
+                assert _outcome(factored, ab, b) == want, (order, rho)
+                failed += [want] if isinstance(want, str) else []
+        # non-finite bands and right-hand sides are refused, as solveh_banded refuses them
+        ab = np.tile(gflasso._qqt_band_upper(30, order), 4)
+        ab[order] += 1.0
+        for bad in (np.nan, np.inf):
+            broken = ab.copy()
+            broken[order, 3] = bad
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                numkit.BandCholesky(broken)
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                numkit.BandCholesky(ab).solve(np.full(ab.shape[1], bad))
+        assert failed or order == 1, order  # the faint rows fail to factor at rho 100 from order 2
+    # and the solve whose penalty grows until they fail, with the leading minor solveh_banded named
+    with pytest.raises(np.linalg.LinAlgError, match="^30th leading minor not positive definite$"):
+        gflasso.solve(faint_x, faint_w, gflasso.GflConfig(order=1))
 
 
 def test_lambda_path_endpoints():

@@ -1,10 +1,11 @@
 """Which commands load scipy, each checked in a fresh interpreter.
 
 scipy is imported only inside the functions that call it, so importing
-epkit, `rpca.decompose`, `epkit rpca` and `epkit flow-group` load none of it.
-`epkit pipeline` loads `scipy.linalg` for segmentation's banded solve, and
-neither `scipy.ndimage` nor `scipy.special`: flow grouping's corner filters
-are numpy.
+epkit, `rpca.decompose`, `epkit rpca`, `epkit flow-group`, `epkit segment`,
+`epkit fuse` without `--segments` and `epkit pipeline` load none of it: flow
+grouping's corner filters are numpy, and segmentation's banded solve runs on
+numpy's OpenBLAS (on scipy.linalg.lapack only where numpy does not export
+the band routines, and then only flow-group is checked).
 """
 
 import json
@@ -13,7 +14,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from epkit import cli, pipeline
+from epkit import cli, numkit, pipeline
 
 SRC = str(Path(pipeline.__file__).resolve().parents[1])
 
@@ -44,7 +45,7 @@ print(json.dumps(sorted(name for name in sys.modules if name.split(".")[0] == "s
     assert (tmp_path / "o" / "low_rank.mat").exists()
 
 
-def test_flow_group_loads_no_scipy_and_pipeline_no_ndimage(tmp_path):
+def test_flow_group_segment_fuse_and_pipeline_load_no_scipy(tmp_path):
     sess = tmp_path / "sess"
     assert cli.main(["synth", "--generator", "driver_session", "--seed", "4",
                      "--params", json.dumps({"episode_schedule": [["safe_driving", 6]]}), "--out", str(sess)]) == 0
@@ -54,21 +55,27 @@ def test_flow_group_loads_no_scipy_and_pipeline_no_ndimage(tmp_path):
             rec = json.loads(line)
             out.write(json.dumps({"frame": rec["frame"], "boxes": [h["box"] for h in rec["hands"]]}) + "\n")
     config = str(sess / "session_config.json")
+    detections = str(sess / "detections.jsonl")
     code = f"""
 import json, sys
 from epkit import cli
 
-def loaded():
-    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
-
-assert cli.main(["flow-group", "--frames", {str(sess / "frames")!r}, "--boxes", "boxes.jsonl", "--config", {config!r},
-                 "--out", "flow"]) == 0
-after_flow = loaded()
-assert cli.main(["pipeline", "--session", {str(sess)!r}, "--config", {config!r}, "--out", "o"]) == 0
-print(json.dumps([after_flow, loaded()]))
+commands = {{
+    "flow-group": ["flow-group", "--frames", {str(sess / "frames")!r}, "--boxes", "boxes.jsonl"],
+    "segment": ["segment", "--detections", {detections!r}],
+    "fuse": ["fuse", "--detections", {detections!r}],
+    "pipeline": ["pipeline", "--session", {str(sess)!r}],
+}}
+loaded = {{}}
+for name, argv in commands.items():
+    assert cli.main(argv + ["--config", {config!r}, "--out", name]) == 0, name
+    loaded[name] = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+print(json.dumps(loaded))
 """
-    after_flow, after_pipeline = fresh(code, tmp_path)
-    assert after_flow == []
-    assert "scipy.linalg" in after_pipeline
-    assert not [name for name in after_pipeline if name.startswith(("scipy.ndimage", "scipy.special"))]
-    assert (tmp_path / "flow" / "flow_groups.json").exists() and (tmp_path / "o" / "report.json").exists()
+    loaded = fresh(code, tmp_path)
+    assert loaded.pop("flow-group") == []
+    if numkit._BAND_LAPACK is not None:  # else segmentation's band routines come from scipy.linalg.lapack
+        assert loaded == {"segment": [], "fuse": [], "pipeline": []}
+    for name, output in (("flow-group", "flow_groups.json"), ("segment", "change_points.json"),
+                         ("fuse", "episodes.json"), ("pipeline", "report.json")):
+        assert (tmp_path / name / output).exists(), name

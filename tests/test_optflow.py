@@ -489,7 +489,7 @@ def _good_features_reference(img, max_count, quality, window):
     best = inner.max()
     if best <= 0:
         return np.empty((0, 2))
-    peaks = (inner >= quality * best) & (inner == maximum_filter(inner, size=window))
+    peaks = (inner > 0) & (inner >= quality * best) & (inner == maximum_filter(inner, size=window))
     ys, xs = np.nonzero(peaks)
     order = sorted(range(xs.size), key=lambda i: (-inner[ys[i], xs[i]], ys[i], xs[i]))
     kept = []
@@ -1003,10 +1003,10 @@ def _filter_stacks(draw, elements=_FILTER_VALUES):
     stack=_filter_stacks(),
     signs=st.lists(st.sampled_from([1.0, -1.0]), min_size=2, max_size=2),
     max_count=st.integers(1, 40),
-    # 5e-324 makes quality * best underflow to 0, so the margin's zeros qualify as corners
+    # 5e-324 makes quality * best underflow to 0, which leaves positive responses as the only rule
     quality=st.sampled_from([5e-324, 0.01, 0.1, 0.5, 1.0]),
 )
-# one faint dot: its best response underflows, and zeros all along the border are kept
+# one faint dot: quality * best underflows, and only the dot's positive responses qualify, no zeros
 @example(stack=(np.pad([[[0.5]]], ((0, 0), (6, 5), (8, 7))), 3), signs=[1.0, -1.0], max_count=40, quality=5e-324)
 def test_corner_filters_give_scipys_bits(stack, signs, max_count, quality):
     images, window = stack
@@ -1030,6 +1030,12 @@ def test_corner_filters_give_scipys_bits(stack, signs, max_count, quality):
         want = _good_features_reference(img, max_count, quality, window)
         assert np.array_equal(got, want)
         assert np.array_equal(optflow.good_features(img, max_count, quality, window), want)
+
+
+def test_faint_dot_gives_no_zero_response_corners():
+    # quality * best underflows to 0, yet no zero response, in the margin band or beside the dot, is a corner
+    img = np.pad([[0.5]], ((6, 5), (8, 7)))
+    assert optflow.good_features(img, 40, 5e-324, 3).tolist() == [[8.0, 6.0]]
 
 
 def _pearson(a, b):
