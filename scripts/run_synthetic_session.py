@@ -12,7 +12,6 @@ below the pipeline's.
 """
 
 import argparse
-import ctypes
 import json
 import resource
 import sys
@@ -21,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from epkit import cli, fileio
+from epkit import cli, fileio, numkit
 
 DEFAULT_SCHEDULE = [
     ["safe_driving", 300],
@@ -30,14 +29,6 @@ DEFAULT_SCHEDULE = [
     ["talking_on_phone_left", 300],
     ["operating_radio", 300],
 ]
-
-
-def openblas_threads():
-    """numpy's bundled OpenBLAS thread count, or None where it does not report one."""
-    try:
-        return ctypes.CDLL(np.linalg._umath_linalg.__file__).scipy_openblas_get_num_threads64_()
-    except (AttributeError, OSError):
-        return None
 
 
 def peak_rss_mib(who) -> float:
@@ -112,7 +103,7 @@ def main() -> int:
     print(f"rpca warning frames:  {len(report['stages'].get('rpca', {}).get('warning_frames', []))}")
     print(f"peak RSS, this process: {peak_rss_mib(resource.RUSAGE_SELF):.1f} MiB")
     print(f"peak RSS, rpca + flow worker: {peak_rss_mib(resource.RUSAGE_CHILDREN):.1f} MiB")
-    print(f"numpy BLAS threads:     {openblas_threads()}")
+    print(f"numpy BLAS threads:     {numkit.OPENBLAS_THREADS[1]() if numkit.OPENBLAS_THREADS else None}")
     print(f"episodes: {[ (e['label'], e['start'], e['end']) for e in report['stages']['episodes'] ][:8]}")
     return 0
 

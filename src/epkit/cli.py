@@ -160,11 +160,7 @@ def _synth_piecewise(out, seed, params):
     fileio.write_matrix(os.path.join(out, "w.mat"), bundle.payload["w"])
     fileio.write_json(
         os.path.join(out, "meta.json"),
-        {
-            "seed": seed,
-            "params": settings,
-            "change_points": bundle.ground_truth["change_points"],
-        },
+        {"seed": seed, "params": settings, "change_points": bundle.ground_truth["change_points"]},
     )
 
 

@@ -6,11 +6,10 @@ RpcaConfig, "gfl" onto GflConfig, "flow" onto FlowConfig, "fusion" onto
 FusionConfig. "episode_rules" is null (the built-in table), a path to a
 rule-table file or an inline table, and "downscale_limit" the longest-side
 pixel limit for frames. The JSON key "lambda" maps to the attribute `lam`.
-`load_config` builds and range-checks every section once, fusion too without
-a wheel region, so a bad setting fails before any stage runs; a setting's
-default, or for a None default its field's metadata["number_rule"], also
-fixes its type (fusion.check_number), and its field's metadata bounds
-("min", "above", "max", "below") fix its range (fusion.check_ranges).
+`load_config` only maps keys: each dataclass, `Config` too, checks every
+setting's type and range when it is built (fusion.check_settings), so
+settings built in code meet the rules a file does, and a bad setting in a
+file fails before any stage runs, named by its key ("rpca.lambda").
 """
 
 from __future__ import annotations
@@ -19,12 +18,13 @@ import dataclasses
 from dataclasses import dataclass, field
 
 from .fileio import ConfigError, InputFormatError, read_json
-from .fusion import DEFAULT_EPISODE_RULES, EpisodeRuleTable, FusionConfig, check_number, check_ranges
+from .fusion import DEFAULT_EPISODE_RULES, EpisodeRuleTable, FusionConfig, check_settings
 from .gflasso import GflConfig
 from .optflow import FlowConfig
 from .rpca import RpcaConfig
 
 SECTIONS = {"rpca": RpcaConfig, "gfl": GflConfig, "flow": FlowConfig, "fusion": FusionConfig}
+_KEYS = {"lam": "lambda"}  # attribute -> its key in a config file, where the two differ
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,7 @@ class Config:
     episode_rules: EpisodeRuleTable = DEFAULT_EPISODE_RULES
 
     def __post_init__(self):
-        check_ranges(self, ConfigError)
+        check_settings(self, ConfigError)
 
     def require_fusion(self) -> None:
         if self.fusion.wheel_region is None:
@@ -65,9 +65,7 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Confi
             value = _build(SECTIONS[key], key, _section(data, key))
         elif key == "episode_rules":
             value = _episode_rules(value)
-        elif key == "downscale_limit":
-            check_number(key, value, Config.downscale_limit, ConfigError)
-        else:
+        elif key != "downscale_limit":
             raise ConfigError(f"unknown config key {key!r}")
         kwargs[key] = value
     return Config(**kwargs)
@@ -96,17 +94,15 @@ def _section(data: dict, key: str) -> dict:
 
 
 def _build(cls, key: str, section: dict):
-    fields = {("lambda" if f.name == "lam" else f.name): f for f in dataclasses.fields(cls)}
-    for name, value in section.items():
-        if name not in fields:
+    names = {_KEYS.get(f.name, f.name): f.name for f in dataclasses.fields(cls)}
+    for name in section:
+        if name not in names:
             raise ConfigError(f"unknown config key {key}.{name!r}")
-        default = fields[name].default
-        rule = default if value is None else fields[name].metadata.get("number_rule", default)
-        check_number(f"{key}.{name}", value, rule, ConfigError)
     try:
-        return cls(**{fields[name].name: value for name, value in section.items()})
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key}.{exc}") from None
+        return cls(**{names[name]: value for name, value in section.items()})
+    except (TypeError, ValueError) as exc:  # its message starts with the attribute's name
+        name, _, rest = str(exc).partition(" ")
+        raise ConfigError(f"{key}.{_KEYS.get(name, name)} {rest}") from None
 
 
 def _episode_rules(rules) -> EpisodeRuleTable:

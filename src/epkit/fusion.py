@@ -35,6 +35,8 @@ from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from typing import Sequence
 
+import numpy as np
+
 ARM_JOINTS = ("r_shoulder", "r_elbow", "r_wrist", "l_shoulder", "l_elbow", "l_wrist")
 _DIAG = math.sqrt(2.0)
 _FLOAT_MAX = sys.float_info.max
@@ -98,7 +100,7 @@ class FusionConfig:
     consistency_frames: int | None = field(default=None, metadata={"number_rule": 1, "min": 1})
 
     def __post_init__(self):
-        check_ranges(self)
+        check_settings(self)
         if self.hand_score_strict < self.hand_score_min:
             raise ValueError("hand_score_strict must be at least hand_score_min")
         if self.wrist_edge_dist_strict > self.wrist_edge_dist_max:
@@ -163,30 +165,42 @@ def is_number(v) -> bool:
     return type(v) in (int, float) and -_FLOAT_MAX <= v <= _FLOAT_MAX
 
 
-def check_number(name: str, value, default, error=ValueError) -> None:
-    """Raise *error* if *value* breaks the number rule of a setting whose default is *default*.
+def check_number(name: str, value, default, error=ValueError):
+    """*value*, a numpy int or float scalar as the Python number it equals; raise *error* if it breaks
+    the number rule of a setting whose default is *default*.
 
     An int default takes integers, a float default what is_number accepts,
-    and bool is neither; other defaults carry no number rule. config applies
-    it to every setting, EpisodeRule to every predicate parameter.
+    and bool is neither; other defaults carry no number rule.
     """
-    if type(default) is int and type(value) is not int:
+    plain = value.item() if isinstance(value, (np.integer, np.floating)) else value  # np.bool_ is neither
+    if type(default) is int and type(plain) is not int:
         raise error(f"{name} must be an integer, got {value!r}")
-    if type(default) is float and not is_number(value):
-        raise error(f"{name} must be {'finite' if type(value) in (int, float) else 'a number'}, got {value!r:.30}")
+    if type(default) is float and not is_number(plain):
+        raise error(f"{name} must be {'finite' if type(plain) in (int, float) else 'a number'}, got {value!r:.30}")
+    return plain
 
 
-def check_ranges(settings, error=ValueError) -> None:
-    """Raise *error* naming the first field of dataclass *settings* outside a bound its metadata declares.
+def check_settings(settings, error=ValueError) -> None:
+    """Raise *error* naming the first field of dataclass *settings* that breaks its number rule, then a bound.
 
-    The keys are "min" (>=), "above" (>), "max" (<=) and "below" (<); None passes.
-    Each test is the condition that passes, so NaN fails every bound.
+    Every settings dataclass, Config too, calls it when built, so code and config files meet the same rules.
+    A field's number rule (check_number) is its default's, or metadata["number_rule"]'s for a None default,
+    the one default that passes None; its bounds are metadata "min" (>=), "above" (>), "max" (<=), "below"
+    (<). A numpy int or float scalar passes, and the field keeps the Python number it equals.
     """
-    for f in fields(settings):
-        value = getattr(settings, f.name)
-        for key, (passes, words) in _BOUNDS.items():
-            if key in f.metadata and value is not None and not passes(value, f.metadata[key]):
-                raise error(f"{f.name} must be {words} {f.metadata[key]}, got {value!r}")
+    for f in fields(settings):  # object.__setattr__: Config is frozen
+        object.__setattr__(settings, f.name, check_field(f, getattr(settings, f.name), error))
+
+
+def check_field(f, value, error=ValueError):
+    """*value* as check_number returns it; raise *error* naming dataclass field *f* unless it keeps f's rules."""
+    if value is None and f.default is None:
+        return None
+    value = check_number(f.name, value, f.metadata.get("number_rule", f.default), error)
+    for key, (passes, words) in _BOUNDS.items():
+        if key in f.metadata and not passes(value, f.metadata[key]):
+            raise error(f"{f.name} must be {words} {f.metadata[key]}, got {value!r}")
+    return value
 
 
 def check_box(name: str, box) -> None:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fusion import check_number, check_ranges
+from .fusion import check_field, check_number, check_settings
 from .numkit import BandCholesky, as_matrix
 
 
@@ -44,14 +44,19 @@ class GflConfig:
     min_gap: int = field(default=5, metadata={"min": 1})
 
     def __post_init__(self):
-        check_ranges(self)
+        check_settings(self)
         if self.threshold is not None:
-            levels = self.threshold if isinstance(self.threshold, (list, tuple)) else [self.threshold]
-            for t in levels:
-                check_number("threshold", t, 0.0)
-            if not levels or min(levels) < 0:
-                raise ValueError(f"threshold must be one or more non-negative numbers, got {self.threshold!r}")
-            self.threshold = [float(t) for t in levels]
+            self.threshold = threshold_levels(self.threshold)
+
+
+def threshold_levels(threshold) -> list[float]:
+    """GflConfig's threshold rule: one or more finite non-negative numbers, returned as a list of floats."""
+    levels = threshold if isinstance(threshold, (list, tuple)) else [threshold]
+    for t in levels:
+        check_number("threshold", t, 0.0)
+    if not levels or min(levels) < 0:
+        raise ValueError(f"threshold must be one or more non-negative numbers, got {threshold!r}")
+    return [float(t) for t in levels]
 
 
 @dataclass
@@ -78,9 +83,7 @@ class SegmentLabeling:
     group_ids: list[int] = field(init=False)
 
     def __post_init__(self):
-        cps = self.change_points
-        for c in cps:
-            check_number("change_points", c, 0)
+        cps = self.change_points = [check_number("change_points", c, 0) for c in self.change_points]
         if any(b <= a for a, b in zip(cps, cps[1:])):
             raise ValueError("change_points must be strictly increasing")
         if cps and (cps[0] < 0 or cps[-1] >= self.n_frames - 1):
@@ -136,9 +139,6 @@ def validate_inputs(x, w, cfg: GflConfig) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"x and w shapes differ: {xa.shape} vs {wa.shape}")
     if np.any(wa < 0):
         raise ValueError("weights must be non-negative")
-    positive = np.count_nonzero(wa > 0, axis=1)
-    if not positive.all():
-        raise ValueError(f"weight row {int(np.argmin(positive))} has no positive entry")
     if cfg.order >= xa.shape[1]:
         raise ValueError(f"order {cfg.order} must be smaller than T={xa.shape[1]}")
     # diag(w_d^2) + rho Q Q^T is singular exactly when a nonzero polynomial of
@@ -229,13 +229,11 @@ def extract_change_points(strengths, threshold: float, min_gap: int, n_frames: i
     Indices above *threshold* are kept greedily in decreasing strength order
     (ties: earlier index wins) subject to pairwise distance >= min_gap.
     At order p a fit over n_frames frames has n_frames - p strengths.
+    threshold and min_gap are checked by GflConfig's rules for them.
     """
+    threshold_levels(threshold)
+    check_field(GflConfig.__dataclass_fields__["min_gap"], min_gap)
     s = np.asarray(strengths, dtype=np.float64).ravel()
-    if threshold < 0:
-        raise ValueError(f"threshold must be non-negative, got {threshold}")
-    if min_gap < 1:
-        raise ValueError(f"min_gap must be at least 1, got {min_gap}")
-
     candidates = [i for i in range(s.size) if s[i] > threshold]
     candidates.sort(key=lambda i: (-s[i], i))
     kept: list[int] = []

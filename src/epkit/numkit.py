@@ -2,14 +2,14 @@
 
 Everything here operates on plain float64 numpy arrays. Inputs are
 validated for shape and finiteness once, at the boundary; the solvers built
-on top assume clean data. All functions are pure.
+on top assume clean data. All functions but blas_threads are pure.
 
 OPENBLAS is the one handle on numpy's bundled OpenBLAS (scipy-openblas64:
 64-bit integers, symbols named scipy_<routine>_64_), or None where numpy
 cannot be loaded through ctypes. BandCholesky calls its band LAPACK routines
-through it, and pipeline.blas_threads its thread-count calls; where numpy does
-not export them (numpy on Accelerate or MKL), the same band routines come from
-scipy.linalg.lapack.
+through it, and blas_threads its thread-count calls (OPENBLAS_THREADS); where
+numpy does not export them (numpy on Accelerate or MKL), the same band
+routines come from scipy.linalg.lapack.
 """
 
 from __future__ import annotations
@@ -20,9 +20,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-OPENBLAS = None
+OPENBLAS = OPENBLAS_THREADS = None  # OPENBLAS_THREADS: its (set, get) thread-count calls, where it exports them
 with contextlib.suppress(AttributeError, OSError):
     OPENBLAS = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    OPENBLAS_THREADS = OPENBLAS.scipy_openblas_set_num_threads64_, OPENBLAS.scipy_openblas_get_num_threads64_
+
+
+@contextlib.contextmanager
+def blas_threads(n: int):
+    """Pin numpy's OpenBLAS to n threads inside the block, then restore its count; a no-op without the calls."""
+    set_threads, get_threads = OPENBLAS_THREADS or (lambda n: None, lambda: None)
+    before = get_threads()
+    set_threads(n)
+    try:
+        yield
+    finally:
+        set_threads(before)
 
 
 def as_matrix(m, name: str = "matrix") -> np.ndarray:

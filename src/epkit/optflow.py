@@ -44,7 +44,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .fusion import check_box, check_ranges
+from .fusion import check_box, check_settings
 from .numkit import as_matrix
 
 # Forward feature points solved in one batch. On the 400-frame benchmark
@@ -75,7 +75,7 @@ class FlowConfig:
     merge_threshold: float = field(default=0.9, metadata={"min": -1.0, "below": 1.0})
 
     def __post_init__(self):
-        check_ranges(self)
+        check_settings(self)
         if self.window < 3 or self.window % 2 == 0:
             raise ValueError(f"window must be odd and >= 3, got {self.window}")
 

@@ -41,23 +41,6 @@ def _stage(name: str, fn, *args):
         raise StageError(name, exc) from exc
 
 
-_OPENBLAS = None  # numpy's bundled OpenBLAS (set, get) thread-count calls, where it exports them
-with contextlib.suppress(AttributeError):
-    _OPENBLAS = numkit.OPENBLAS.scipy_openblas_set_num_threads64_, numkit.OPENBLAS.scipy_openblas_get_num_threads64_
-
-
-@contextlib.contextmanager
-def blas_threads(n: int):
-    """Pin numpy's OpenBLAS to n threads inside the block, then restore its count; a no-op without the calls."""
-    set_threads, get_threads = _OPENBLAS or (lambda n: None, lambda: None)
-    before = get_threads()
-    set_threads(n)
-    try:
-        yield
-    finally:
-        set_threads(before)
-
-
 def in_worker(fn, *args):
     """Start fn(*args) in a forked child; return a function that waits for it.
 
@@ -180,7 +163,7 @@ def run_rpca_stage(mat: np.ndarray, cfg: Config, out_dir: str) -> dict:
     if not (np.isfinite(mat).all() and mat.any()):
         raise fileio.SchemaError(f"rpca input {mat.shape[0]}x{mat.shape[1]} must be finite and not all zero")
     fileio.make_dir(out_dir)
-    with blas_threads(1):  # the same bytes whatever the core count: in a worker, inline or from `epkit rpca`
+    with numkit.blas_threads(1):  # the same bytes whatever the core count: in a worker, inline or from `epkit rpca`
         result = rpca.decompose(mat, cfg.rpca)
         energy = np.linalg.norm(result.sparse, axis=0)  # per-frame outlier energy
         warns = warning_frames(energy, cfg.rpca.warn_factor)
@@ -230,10 +213,7 @@ def run_segmentation_stage(signal, cfg: Config, out_dir: str) -> dict:
     top = float(strengths.max())  # validate_inputs holds order < T, so there is at least one strength
     thresholds = cfg.gfl.threshold or [cfg.gfl.threshold_fraction * top]
     min_gap = cfg.gfl.min_gap
-    labelings = [
-        gflasso.extract_change_points(strengths, t, min_gap, n_frames=n_frames)
-        for t in thresholds
-    ]
+    labelings = [gflasso.extract_change_points(strengths, t, min_gap, n_frames=n_frames) for t in thresholds]
     fileio.write_csv(
         os.path.join(out_dir, "strengths.csv"),
         ["boundary", "strength"],
@@ -390,7 +370,7 @@ def run_pipeline(session_dir: str, cfg: Config, out_dir: str) -> dict:
     report: dict = {"stages": {}, "frames": []}
 
     # the worker holds a CPU: this process keeps one BLAS thread until it is reaped
-    with contextlib.closing(_Claims(optflow._chunks(boxes_per_frame, cfg.flow))) as claims, blas_threads(1):
+    with contextlib.closing(_Claims(optflow._chunks(boxes_per_frame, cfg.flow))) as claims, numkit.blas_threads(1):
         worker = in_worker(_flow_job, frames, boxes_per_frame, cfg, out_dir, claims) if len(frames) else None
         try:
             seg = _stage("segmentation", run_segmentation_stage, signal, cfg, out_dir)

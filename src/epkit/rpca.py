@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numkit
-from .fusion import check_ranges
+from .fusion import check_settings
 from .numkit import as_matrix, soft_threshold
 
 
@@ -50,7 +50,7 @@ class RpcaConfig:
     warn_factor: float = field(default=2.0, metadata={"min": 0.0})
 
     def __post_init__(self):
-        check_ranges(self)
+        check_settings(self)
 
 
 @dataclass

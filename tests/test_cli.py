@@ -924,6 +924,8 @@ def test_pipeline_bad_flow_setting_exits_4_before_any_stage(tmp_path, capsys, se
     ("fusion", {"wrist_edge_dist_strict": -0.01}, "fusion.wrist_edge_dist_strict must be at least 0.0, got -0.01"),
     ("fusion", {"elbow_angle_max_deg": -5}, "fusion.elbow_angle_max_deg must be at least 0.0, got -5"),
     ("rpca", {"warn_factor": -1}, "rpca.warn_factor must be at least 0.0, got -1"),
+    ("rpca", {"lambda": -1}, "rpca.lambda must be above 0.0, got -1"),
+    ("gfl", {"lambda": -1}, "gfl.lambda must be at least 0.0, got -1"),
 ])
 def test_pipeline_bad_setting_exits_4_before_any_stage(tmp_path, capsys, section, setting, message):
     sess = _tiny_session(tmp_path)

@@ -650,8 +650,8 @@ _PAIRED = {"hand_score_min": "hand_score_strict", "hand_score_strict": "hand_sco
 
 @pytest.mark.parametrize("cls", list(_BOUNDED), ids=lambda cls: cls.__name__)
 def test_every_declared_bound_refuses_nan_and_holds_at_its_own_value(cls):
-    for name in _BOUNDED[cls]:
-        with pytest.raises((ValueError, ConfigError), match=f"^{name} must be (at least|above|at most|below) "):
+    for name in _BOUNDED[cls]:  # the number rule, checked before the bounds, refuses NaN first
+        with pytest.raises((ValueError, ConfigError), match=f"^{name} must be (finite|an integer), got nan$"):
             cls(**{name: math.nan})
     bounded = {f.name: f.metadata for f in dataclasses.fields(cls) if set(f.metadata) - {"number_rule"}}
     assert list(bounded) == _BOUNDED[cls]
@@ -663,6 +663,32 @@ def test_every_declared_bound_refuses_nan_and_holds_at_its_own_value(cls):
             elif key in ("above", "below"):
                 with pytest.raises(ValueError, match=f"^{name} must be {key} {value}, got {value}$"):
                     cls(**settings)
+
+
+# per section: an int field, a float field (Config has none) and a field whose default is not None
+_TYPED = {RpcaConfig: ("max_iterations", "tolerance", "warn_factor"), GflConfig: ("order", "lam", "min_gap"),
+          FlowConfig: ("window", "step_tol", "max_features"),
+          FusionConfig: ("consistency_frames", "frame_rate", "pose_score_min"),
+          Config: ("downscale_limit", None, "downscale_limit")}
+
+
+@pytest.mark.parametrize("cls", list(_TYPED), ids=lambda cls: cls.__name__)
+def test_settings_built_in_code_follow_the_number_rule(cls):
+    int_field, float_field, not_none = _TYPED[cls]
+    refused = [(int_field, v, "an integer") for v in (2.5, True, np.float64(2.0), np.bool_(True), "3")]
+    if float_field:
+        refused += [(float_field, v, "a number") for v in (True, np.bool_(True), "x", None)]
+    refused.append((not_none, None, "(a number|an integer)"))
+    for name, value, words in refused:
+        with pytest.raises((ValueError, ConfigError), match=f"^{name} must be {words}, got "):
+            cls(**{name: value})
+    # numpy real scalars pass, stored as the Python numbers they equal, so the writers take them
+    kept = [(int_field, np.int64(3), 3)]
+    if float_field:
+        kept += [(float_field, np.float64(0.5), 0.5), (float_field, np.float32(0.5), 0.5)]
+    for name, value, plain in kept:
+        stored = getattr(cls(**{name: value}), name)
+        assert stored == plain and type(stored) is type(plain)
 
 
 def _classify_episode_by_group_ids(frames, verdicts, segments, rule_table):

@@ -297,6 +297,31 @@ def test_extract_change_points_min_gap_and_ties():
         gflasso.extract_change_points([1.0], 0.5, 0, 2)
 
 
+def test_extract_change_points_follows_gfl_config_rules():
+    for threshold, min_gap, message in ((0.5, 2.5, "min_gap must be an integer"), (0.5, 0, "min_gap must be at least 1"),
+                                        (-1, 1, "threshold must be one or more non-negative numbers")):
+        with pytest.raises(ValueError, match=message):
+            gflasso.extract_change_points([1.0, 0.0], threshold, min_gap, 3)
+    lab = gflasso.extract_change_points(np.array([0.0, 2.0, 0.0]), np.float64(1.0), np.int64(1), 4)
+    assert lab.change_points == [1]
+
+
+def test_segment_labeling_takes_numpy_change_points():
+    labeling = gflasso.SegmentLabeling([np.int64(3)], 10)
+    assert labeling.group_ids == [0] * 4 + [1] * 6
+    assert type(labeling.change_points[0]) is int  # as the writers take it
+
+
+def test_solve_takes_numpy_scalars_with_python_numbers_bits():
+    frames = gen_driver_session([("safe_driving", 40), ("drinking", 40)], seed=4).payload["frames"]
+    x, w = gflasso.normalize_and_weight([p for p, _h, _o in frames])
+    plain = gflasso.solve(x, w, gflasso.GflConfig(lam=0.7, order=2))
+    scalars = gflasso.solve(x, w, gflasso.GflConfig(lam=np.float64(0.7), order=np.int64(2)))
+    for name in ("smoothed", "jump_strengths"):
+        assert getattr(plain, name).tobytes() == getattr(scalars, name).tobytes()
+    assert (plain.objective, plain.iterations) == (scalars.objective, scalars.iterations)
+
+
 @given(st.integers(0, 2**32 - 1))
 def test_threshold_nesting_property(seed):
     g = rng(seed)

@@ -1,8 +1,9 @@
 """Which commands load scipy, each checked in a fresh interpreter.
 
 scipy is imported only inside the functions that call it, so importing
-epkit, `rpca.decompose`, `epkit rpca`, `epkit flow-group`, `epkit segment`,
-`epkit fuse` without `--segments` and `epkit pipeline` load none of it: flow
+epkit, `rpca.decompose`, `epkit rpca`, the `piecewise` and `driver_session`
+generators, `epkit flow-group`, `epkit segment`, `epkit fuse` without
+`--segments` and `epkit pipeline` load none of it: flow
 grouping's corner filters are numpy, and segmentation's banded solve runs on
 numpy's OpenBLAS (on scipy.linalg.lapack only where numpy does not export
 the band routines, and then only flow-group is checked).
@@ -39,10 +40,15 @@ assert rpca.decompose(bundle.payload["x"]).converged
 assert cli.main(["synth", "--generator", "lowrank_sparse", "--params", '{"d": 40, "t": 30, "rank": 2}',
                  "--out", "m"]) == 0
 assert cli.main(["rpca", "--input", "m/x.mat", "--out", "o"]) == 0
+assert cli.main(["synth", "--generator", "piecewise", "--params", '{"d": 4, "t": 30, "change_points": [10, 20]}',
+                 "--out", "p"]) == 0
+assert cli.main(["synth", "--generator", "driver_session", "--params",
+                 '{"episode_schedule": [["safe_driving", 6]]}', "--out", "s"]) == 0
 print(json.dumps(sorted(name for name in sys.modules if name.split(".")[0] == "scipy")))
 """
     assert fresh(code, tmp_path) == []
     assert (tmp_path / "o" / "low_rank.mat").exists()
+    assert (tmp_path / "p").is_dir() and (tmp_path / "s" / "detections.jsonl").exists()
 
 
 def test_flow_group_segment_fuse_and_pipeline_load_no_scipy(tmp_path):
