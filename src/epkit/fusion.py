@@ -31,7 +31,7 @@ import math
 import operator
 import sys
 from collections import Counter
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from functools import cached_property
 from typing import Sequence
 
@@ -186,7 +186,9 @@ def check_settings(settings, error=ValueError) -> None:
     Every settings dataclass, Config too, calls it when built, so code and config files meet the same rules.
     A field's number rule (check_number) is its default's, or metadata["number_rule"]'s for a None default,
     the one default that passes None; its bounds are metadata "min" (>=), "above" (>), "max" (<=), "below"
-    (<). A numpy int or float scalar passes, and the field keeps the Python number it equals.
+    (<). A numpy int or float scalar passes, and the field keeps the Python number it equals. A field whose
+    default is a dataclass instance, or whose default_factory is a dataclass (Config's sections), holds an
+    instance of that class.
     """
     for f in fields(settings):  # object.__setattr__: Config is frozen
         object.__setattr__(settings, f.name, check_field(f, getattr(settings, f.name), error))
@@ -196,6 +198,12 @@ def check_field(f, value, error=ValueError):
     """*value* as check_number returns it; raise *error* naming dataclass field *f* unless it keeps f's rules."""
     if value is None and f.default is None:
         return None
+    # a section's default_factory is its class; calling it would build one
+    kind = type(f.default) if f.default_factory is MISSING else f.default_factory
+    if is_dataclass(kind):
+        if not isinstance(value, kind):
+            raise error(f"{f.name} must be an instance of {kind.__name__}, got {value!r:.30}")
+        return value
     value = check_number(f.name, value, f.metadata.get("number_rule", f.default), error)
     for key, (passes, words) in _BOUNDS.items():
         if key in f.metadata and not passes(value, f.metadata[key]):

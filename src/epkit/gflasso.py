@@ -50,13 +50,19 @@ class GflConfig:
 
 
 def threshold_levels(threshold) -> list[float]:
-    """GflConfig's threshold rule: one or more finite non-negative numbers, returned as a list of floats."""
+    """GflConfig's threshold rule: one or more levels, each kept by threshold_level, returned as a list."""
     levels = threshold if isinstance(threshold, (list, tuple)) else [threshold]
-    for t in levels:
-        check_number("threshold", t, 0.0)
-    if not levels or min(levels) < 0:
+    if not levels:
         raise ValueError(f"threshold must be one or more non-negative numbers, got {threshold!r}")
-    return [float(t) for t in levels]
+    return [threshold_level(t) for t in levels]
+
+
+def threshold_level(t) -> float:
+    """One change-point level as a float; ValueError naming threshold unless it is a finite number >= 0."""
+    t = check_number("threshold", t, 0.0)
+    if t < 0:
+        raise ValueError(f"threshold must be one or more non-negative numbers, got {t!r}")
+    return float(t)
 
 
 @dataclass
@@ -229,9 +235,9 @@ def extract_change_points(strengths, threshold: float, min_gap: int, n_frames: i
     Indices above *threshold* are kept greedily in decreasing strength order
     (ties: earlier index wins) subject to pairwise distance >= min_gap.
     At order p a fit over n_frames frames has n_frames - p strengths.
-    threshold and min_gap are checked by GflConfig's rules for them.
+    threshold is one level (threshold_level), and min_gap is checked by GflConfig's rule for it.
     """
-    threshold_levels(threshold)
+    threshold = threshold_level(threshold)
     check_field(GflConfig.__dataclass_fields__["min_gap"], min_gap)
     s = np.asarray(strengths, dtype=np.float64).ravel()
     candidates = [i for i in range(s.size) if s[i] > threshold]

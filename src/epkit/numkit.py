@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -222,8 +223,41 @@ def soft_threshold(m, tau: float, out: np.ndarray | None = None) -> np.ndarray:
 # One warm block per call: a block that misses goes straight to the full step.
 SVT_OVERSAMPLING = 10  # block columns beyond the warm-start basis
 SVT_RTOL = 1e-10  # Ritz values above tau are settled once they move less than this, relatively
-SVT_MAX_STEPS = 25  # subspace-iteration steps per block before the full step takes over
 SVT_MAX_FRACTION = 0.25  # largest block, as a share of min(rows, cols), worth a partial SVD
+
+# Step budget of a warm block (ski rental, Karlin et al. 1988): keep taking
+# block steps while the steps already taken cost less than the full step a
+# miss then runs, so a block that never settles costs at most about twice the
+# flops of the full step alone. Costs are flop counts (Golub & Van Loan,
+# Matrix Computations, 4th ed.) for an m x n matrix, p = min(m, n),
+# q = max(m, n), and a block of k columns (k < p):
+#   block step = 2 * 2mnk       (a v and q^T a)
+#              + 4mk^2 - 4k^3/3 (Householder QR of the m x k block, thin Q formed)
+#              + svd(k, n)      (Rayleigh-Ritz on the k x n block)
+#   full step  = 2p^2 q + 9p^3  (the Gram matrix and its eigh, symmetric QR with vectors)
+#              + svd(p, q)      (the LAPACK SVD of the whole matrix)
+# with svd(p, q) = 6qp^2 + 20p^3 for a thin R-SVD of a p x q matrix, p <= q.
+# The full step is priced as the Gram attempt plus the LAPACK SVD because that
+# is what a miss costs on a session matrix, whose kept values reach too far
+# below the largest for the certificate. The budget is ceil(full / block):
+# 49 steps on 768 x 400 at k = 40, 120 on 768 x 600 at k = 34, 72 on 200 x 200
+# at k = 20 and 118 on 768 x 1500 at k = 34. LAPACK's divide-and-conquer
+# drivers run below these counts (with one BLAS thread the full step took the
+# time of 24, 62, 31 and 78 block steps there), so the budget errs toward more
+# steps; recovery and 400-frame session blocks settle in at most 12.
+
+
+def _step_budget(m: int, n: int, k: int) -> int:
+    """Block steps a warm call on an m x n matrix with a k-column block may take (see above)."""
+
+    def svd_flops(p, q):
+        return 6 * q * p * p + 20 * p**3
+
+    p, q = min(m, n), max(m, n)
+    block = 4 * m * n * k + 4 * m * k * k - 4 * k**3 / 3 + svd_flops(k, n)
+    full = 2 * p * p * q + 9 * p**3 + svd_flops(p, q)
+    return math.ceil(full / block)
+
 
 # Shrinkage through the Gram matrix. For a matrix A with m rows and n columns,
 # the smaller Gram matrix G (A^T A or A A^T, min(m, n) square) is made of
@@ -285,8 +319,9 @@ def singular_value_threshold(m, tau: float, basis=None) -> SvdFactors:
     call's `right`), plus SVT_OVERSAMPLING columns, starts one block subspace
     iteration when that block fits SVT_MAX_FRACTION of min(rows, cols); its
     triplets are kept once their values above tau settle and the block
-    reaches one at or below tau. Otherwise (no basis, a block too wide, the
-    step cap or a block with no value at or below tau) the full step runs:
+    reaches one at or below tau. Otherwise (no basis, a block too wide, a
+    block that has not settled within its step budget, or one with no value
+    at or below tau) the full step runs:
     the Gram matrix's triplets (gram_svd) when its error bound certifies
     them, else the full LAPACK SVD. Only the full step checks *m* for
     non-finite entries: the Gram matrix refuses them, and the LAPACK SVD
@@ -306,13 +341,13 @@ def singular_value_threshold(m, tau: float, basis=None) -> SvdFactors:
 
 
 def _subspace_iteration(a: np.ndarray, tau: float, v: np.ndarray) -> SvdFactors | None:
-    """Block subspace iteration from the columns of *v*; None past the step cap.
+    """Block subspace iteration from the columns of *v*; None once _step_budget's steps pass unsettled.
 
     Each Rayleigh-Ritz step tries the Gram matrix of the k x n block first;
     after one step it cannot certify, the remaining steps use svd (LAPACK, with its fallback).
     """
     previous, gram = None, True
-    for _ in range(SVT_MAX_STEPS):
+    for _ in range(_step_budget(*a.shape, v.shape[1])):
         q, _r = np.linalg.qr(a @ v)
         b = q.T @ a
         f = gram_svd(b, tau, b.shape[0]) if gram else None

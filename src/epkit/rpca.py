@@ -13,10 +13,10 @@ when it reaches a value at or below 1/rho; the first iteration, a block too
 wide and a block that misses take the full step. Both take their singular
 triplets from the eigendecomposition of the smaller Gram matrix when its
 error bound certifies them (numkit.gram_svd), else from the LAPACK SVD. The
-input is validated once, on entry. The iterates live in four matrices of the
-input's shape, allocated once and updated in place, so no iteration allocates
-one; only the first, for an input not in C order, copies its shrinkage input
-into the input's own layout.
+input is validated once, on entry, and taken in C order (copied there if it
+is not), so an input gives the same bits in any memory layout. The iterates
+live in four matrices of the input's shape, allocated once and updated in
+place, so no iteration allocates one.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ def decompose(x, cfg: RpcaConfig | None = None) -> RpcaResult:
     Returns a flagged (converged=False) result if max_iterations is reached;
     raises ValueError for zero or non-finite input.
     """
-    a = as_matrix(x, "x")
+    a = np.ascontiguousarray(as_matrix(x, "x"))  # the Gram product's bits depend on the layout
     if not np.any(a):
         raise ValueError("decompose requires a nonzero matrix")
     if cfg is None:
@@ -105,13 +105,7 @@ def decompose(x, cfg: RpcaConfig | None = None) -> RpcaResult:
         np.divide(y, rho, out=t)
         np.subtract(a, s, out=w)
         w += t
-        shrink = w
-        if f is None and not a.flags.c_contiguous:
-            # the first step reads its input in x's own memory layout, later
-            # steps in C order; the Gram product's bits depend on the layout
-            shrink = np.empty_like(a)
-            shrink[...] = w
-        f = numkit.singular_value_threshold(shrink, 1.0 / rho, None if f is None else f.right)
+        f = numkit.singular_value_threshold(w, 1.0 / rho, None if f is None else f.right)
         rank_history.append(f.singular_values.size)
         # a - u, formed once; u itself is rebuilt from f after the loop
         f.reconstruct(out=w)

@@ -691,6 +691,18 @@ def test_settings_built_in_code_follow_the_number_rule(cls):
         assert stored == plain and type(stored) is type(plain)
 
 
+@pytest.mark.parametrize("name", ["rpca", "gfl", "flow", "fusion", "episode_rules"])
+def test_config_sections_hold_an_instance_of_their_class(name):
+    # a section's default comes from default_factory, episode_rules' is an EpisodeRuleTable
+    for value in (None, "x", {}, GflConfig() if name == "rpca" else RpcaConfig()):
+        with pytest.raises(ConfigError, match=f"^{name} must be an instance of [A-Za-z]+, got "):
+            Config(**{name: value})
+    with pytest.raises(ConfigError, match="^rpca must be an instance of RpcaConfig, got None$"):
+        Config(rpca=None, gfl="x")
+    default = getattr(Config(), name)
+    assert getattr(Config(**{name: default}), name) is default
+
+
 def _classify_episode_by_group_ids(frames, verdicts, segments, rule_table):
     """The former classify_episode, which rebuilt each segment's range from the group ids, kept as the reference."""
     group_ids = list(segments.group_ids)

@@ -306,6 +306,20 @@ def test_extract_change_points_follows_gfl_config_rules():
     assert lab.change_points == [1]
 
 
+def test_extract_change_points_takes_one_threshold_level():
+    # GflConfig holds a list of levels; extract_change_points takes one of them
+    for threshold, message in (([0.5, 0.2], r"threshold must be a number, got \[0.5, 0.2\]"),
+                               ((0.5,), "threshold must be a number"), (np.array(0.5), "threshold must be a number"),
+                               (-0.5, "threshold must be one or more non-negative numbers, got -0.5")):
+        with pytest.raises(ValueError, match=message):
+            gflasso.extract_change_points([1.0, 0.0], threshold, 1, 3)
+    for threshold, message in (([0.5, -1], "got -1$"), ([0.5, "x"], "threshold must be a number"), ([], r"got \[\]$")):
+        with pytest.raises(ValueError, match=message):
+            gflasso.GflConfig(threshold=threshold)
+    levels = gflasso.GflConfig(threshold=[1, np.float64(0.25)]).threshold
+    assert levels == [1.0, 0.25] and all(type(t) is float for t in levels)
+
+
 def test_segment_labeling_takes_numpy_change_points():
     labeling = gflasso.SegmentLabeling([np.int64(3)], 10)
     assert labeling.group_ids == [0] * 4 + [1] * 6

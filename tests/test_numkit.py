@@ -276,6 +276,48 @@ def test_svt_non_finite_input_raises(bad):
         numkit.singular_value_threshold(m, 0.1)
 
 
+def test_svt_block_that_cannot_settle_stops_at_its_budget_then_takes_the_full_step(monkeypatch):
+    # sigma_i = 0.995^i: the 10th Ritz value's error shrinks by about
+    # (sigma_21 / sigma_10)^4 = 0.8 per step, so the block needs ~100 steps to
+    # settle, past its budget of 47 on 200 x 160 at k = 20
+    g = rng(5)
+    left, _ = np.linalg.qr(g.standard_normal((200, 160)))
+    right, _ = np.linalg.qr(g.standard_normal((160, 160)))
+    sigma = 0.995 ** np.arange(160)
+    m = (left * sigma) @ right.T
+    tau = 0.5 * (sigma[9] + sigma[10])
+    basis = right[:, :10] + 0.1 * g.standard_normal((160, 10))
+    budget = numkit._step_budget(200, 160, 10 + numkit.SVT_OVERSAMPLING)
+    steps, full = [], []
+    qr, gram_svd = np.linalg.qr, numkit.gram_svd
+
+    def spy_qr(a, *args, **kwargs):
+        steps.append(np.shape(a))
+        return qr(a, *args, **kwargs)
+
+    def spy_gram(a, tau, count=None):
+        if count is None:  # the full step; a block step passes its count
+            full.append(np.shape(a))
+        return gram_svd(a, tau, count)
+
+    monkeypatch.setattr(np.linalg, "qr", spy_qr)
+    monkeypatch.setattr(numkit, "gram_svd", spy_gram)
+    out = numkit.singular_value_threshold(m, tau, basis)
+    monkeypatch.undo()
+    assert len(steps) == budget == 47
+    assert full == [m.shape]
+    u, s, vt = np.linalg.svd(m, full_matrices=False)
+    want = (u * np.maximum(s - tau, 0.0)) @ vt
+    assert out.singular_values.size == 10
+    assert np.linalg.norm(np.asarray(out) - want) <= 1e-6 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("m, n, k, floor", [(768, 400, 40, 13), (768, 1500, 34, 27)])
+def test_step_budget_outlasts_the_blocks_of_session_matrices(m, n, k, floor):
+    # 400-frame sessions take up to 12 steps in a call, the seed-21 1500-frame session 26
+    assert numkit._step_budget(m, n, k) >= floor
+
+
 def test_spectral_norm_diagonal():
     tol = 1e-6
     est = numkit.spectral_norm_estimate(np.diag([3.0, 2.0, 1.0]), tol)

@@ -185,8 +185,8 @@ def test_decompose_matches_full_svd_reference_on_drawn_instances(x):
 
 def _decompose_allocating(x, cfg=None):
     """decompose's loop as it ran before its iterates moved into preallocated
-    matrices: every step allocates its result."""
-    a = np.asarray(x, dtype=np.float64)
+    matrices: every step allocates its result. The input is taken in C order, as decompose takes it."""
+    a = np.ascontiguousarray(x, dtype=np.float64)
     cfg = cfg or rpca.RpcaConfig()
     lam = cfg.lam if cfg.lam is not None else rpca.default_lambda(*a.shape)
     x_fro = np.linalg.norm(a)
@@ -224,13 +224,19 @@ def _decompose_allocating(x, cfg=None):
 
 def _assert_same_bits_as_allocating_loop(x, cfg=None):
     # the Gram product's bits depend on the memory layout, so x comes in C
-    # order, in Fortran order and transposed
-    for layout in (x, np.asfortranarray(x), x.T):
-        got, ref = rpca.decompose(layout, cfg), _decompose_allocating(layout, cfg)
+    # order, in Fortran order and transposed; decompose takes each in C order,
+    # so each gives the bits of its C-order copy
+    layouts = (x, np.asfortranarray(x), x.T)
+    results = [rpca.decompose(layout, cfg) for layout in (*layouts, np.ascontiguousarray(x.T))]
+    for layout, got in zip(layouts, results):
+        ref = _decompose_allocating(layout, cfg)
         for name in ("low_rank", "sparse", "singular_values"):
             assert getattr(got, name).tobytes() == getattr(ref, name).tobytes(), name
         for name in ("iterations", "rank_history", "final_residual", "converged"):
             assert getattr(got, name) == getattr(ref, name), name
+    for got, c_input in ((results[1], results[0]), (results[2], results[3])):
+        for name in ("low_rank", "sparse", "singular_values"):
+            assert getattr(got, name).tobytes() == getattr(c_input, name).tobytes(), name
 
 
 @given(_planted_instances())
@@ -343,6 +349,30 @@ def test_decompose_warm_step_falls_back_like_the_full_step(monkeypatch):
     monkeypatch.undo()
     assert warm
     _assert_matches_reference(x, None, got)
+
+
+@pytest.mark.parametrize("case", ["768x600-rank24", "criterion1-seed0"])
+def test_decompose_warm_blocks_settle_within_their_budget_on_recovery_instances(monkeypatch, case):
+    # the shapes rpca_recovery solves: every warm block settles before its step budget
+    x = REFERENCE_CASES[case]()
+    blocks, steps = [], []
+    qr, subspace_iteration = np.linalg.qr, numkit._subspace_iteration
+
+    def spy_qr(a, *args, **kwargs):
+        steps.append(np.shape(a))
+        return qr(a, *args, **kwargs)
+
+    def spy_partial(a, tau, v):
+        steps.clear()
+        f = subspace_iteration(a, tau, v)
+        blocks.append((len(steps), numkit._step_budget(*a.shape, v.shape[1]), f is not None))
+        return f
+
+    monkeypatch.setattr(np.linalg, "qr", spy_qr)
+    monkeypatch.setattr(numkit, "_subspace_iteration", spy_partial)
+    rpca.decompose(x)
+    monkeypatch.undo()
+    assert blocks and all(settled and taken < budget for taken, budget, settled in blocks), blocks
 
 
 def test_decompose_is_byte_identical_across_runs():
